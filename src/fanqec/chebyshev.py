@@ -7,6 +7,11 @@ are genuine checks rather than tautologies.  The even/odd split factors of
 the second-kind polynomials are built from second-kind differences, and the
 fan-graph polynomials from their defining combinations.
 
+Exact signs of S_n and of the even split factor at a rational p/q need no
+coefficients: the homogenised second-kind recurrence gives q^k U_k(p/q)
+with two integers of state (``u_pair_at``, ``CompanionSign``,
+``EvenPartSign``).
+
 Floating-point evaluation goes through the recurrences (stable on [-1, 1])
 rather than coefficient Horner, whose cancellation is hopeless once the
 coefficients reach 2**50 and beyond.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -127,16 +133,18 @@ def s_poly(n: int) -> Poly:
     S_{2m}   = ((2m+1)x + 2m-1) U_m - ((2m+3)x + 2m+1) U_{m-1}
     S_{2m+1} = 2((2m+2)x^2 + (2m-1)x - 1) U_m - 2((2m+3)x + 2m+1) U_{m-1}
     """
+    m, head, tail = _s_factors(n)
+    return Poly(head) * cheb_u(m) - Poly(tail) * cheb_u(m - 1)
+
+
+def _s_factors(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(m, head, tail) with S_n = head * U_m - tail * U_{m-1}, ascending coefficients."""
     if n < 0:
         raise ValueError(f"index {n} must be >= 0")
     m, odd = divmod(n, 2)
     if odd:
-        head = Poly((-2, 4 * m - 2, 4 * m + 4))
-        tail = Poly((4 * m + 2, 4 * m + 6))
-    else:
-        head = Poly((2 * m - 1, 2 * m + 1))
-        tail = Poly((2 * m + 1, 2 * m + 3))
-    return head * cheb_u(m) - tail * cheb_u(m - 1)
+        return m, (-2, 4 * m - 2, 4 * m + 4), (4 * m + 2, 4 * m + 6)
+    return m, (2 * m - 1, 2 * m + 1), (2 * m + 1, 2 * m + 3)
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +157,83 @@ def phi(n: int) -> Poly:
     if n < 0:
         raise ValueError(f"index {n} must be >= 0")
     return Poly((-n, -3, n + 1)) * cheb_u(n) + Poly((1, 1)) * (cheb_u(n - 1) + ONE)
+
+
+# -- exact signs without coefficients ---------------------------------------
+
+
+def u_pair_at(m: int, p: int, q: int) -> tuple[int, int]:
+    """(V_m, V_{m-1}) with V_k = q^k U_k(p/q), for q > 0 and m >= 0.
+
+    Integer recurrence V_0 = 1, V_1 = 2p, V_{k+1} = 2p V_k - q^2 V_{k-1}
+    (with V_{-1} = 0): only two integers are held, so memory stays linear in
+    the bit size of V_m and no U_k coefficient vector is built.
+    """
+    if m < 0:
+        raise ValueError(f"index {m} must be >= 0")
+    if q <= 0:
+        raise ValueError("denominator must be positive")
+    two_p, q2, cur, prev = 2 * p, q * q, 1, 0
+    for _ in range(m):
+        cur, prev = two_p * cur - q2 * prev, cur
+    return cur, prev
+
+
+def _homogenised(coeffs: tuple[int, ...], p: int, q: int) -> int:
+    """q^d * c(p/q) for the degree-d coefficient tuple c."""
+    d = len(coeffs) - 1
+    return sum(c * p ** i * q ** (d - i) for i, c in enumerate(coeffs))
+
+
+def _sign(value: int) -> int:
+    return (value > 0) - (value < 0)
+
+
+@dataclasses.dataclass(frozen=True)
+class CompanionSign:
+    """Exact sign of s_poly(n) at rationals, from u_pair_at alone.
+
+    With x = p/q, d the head degree and e = d - tail degree + 1,
+    q^(m+d) S_n(x) = head(p, q) V_m - tail(p, q) q^e V_{m-1}; q > 0, so the
+    signs agree.  Same sign_at contract as Poly.
+    """
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"index {self.n} must be >= 0")
+
+    def sign_at(self, x: Fraction | int) -> int:
+        xf = Fraction(x)
+        p, q = xf.numerator, xf.denominator
+        m, head, tail = _s_factors(self.n)
+        vm, vm1 = u_pair_at(m, p, q)
+        q_e = q ** (len(head) - len(tail) + 1)
+        return _sign(_homogenised(head, p, q) * vm
+                     - _homogenised(tail, p, q) * q_e * vm1)
+
+
+@dataclasses.dataclass(frozen=True)
+class EvenPartSign:
+    """Exact sign of partial_e(n) at rationals, from u_pair_at alone.
+
+    q^m U_m(p/q) = V_m for odd n = 2m+1 and q^m (U_m + U_{m-1})(p/q) =
+    V_m + q V_{m-1} for even n = 2m.  Same sign_at contract as Poly.
+    """
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"index {self.n} must be >= 0")
+
+    def sign_at(self, x: Fraction | int) -> int:
+        xf = Fraction(x)
+        p, q = xf.numerator, xf.denominator
+        m, odd = divmod(self.n, 2)
+        vm, vm1 = u_pair_at(m, p, q)
+        return _sign(vm if odd else vm + q * vm1)
 
 
 # -- stable floating-point evaluation ---------------------------------------

@@ -304,9 +304,20 @@ def _add_format(p: argparse.ArgumentParser) -> None:
                    default="plain", help="output format (default plain)")
 
 
+def _positive_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return tol
+
+
 def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="bisection / eigensolver tolerance (default 1e-12)")
+    p.add_argument("--tol", type=_positive_tol, default=1e-12,
+                   help="bisection / eigensolver tolerance, > 0 (default 1e-12)")
 
 
 def build_parser() -> argparse.ArgumentParser:

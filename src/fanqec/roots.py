@@ -7,6 +7,12 @@ certificates: every bracket endpoint is a rational whose sign is verified by
 exact integer arithmetic, and bisection narrows brackets by exact-sign
 midpoint queries.  Floating point is used only to propose endpoints, never
 to accept them.
+
+The signs come from the two-term integer recurrence for q^k U_k(p/q)
+(``CompanionSign`` and ``EvenPartSign``), not from coefficient vectors, so
+no S_n or U_k coefficients are built here and memory stays linear in the
+bit size of one value.  Every helper only calls ``sign_at``, so a ``Poly``
+works in their place.
 """
 
 from __future__ import annotations
@@ -14,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Protocol
 
-from .chebyshev import partial_e, s_poly, s_value
-from .polynomial import Poly
+from .chebyshev import CompanionSign, EvenPartSign, s_value
 
-_NUDGE_START = Fraction(1, 2 ** 40)
+_NUDGE_START = Fraction(1, 2 ** 52)
 _NUDGE_LIMIT = Fraction(1, 2 ** 20)
 _SIMPLE_PROBE = Fraction(1, 2 ** 40)
 _HALF = Fraction(1, 2)
@@ -26,6 +32,12 @@ _HALF = Fraction(1, 2)
 
 class BadBracket(ValueError):
     """Endpoint signs do not certify a sign change."""
+
+
+class ExactSign(Protocol):
+    """Anything with an exact sign (-1, 0, +1) at rationals, such as Poly."""
+
+    def sign_at(self, x: Fraction | int) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -46,7 +58,7 @@ class Bracket:
             raise BadBracket("equal signs at both endpoints")
 
     @classmethod
-    def around(cls, p: Poly, lo: Fraction, hi: Fraction) -> Bracket:
+    def around(cls, p: ExactSign, lo: Fraction, hi: Fraction) -> Bracket:
         """Bracket with signs computed exactly; zero at an endpoint is rejected."""
         slo, shi = p.sign_at(lo), p.sign_at(hi)
         if slo == 0 or shi == 0:
@@ -81,17 +93,17 @@ class ZeroCert:
         return self.lo == self.hi
 
 
-def _is_simple(p: Poly, x: Fraction) -> bool:
+def _is_simple(p: ExactSign, x: Fraction) -> bool:
     # Opposite exact signs just outside the root witness odd multiplicity;
     # all roots certified here are isolated far beyond the probe width.
     return p.sign_at(x - _SIMPLE_PROBE) * p.sign_at(x + _SIMPLE_PROBE) < 0
 
 
-def _exact_cert(p: Poly, x: Fraction) -> ZeroCert:
+def _exact_cert(p: ExactSign, x: Fraction) -> ZeroCert:
     return ZeroCert(float(x), x, x, _is_simple(p, x))
 
 
-def bisect(p: Poly, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
+def bisect(p: ExactSign, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
     """Narrow a sign-change bracket to width <= tol by exact midpoint signs.
 
     An exact rational root hit at a midpoint short-circuits to a width-0
@@ -113,13 +125,18 @@ def bisect(p: Poly, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
     return ZeroCert(float((lo + hi) / 2), lo, hi, True)
 
 
-def _verified_endpoint(p: Poly, base: Fraction, direction: int, want: int) -> Fraction:
-    """Rational point near base, on the given side, with the required exact sign.
+def _verified_endpoint(p: ExactSign, base: Fraction, direction: int,
+                       want: int) -> Fraction:
+    """Rational point at or near base, on the given side, with the required exact sign.
 
-    The first candidate sits 2^-40 away (far beyond double-precision error in
-    base but far inside the zero separation of the families used here); the
-    nudge doubles on a failed sign check before giving up.
+    base itself is tried first.  The next candidate sits 2^-52 away, about
+    one unit in the last place of a double near 1, so an endpoint that only
+    misses through rounding in base stays that close to it; the nudge
+    doubles on a failed sign check up to 2^-20 (far inside the zero
+    separation of the families used here) before giving up.
     """
+    if p.sign_at(base) == want:
+        return base
     nudge = _NUDGE_START
     while nudge <= _NUDGE_LIMIT:
         cand = base + direction * nudge
@@ -129,7 +146,7 @@ def _verified_endpoint(p: Poly, base: Fraction, direction: int, want: int) -> Fr
     raise BadBracket(f"no verified endpoint near {float(base)} (sign {want})")
 
 
-def _float_refined(p: Poly, feval, bracket: Bracket, tol: float) -> Bracket:
+def _float_refined(p: ExactSign, feval, bracket: Bracket, tol: float) -> Bracket:
     """Shrink a bracket with float bisection, re-verifying endpoints exactly.
 
     Purely an accelerator: endpoints that fail the exact sign check are
@@ -172,7 +189,7 @@ def beta(n: int) -> float:
     """
     if n <= 1:
         raise ValueError(f"even-zero factor of index {n} is constant, no minimal zero")
-    ue = partial_e(n)
+    ue = EvenPartSign(n)
     if n == 2:
         if ue.sign_at(-_HALF) != 0:
             raise BadBracket("expected exact zero at -1/2")
@@ -193,12 +210,12 @@ def beta(n: int) -> float:
     raise BadBracket(f"no sign change around claimed minimal zero {b}")
 
 
-def _s_bracket(s: Poly, n: int, lo_float: float | None, hi_float: float,
+def _s_bracket(s: ExactSign, n: int, lo_float: float | None, hi_float: float,
                want_lo: int, want_hi: int, tol: float) -> Bracket:
     """Verified bracket from (possibly irrational) endpoint approximations.
 
-    lo_float None means the open endpoint at -1, which is approached from
-    inside; cosine endpoints are nudged outward so the target zero stays
+    lo_float None means the endpoint -1, which is nudged inward if its sign
+    is wrong; cosine endpoints are nudged outward, so the target zero stays
     inside.
     """
     if lo_float is None:
@@ -215,7 +232,7 @@ def _s_bracket(s: Poly, n: int, lo_float: float | None, hi_float: float,
 _RATIONAL_PROBES = (Fraction(-3, 4), Fraction(-1, 2), Fraction(0))
 
 
-def _probe_rationals(s: Poly, lo_bound: float, hi_bound: float) -> ZeroCert | None:
+def _probe_rationals(s: ExactSign, lo_bound: float, hi_bound: float) -> ZeroCert | None:
     for cand in _RATIONAL_PROBES:
         if lo_bound < cand < hi_bound and s.sign_at(cand) == 0:
             return _exact_cert(s, cand)
@@ -232,7 +249,7 @@ def gamma(n: int, tol: float = 1e-12) -> ZeroCert:
     """
     if n < 1:
         raise ValueError(f"index {n} must be >= 1")
-    s = s_poly(n)
+    s = CompanionSign(n)
     if n in (1, 2):
         if s.sign_at(-_HALF) == 0:
             return _exact_cert(s, -_HALF)
@@ -278,7 +295,7 @@ def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
     """
     if n < 0:
         raise ValueError(f"index {n} must be >= 0")
-    s = s_poly(n)
+    s = CompanionSign(n)
     if s.sign_at(1) != 0:
         raise BadBracket("expected zero at x = 1")
     m, odd = divmod(n, 2)

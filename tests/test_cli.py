@@ -209,3 +209,16 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "fan", "3", "5", "--tol", "0"),
+        ("table", "fan", "3", "5", "--tol", "nan"),
+        ("qec", "fan", "4", "--method", "closed", "--tol", "-1"),
+        ("qec", "fan", "5", "--tol", "inf"),
+        ("verify", "--max-n", "3", "--tol", "0"),
+    ])
+    def test_bad_tol_exits_two_with_message(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err and "Traceback" not in err
