@@ -126,23 +126,23 @@ def bisect(p: ExactSign, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
 
 
 def _verified_endpoint(p: ExactSign, base: Fraction, direction: int,
-                       want: int) -> Fraction:
+                       want: int, exact: bool = False) -> Fraction:
     """Rational point at or near base, on the given side, with the required exact sign.
 
-    base itself is tried first.  The next candidate sits 2^-52 away, about
-    one unit in the last place of a double near 1, so an endpoint that only
-    misses through rounding in base stays that close to it; the nudge
-    doubles on a failed sign check up to 2^-20 (far inside the zero
-    separation of the families used here) before giving up.
+    An exact base is tried as is first.  A base rounded from an irrational
+    grid point is not: it may sit on either side of that point, so its first
+    candidate lies 2^-52 away, about one unit in the last place of a double
+    near 1, which covers the rounding.  Every grid endpoint then costs one
+    sign query, whichever way its rounding fell, and stays that close to the
+    grid point.  The nudge doubles on a failed sign check up to 2^-20 (far
+    inside the zero separation of the families used here) before giving up.
     """
-    if p.sign_at(base) == want:
-        return base
-    nudge = _NUDGE_START
+    nudge = Fraction(0) if exact else _NUDGE_START
     while nudge <= _NUDGE_LIMIT:
         cand = base + direction * nudge
         if p.sign_at(cand) == want:
             return cand
-        nudge *= 2
+        nudge = nudge * 2 if nudge else _NUDGE_START
     raise BadBracket(f"no verified endpoint near {float(base)} (sign {want})")
 
 
@@ -219,7 +219,7 @@ def _s_bracket(s: ExactSign, n: int, lo_float: float | None, hi_float: float,
     inside.
     """
     if lo_float is None:
-        lo = _verified_endpoint(s, Fraction(-1), +1, want_lo)
+        lo = _verified_endpoint(s, Fraction(-1), +1, want_lo, exact=True)
     else:
         lo = _verified_endpoint(s, Fraction(lo_float), -1, want_lo)
     hi = _verified_endpoint(s, Fraction(hi_float), +1, want_hi)

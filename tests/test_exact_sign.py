@@ -135,3 +135,21 @@ def test_odd_value_strictly_inside_proven_bounds(n):
     lower = -4.0 * math.sin(math.pi / (2 * (n + 1))) ** 2
     upper = -4.0 * math.sin(math.pi / (2 * (n + 2))) ** 2
     assert lower < qec_fan(n).value < upper
+
+
+@pytest.mark.parametrize("n", [3479, 3481])
+def test_odd_root_query_count_does_not_depend_on_rounding(monkeypatch, n):
+    # The rounded cosine grid point lies on the zero's side at n = 3481 and
+    # beyond it at n = 3479; both take the exact sign at -1, at the grid
+    # endpoint and at the float-refined lower endpoint, nothing more.
+    calls = []
+    sign_at = CompanionSign.sign_at
+
+    def counted(self, x):
+        calls.append(x)
+        return sign_at(self, x)
+
+    monkeypatch.setattr(CompanionSign, "sign_at", counted)
+    cert = roots.gamma(n)
+    assert len(calls) == 3
+    assert cert.hi - cert.lo <= 1e-12
