@@ -278,11 +278,6 @@ def s_value(n: int, x: float) -> float:
     return ((2 * m + 1) * x + 2 * m - 1) * um - ((2 * m + 3) * x + 2 * m + 1) * um1
 
 
-def phi_value(n: int, x: float) -> float:
-    un, un1 = u_value(n, x), u_value(n - 1, x)
-    return ((n + 1) * x * x - 3.0 * x - n) * un + (x + 1.0) * (un1 + 1.0)
-
-
 # -- identity battery --------------------------------------------------------
 
 

@@ -3,7 +3,8 @@
 Floats are printed with repr (shortest round-trip form), so parsing CSV or
 JSON output reproduces the in-memory values bit-exactly.  Data goes to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 bad arguments, 3 disconnected input graph.
+failure, 2 bad arguments, 3 disconnected input graph.  `main` maps the
+library's exceptions onto them in one place and never prints a traceback.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .chebyshev import (
     phi,
     s_poly,
 )
-from .graphs import Disconnected, ParseError, fan, from_edge_list
+from .graphs import Disconnected, from_edge_list
 from .polynomial import Poly
 from .qec import Method, qec_fan, qec_numeric
 
@@ -225,12 +226,7 @@ def _cmd_qec(args: argparse.Namespace) -> int:
             n = int(args.value)
         except ValueError:
             return _fail(f"fan size must be an integer, got {args.value!r}", 2)
-        if n < 1:
-            return _fail("fan size must be >= 1", 2)
-        try:
-            result = qec_fan(n, method=method, tol=args.tol)
-        except ValueError as exc:
-            return _fail(str(exc), 2)
+        result = qec_fan(n, method=method, tol=args.tol)
         _print_qec(result, f"fan:{n}", args.format)
         return 0
 
@@ -240,16 +236,7 @@ def _cmd_qec(args: argparse.Namespace) -> int:
         text = open(args.value, encoding="utf-8").read()
     except OSError as exc:
         return _fail(f"cannot read {args.value!r}: {exc}", 2)
-    try:
-        g = from_edge_list(text)
-    except ParseError as exc:
-        return _fail(str(exc), 2)
-    try:
-        result = qec_numeric(g, tol=args.tol)
-    except Disconnected as exc:
-        return _fail(f"graph is disconnected: {exc}", 3)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    result = qec_numeric(from_edge_list(text))
     _print_qec(result, args.value, args.format)
     return 0
 
@@ -317,7 +304,7 @@ def _positive_tol(text: str) -> float:
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=_positive_tol, default=1e-12,
-                   help="bisection / eigensolver tolerance, > 0 (default 1e-12)")
+                   help="bisection tolerance, > 0 (default 1e-12)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +360,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except argparse.ArgumentError as exc:
+    except Disconnected as exc:
+        return _fail(f"graph is disconnected: {exc}", 3)
+    except roots.BadBracket as exc:
+        return _fail(f"verification failed: {exc}", 1)
+    except (ValueError, argparse.ArgumentError) as exc:
         return _fail(str(exc), 2)
 
 

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def doc_examples():
+    """Every `$ fanqec ...` line in README.md and PAPER.md with the output
+    lines that follow it, up to a blank line, the next prompt or the fence."""
+    root = Path(__file__).resolve().parents[1]
+    for doc in ("README.md", "PAPER.md"):
+        lines = (root / doc).read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("$ fanqec "):
+                continue
+            expected = []
+            for follow in lines[i + 1:]:
+                if not follow or follow.startswith(("$ ", "```")):
+                    break
+                expected.append(follow + "\n")
+            yield pytest.param(shlex.split(line)[2:], "".join(expected),
+                               id=f"{doc}:{line[2:]}")
+
+
+@pytest.mark.parametrize("argv, expected", doc_examples())
+def test_doc_example_output_is_exact(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 class TestPoly:
@@ -77,6 +104,16 @@ class TestVerify:
         assert data["identities"]["failures"] == []
         assert data["elementary_inequality"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--max-n", "-1"),
+        ("verify", "--max-n", "3", "--grid", "1"),
+    ])
+    def test_bad_argument_exits_two_with_message(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip() and "Traceback" not in err
+
     def test_corrupted_build_fails_with_name(self, capsys, monkeypatch):
         real = chebyshev.partial_e
 
@@ -122,13 +159,23 @@ class TestQec:
         edge_file.write_text("0 1\n1 2\n2 3\n3 4\n")
         code, out, _ = run(capsys, "qec", "graph", str(edge_file))
         assert code == 0
-        assert float(out.splitlines()[0]) == qec_numeric(path(5)).value
+        lines = out.splitlines()
+        assert float(lines[0]) == qec_numeric(path(5)).value
+        assert lines[2].startswith("certificate: residual=")
 
     def test_disconnected_graph_exits_three(self, capsys, tmp_path):
         edge_file = tmp_path / "two_parts.edges"
         edge_file.write_text("0 1\n2 3\n")
         code, _, err = run(capsys, "qec", "graph", str(edge_file))
         assert code == 3
+        assert "disconnected" in err
+
+    def test_label_gap_exits_three(self, capsys, tmp_path):
+        edge_file = tmp_path / "gap.edges"
+        edge_file.write_text("0 1\n1 3\n")
+        code, out, err = run(capsys, "qec", "graph", str(edge_file))
+        assert code == 3
+        assert out == ""
         assert "disconnected" in err
 
     def test_missing_file_exits_two(self, capsys):
