@@ -7,6 +7,16 @@ are genuine checks rather than tautologies.  The even/odd split factors of
 the second-kind polynomials are built from second-kind differences, and the
 fan-graph polynomials from their defining combinations.
 
+The identity battery over these families (``identity_suite``, code in
+``fanqec.identities``) checks each identity coefficient-exactly without
+multiplying coefficient vectors: lhs - rhs is evaluated at the points 0..D
+modulo primes just below 2**31 whose product exceeds a proven l1 bound on
+its coefficients, which makes it zero over the integers (the CRT
+argument).  That stands for the stored families only after each one the
+battery reads is tied, in linear time, to its recurrence or formula; if a
+tie fails the battery runs on exact Poly arithmetic, which also decides
+and reports every failure.
+
 Exact signs of S_n and of the even split factor at a rational p/q need no
 coefficients: the homogenised second-kind recurrence gives q^k U_k(p/q)
 with two integers of state (``u_pair_at``, ``CompanionSign``,
@@ -25,95 +35,140 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .polynomial import ONE, Poly
+from .polynomial import X, Poly
 
 _TWO_X = Poly((0, 2))
-_X_MINUS_ONE = Poly((-1, 1))
-_TWO_X_MINUS_TWO = Poly((-2, 2))
-_TWO_X_PLUS_TWO = Poly((2, 2))
+
+# family: (first index, that member, the next one) as coefficient tuples;
+# every later member follows P(k+2) = 2x*P(k+1) - P(k).  Starting the
+# second kind at U_{-2} = -1, U_{-1} = 0 makes its conventions part of the
+# recurrence.
+_SEEDS = {
+    "u": (-2, (-1,), ()),
+    "t": (0, (1,), (0, 1)),
+    "v": (0, (1,), (-1, 2)),
+    "w": (0, (1,), (1, 2)),
+}
 
 
 class NotIntegral(ArithmeticError):
     """Halving the variable produced a non-integer coefficient."""
 
 
-def _three_term_family(p0: Poly, p1: Poly) -> Callable[[int], Poly]:
-    """Memoized builder for P(k+2) = 2x*P(k+1) - P(k) with the given seeds."""
-    cache = [p0, p1]
+def _three_term_family(name: str) -> Callable[[int], Poly]:
+    """Memoized builder of family `name`, indexed from its first seed."""
+    _, first, second = _SEEDS[name]
+    cache = [Poly(first), Poly(second)]
     lock = threading.Lock()
 
-    def build(n: int) -> Poly:
-        if n >= len(cache):
+    def build(i: int) -> Poly:
+        if i >= len(cache):
             with lock:
-                while len(cache) <= n:
+                while len(cache) <= i:
                     cache.append(_TWO_X * cache[-1] - cache[-2])
-        return cache[n]
+        return cache[i]
 
     return build
 
 
-_u_core = _three_term_family(ONE, Poly((0, 2)))
-_t_core = _three_term_family(ONE, Poly((0, 1)))
-_v_core = _three_term_family(ONE, Poly((-1, 2)))
-_w_core = _three_term_family(ONE, Poly((1, 2)))
+_u_core = _three_term_family("u")
+_t_core = _three_term_family("t")
+_v_core = _three_term_family("v")
+_w_core = _three_term_family("w")
 
 
 def cheb_u(n: int) -> Poly:
     """Second-kind polynomial U_n; conventions U_{-1} = 0 and U_{-2} = -1."""
-    if n == -1:
-        return Poly()
-    if n == -2:
-        return Poly((-1,))
     if n < -2:
         raise ValueError(f"index {n} below -2")
-    return _u_core(n)
+    return _u_core(n + 2)
 
 
 def cheb_t(n: int) -> Poly:
     """First-kind polynomial T_n."""
-    if n < 0:
-        raise ValueError(f"index {n} must be >= 0")
+    _check_index(n)
     return _t_core(n)
 
 
 def cheb_v(n: int) -> Poly:
     """Third-kind polynomial V_n (seeds 1 and 2x - 1)."""
-    if n < 0:
-        raise ValueError(f"index {n} must be >= 0")
+    _check_index(n)
     return _v_core(n)
 
 
 def cheb_w(n: int) -> Poly:
     """Fourth-kind polynomial W_n (seeds 1 and 2x + 1)."""
-    if n < 0:
-        raise ValueError(f"index {n} must be >= 0")
+    _check_index(n)
     return _w_core(n)
 
 
-@lru_cache(maxsize=None)
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"index {n} must be >= 0")
+
+
+class _Families:
+    """Family accessor that the identities and the derived builders use.
+
+    A subclass gives member(family, k), x and poly(coeffs) for one kind of
+    value: Poly, residues modulo primes, or norm bounds.  defined() builds a
+    derived family member (pe, po, s, phi) by its formula in u.
+    """
+
+    def u(self, k): return self.member("u", k)
+    def t(self, k): return self.member("t", k)
+    def v(self, k): return self.member("v", k)
+    def w(self, k): return self.member("w", k)
+    def pe(self, n): return self.member("pe", n)
+    def po(self, n): return self.member("po", n)
+    def s(self, n): return self.member("s", n)
+    def phi(self, n): return self.member("phi", n)
+
+    def defined(self, family: str, n: int):
+        u = self.u
+        m, odd = divmod(n, 2)
+        if family == "pe":
+            return u(m) if odd else u(m) + u(m - 1)
+        if family == "po":
+            return u(m + 1) - u(m - 1) if odd else u(m) - u(m - 1)
+        if family == "s":
+            m, head, tail = _s_factors(n)
+            return u(m) * self.poly(head) - u(m - 1) * self.poly(tail)
+        if family == "phi":
+            return (u(n) * self.poly((-n, -3, n + 1))
+                    + (u(n - 1) + 1) * self.poly((1, 1)))
+        raise KeyError(family)
+
+
+class _Defined(_Families):
+    """Derived families as Poly, by their formulas in the stored U_k."""
+
+    x = X
+    poly = Poly
+
+    def member(self, family: str, k: int) -> Poly:
+        return cheb_u(k) if family == "u" else self.defined(family, k)
+
+
+_DEFINED = _Defined()
+
+
+@lru_cache(maxsize=64)
 def partial_e(n: int) -> Poly:
     """Even-zero factor of U_n: collects the zeros cos(k*pi/(n+1)) with k even.
 
     Built exactly as U_m + U_{m-1} for n = 2m and U_{(n-1)/2} for odd n; the
     trigonometric form and the even-k product formula are float test oracles.
     """
-    if n < 0:
-        raise ValueError(f"index {n} must be >= 0")
-    m, odd = divmod(n, 2)
-    if odd:
-        return cheb_u(m)
-    return cheb_u(m) + cheb_u(m - 1)
+    _check_index(n)
+    return _DEFINED.pe(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def partial_o(n: int) -> Poly:
     """Odd-zero factor of U_n, so that U_n = partial_e(n) * partial_o(n)."""
-    if n < 0:
-        raise ValueError(f"index {n} must be >= 0")
-    m, odd = divmod(n, 2)
-    if odd:
-        return cheb_u(m + 1) - cheb_u(m - 1)
-    return cheb_u(m) - cheb_u(m - 1)
+    _check_index(n)
+    return _DEFINED.po(n)
 
 
 def compress(p: Poly) -> Poly:
@@ -126,15 +181,14 @@ def compress(p: Poly) -> Poly:
     return Poly(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def s_poly(n: int) -> Poly:
     """Companion polynomial S_n whose minimal zero drives the odd fan values.
 
     S_{2m}   = ((2m+1)x + 2m-1) U_m - ((2m+3)x + 2m+1) U_{m-1}
     S_{2m+1} = 2((2m+2)x^2 + (2m-1)x - 1) U_m - 2((2m+3)x + 2m+1) U_{m-1}
     """
-    m, head, tail = _s_factors(n)
-    return Poly(head) * cheb_u(m) - Poly(tail) * cheb_u(m - 1)
+    return _DEFINED.s(n)
 
 
 def _s_factors(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -147,16 +201,15 @@ def _s_factors(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return m, (2 * m - 1, 2 * m + 1), (2 * m + 1, 2 * m + 3)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def phi(n: int) -> Poly:
     """Stationary-value polynomial of the fan problem, degree n + 2.
 
     phi_n = ((n+1)x^2 - 3x - n) U_n + (x+1)(U_{n-1} + 1); it factors as
     (x-1) * partial_e(n) * s_poly(n), which the identity suite checks.
     """
-    if n < 0:
-        raise ValueError(f"index {n} must be >= 0")
-    return Poly((-n, -3, n + 1)) * cheb_u(n) + Poly((1, 1)) * (cheb_u(n - 1) + ONE)
+    _check_index(n)
+    return _DEFINED.phi(n)
 
 
 # -- exact signs without coefficients ---------------------------------------
@@ -316,148 +369,15 @@ class IdentityReport:
         }
 
 
-@lru_cache(maxsize=16)
-def _u_pair(i: int, j: int) -> Poly:
-    # Pairwise products U_i * U_j dominate the suite cost; consecutive
-    # indices reuse all but three of them, so a small LRU pays off.
-    return cheb_u(i) * cheb_u(j)
-
-
-def _pair(i: int, j: int) -> Poly:
-    return _u_pair(i, j) if i <= j else _u_pair(j, i)
-
-
-def _cmp(identity: str, n: int, lhs: Poly, rhs: Poly) -> IdentityCheck:
-    if lhs == rhs:
-        return IdentityCheck(identity, n, True)
-    return IdentityCheck(identity, n, False, lhs.coeffs, rhs.coeffs)
-
-
-def _split_product_checks(n: int) -> list[IdentityCheck]:
-    return [_cmp("u-split-product", n, cheb_u(n), partial_e(n) * partial_o(n))]
-
-
-def _classical_factorization_checks(n: int) -> list[IdentityCheck]:
-    u2n, u2n1 = cheb_u(2 * n), cheb_u(2 * n + 1)
-    p = _pair
-    return [
-        _cmp("u-even-as-split-product", n, u2n, p(n, n) - p(n - 1, n - 1)),
-        _cmp("u-odd-as-split-product", n, u2n1, p(n, n + 1) - p(n, n - 1)),
-        _cmp("u-even-minus-one-factor", n, u2n - 1,
-             p(n - 1, n + 1) - p(n - 1, n - 1)),
-        _cmp("u-odd-minus-one-factor", n, u2n1 - 1,
-             p(n + 1, n) + p(n + 1, n - 1) - p(n, n) - p(n, n - 1)),
-        _cmp("u-even-plus-one-factor", n, u2n + 1, p(n, n) - p(n, n - 2)),
-        _cmp("u-odd-plus-one-factor", n, u2n1 + 1,
-             p(n + 1, n) - p(n + 1, n - 1) + p(n, n) - p(n, n - 1)),
-        _cmp("u-square-gap", n, p(n, n) - p(n + 1, n - 1), ONE),
-    ]
-
-
-def _sum_factorization_checks(n: int) -> list[IdentityCheck]:
-    u2n, u2n1 = cheb_u(2 * n), cheb_u(2 * n + 1)
-    u2nm1 = cheb_u(2 * n - 1)
-    p = _pair
-    return [
-        _cmp("u-even-diff-minus-one-factor", n, u2n - u2nm1 - 1,
-             _TWO_X_MINUS_TWO * (p(n - 1, n) + p(n - 1, n - 1))),
-        _cmp("u-even-sum-minus-one-factor", n, u2n + u2nm1 - 1,
-             _TWO_X_PLUS_TWO * (p(n - 1, n) - p(n - 1, n - 1))),
-        _cmp("u-even-diff-plus-one-factor", n, u2n - u2nm1 + 1,
-             p(n, n) - p(n, n - 2) - p(n - 1, n) + p(n - 1, n - 2)),
-        _cmp("u-even-sum-plus-one-factor", n, u2n + u2nm1 + 1,
-             p(n, n) - p(n, n - 2) + p(n - 1, n) - p(n - 1, n - 2)),
-        _cmp("u-odd-diff-minus-one-factor", n, u2n1 - u2n - 1,
-             _TWO_X_MINUS_TWO * (p(n, n) + p(n, n - 1))),
-        _cmp("u-odd-sum-plus-one-factor", n, u2n1 + u2n + 1,
-             _TWO_X_PLUS_TWO * (p(n, n) - p(n, n - 1))),
-        _cmp("u-odd-diff-plus-one-factor", n, u2n1 - u2n + 1,
-             p(n, n + 1) - p(n, n - 1) - p(n - 1, n + 1) + p(n - 1, n - 1)),
-        _cmp("u-odd-sum-minus-one-factor", n, u2n1 + u2n - 1,
-             p(n, n + 1) - p(n, n - 1) + p(n - 1, n + 1) - p(n - 1, n - 1)),
-    ]
-
-
-def _monic_checks(n: int) -> list[IdentityCheck]:
-    out = []
-    for name, poly in (
-        ("compressed-u-monic", cheb_u(n)),
-        ("compressed-even-part-monic", partial_e(n)),
-        ("compressed-odd-part-monic", partial_o(n)),
-    ):
-        try:
-            c = compress(poly)
-        except NotIntegral:
-            out.append(IdentityCheck(name, n, False, poly.coeffs, ()))
-            continue
-        if c.leading == 1:
-            out.append(IdentityCheck(name, n, True))
-        else:
-            expected = c.coeffs[:-1] + (1,) if c.coeffs else (1,)
-            out.append(IdentityCheck(name, n, False, c.coeffs, expected))
-    return out
-
-
-def _kind_identification_checks(n: int) -> list[IdentityCheck]:
-    m, odd = divmod(n, 2)
-    if odd:
-        return [
-            _cmp("even-part-is-second-kind", n, partial_e(n), cheb_u(m)),
-            _cmp("odd-part-is-doubled-first-kind", n, partial_o(n),
-                 2 * cheb_t(m + 1)),
-        ]
-    return [
-        _cmp("even-part-is-fourth-kind", n, partial_e(n), cheb_w(m)),
-        _cmp("odd-part-is-third-kind", n, partial_o(n), cheb_v(m)),
-    ]
-
-
-def _phi_factorization_check(n: int) -> IdentityCheck:
-    return _cmp("phi-factorization", n, phi(n),
-                _X_MINUS_ONE * partial_e(n) * s_poly(n))
-
-
-def _s_root_at_one_check(n: int) -> IdentityCheck:
-    s = s_poly(n)
-    try:
-        s.exact_div(_X_MINUS_ONE)
-    except (ArithmeticError, ZeroDivisionError):
-        return IdentityCheck("s-divisible-by-x-minus-one", n, False,
-                             s.coeffs, (int(s.evaluate(1)),))
-    return IdentityCheck("s-divisible-by-x-minus-one", n, True)
-
-
-def _partial_recurrence_checks(k: int) -> list[IdentityCheck]:
-    out = []
-    for name, fam, base in (
-        ("even-part-even-index-recurrence", partial_e, 2 * k),
-        ("odd-part-even-index-recurrence", partial_o, 2 * k),
-        ("even-part-odd-index-recurrence", partial_e, 2 * k + 1),
-        ("odd-part-odd-index-recurrence", partial_o, 2 * k + 1),
-    ):
-        out.append(_cmp(name, k, fam(base + 4),
-                        _TWO_X * fam(base + 2) - fam(base)))
-    return out
-
-
 def identity_suite(max_n: int) -> IdentityReport:
     """Check every implemented identity for all indices up to max_n.
 
-    All comparisons are exact coefficient equality; failures are recorded
-    with both coefficient vectors rather than raised.  The report is sorted
-    by (identity, n) so output is deterministic.
+    All results are exact over the integers; failures are recorded with
+    both coefficient vectors rather than raised.  The report is sorted by
+    (identity, n) so output is deterministic.  The battery itself is in
+    fanqec.identities, imported on first use so that commands which never
+    verify do not load it.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-    checked: list[IdentityCheck] = []
-    for n in range(max_n + 1):
-        checked.extend(_split_product_checks(n))
-        checked.extend(_classical_factorization_checks(n))
-        checked.extend(_sum_factorization_checks(n))
-        checked.extend(_monic_checks(n))
-        checked.extend(_kind_identification_checks(n))
-        checked.append(_phi_factorization_check(n))
-        checked.append(_s_root_at_one_check(n))
-        checked.extend(_partial_recurrence_checks(n))
-    checked.sort(key=lambda c: (c.identity, c.n))
-    return IdentityReport(max_n, checked)
+    from . import identities
+
+    return identities.identity_suite(max_n)

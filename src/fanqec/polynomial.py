@@ -77,10 +77,16 @@ class Poly:
     def __sub__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
             other = Poly((other,))
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return Poly(out)
 
     def __rsub__(self, other: int) -> Poly:
-        return Poly((other,)) + (-self)
+        out = [-c for c in self.coeffs] or [0]
+        out[0] += other
+        return Poly(out)
 
     def __mul__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
@@ -88,10 +94,14 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
+        if len(a) > len(b):
+            a, b = b, a
+        # The Chebyshev families are half zeros: skip them in both operands.
+        b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in b_terms:
                     out[i + j] += ai * bj
         return Poly(out)
 

@@ -63,16 +63,26 @@ def helmert_basis(m: int) -> np.ndarray:
     return q
 
 
+# Largest graph the numeric oracle accepts.  Its n x n float matrices
+# (distances, Helmert basis, the products) take about 40 n^2 bytes, 170 MB
+# here.
+MAX_ORACLE_VERTICES = 2048
+
+
 def qec_numeric(g: Graph) -> QecResult:
     """Constant straight from the definition: the maximum of <f, Df> over
     unit vectors orthogonal to the ones vector, via subspace compression.
 
     Independent of every closed form in this package, which is what makes it
     an oracle.  The certificate is the residual |Cv - lambda v| of the top
-    eigenpair of the compressed matrix C.
+    eigenpair of the compressed matrix C.  Graphs over MAX_ORACLE_VERTICES
+    vertices raise ValueError before any n x n array exists.
     """
     if g.n_vertices < 2:
         raise ValueError("need at least two vertices")
+    if g.n_vertices > MAX_ORACLE_VERTICES:
+        raise ValueError(f"numeric oracle takes at most {MAX_ORACLE_VERTICES} "
+                         f"vertices, got {g.n_vertices}")
     d = distance_matrix(g).astype(float)
     q = helmert_basis(g.n_vertices)
     compressed = q @ d @ q.T

@@ -1,7 +1,10 @@
 """Polynomial families: frozen small members, identities, float oracles."""
 
+import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
 
 from fanqec.chebyshev import (
@@ -20,7 +23,7 @@ from fanqec.chebyshev import (
     s_poly,
     s_value,
 )
-from fanqec import chebyshev
+from fanqec import chebyshev, identities
 from fanqec.polynomial import ONE, Poly
 
 
@@ -289,3 +292,210 @@ class TestIdentitySuite:
         assert data["failures"]
         first = data["failures"][0]
         assert set(first) == {"identity", "n", "lhs", "rhs"}
+
+
+# -- the modular identity battery ---------------------------------------------
+
+_BATTERY_NAMES = {
+    "u-split-product", "u-even-as-split-product", "u-odd-as-split-product",
+    "u-even-minus-one-factor", "u-odd-minus-one-factor",
+    "u-even-plus-one-factor", "u-odd-plus-one-factor", "u-square-gap",
+    "u-even-diff-minus-one-factor", "u-even-sum-minus-one-factor",
+    "u-even-diff-plus-one-factor", "u-even-sum-plus-one-factor",
+    "u-odd-diff-minus-one-factor", "u-odd-sum-plus-one-factor",
+    "u-odd-diff-plus-one-factor", "u-odd-sum-minus-one-factor",
+    "compressed-u-monic", "compressed-even-part-monic",
+    "compressed-odd-part-monic", "phi-factorization",
+    "s-divisible-by-x-minus-one", "even-part-even-index-recurrence",
+    "odd-part-even-index-recurrence", "even-part-odd-index-recurrence",
+    "odd-part-odd-index-recurrence",
+}
+_ODD_N_NAMES = {"even-part-is-second-kind", "odd-part-is-doubled-first-kind"}
+_EVEN_N_NAMES = {"even-part-is-fourth-kind", "odd-part-is-third-kind"}
+
+
+def _falling(d: int) -> tuple[int, ...]:
+    p = Poly([1])
+    for k in range(d):
+        p = p * Poly([-k, 1])
+    return p.coeffs
+
+
+def _digest(report) -> str:
+    data = json.dumps(report.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def _on_poly_only(monkeypatch, max_n):
+    """The battery with every check decided on the stored Poly objects."""
+    with monkeypatch.context() as m:
+        m.setattr(identities._Tables, "vanishes", lambda *args: False)
+        return identity_suite(max_n)
+
+
+@pytest.fixture
+def cold_caches():
+    # A corrupted cheb_u reaches the cached derived families; start and end
+    # with empty caches so that no other test sees or supplies them.
+    caches = (partial_e, partial_o, s_poly, phi)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+class TestModularBattery:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+    def test_shape(self, n):
+        # 27 checks per index; verify --max-n 300 counts 8127 of them.
+        report = identity_suite(n)
+        assert len(report.checked) == 27 * (n + 1)
+        names = {c.identity for c in report.checked}
+        expected = _BATTERY_NAMES | _EVEN_N_NAMES | (_ODD_N_NAMES if n else set())
+        assert names == expected
+        assert report.ok
+
+    def test_primes_are_distinct_primes_above_every_point(self):
+        # PRIMES, and the primes that extend them past its product (2**992),
+        # as an index above about 380 needs.
+        primes = identities._primes_above(2 ** 1200)
+        assert tuple(primes[:32]) == identities.PRIMES
+        assert len(set(primes)) == len(primes) > 32
+        for p in primes:
+            assert p < 2 ** 31
+            assert p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+        # The points are 0..D with D the largest degree bound of a check.
+        norms = identities._Norms()
+        top_point = max((lhs - rhs).degree for lhs, rhs in
+                        (fn(norms, 300) for _, _, fn in identities._IDENTITIES))
+        assert min(primes) > top_point >= 601
+
+    def test_norm_bound_covers_every_coefficient(self):
+        norms = identities._Norms()
+        stored = identities._STORED
+        for name, parity, fn in identities._IDENTITIES:
+            for n in range(61):
+                if parity is not None and n % 2 != parity:
+                    continue
+                lhs, rhs = fn(stored, n)
+                b_lhs, b_rhs = fn(norms, n)
+                bound = b_lhs - b_rhs
+                diff = lhs - rhs
+                assert bound.norm >= max(map(abs, diff.coeffs), default=0)
+                assert bound.norm >= sum(map(abs, lhs.coeffs + rhs.coeffs)), (name, n)
+                assert bound.degree >= max(lhs.degree, rhs.degree), (name, n)
+                primes = identities._primes_above(bound.norm)
+                assert math.prod(primes) > bound.norm >= math.prod(primes[:-1])
+
+    def test_passes_are_proven_on_the_modular_backend(self, monkeypatch):
+        # Every passing identity is decided without a Poly product.
+        def no_poly(*args):
+            raise AssertionError("identity decided on Poly")
+
+        monkeypatch.setattr(identities, "_cmp", no_poly)
+        assert identity_suite(60).ok
+
+    def test_reduce_is_congruent_and_small(self):
+        p = np.array(identities.PRIMES, dtype=np.int64)[:, None]
+        limit = identities._INT64_LIMIT - 1
+        rng = np.random.default_rng(7)
+        a = np.concatenate([
+            rng.integers(-limit, limit, size=(len(identities.PRIMES), 500),
+                         dtype=np.int64),
+            np.array([[-limit, -1, 0, 1, limit]] * len(identities.PRIMES)),
+        ], axis=1)
+        r = identities._reduce(a, p, 1.0 / p)
+        assert np.all(np.abs(r) <= identities._REDUCED_BOUND)
+        for row, q in enumerate(identities.PRIMES):
+            assert all((int(x) - int(y)) % q == 0 for x, y in zip(a[row], r[row]))
+
+    @pytest.mark.parametrize("coeffs", [
+        # x(x-1)...(x-d+1): zero at the points 0..d-1, nonzero at d.
+        *(pytest.param(_falling(d), id=f"falling-{d}") for d in (0, 1, 5, 40)),
+        # A constant that every prime but the last one needed divides.
+        *(pytest.param((math.prod(identities.PRIMES[:k]),), id=f"primes-{k}")
+          for k in (1, 3, 10)),
+    ])
+    def test_near_misses_are_refuted(self, monkeypatch, coeffs):
+        table = [("near-miss", None, lambda f, n: (f.poly(coeffs), f.poly(())))]
+        monkeypatch.setattr(identities, "_IDENTITIES", table)
+        report = identity_suite(0)
+        assert [(c.identity, c.lhs, c.rhs) for c in report.failures] == [
+            ("near-miss", coeffs, ())]
+
+    def test_agrees_with_poly_battery(self, monkeypatch):
+        assert identity_suite(30).checked == _on_poly_only(monkeypatch, 30).checked
+
+    # A sign flipped in one term of one right-hand side.  Failure sets and
+    # digests of the JSON report were recorded from the all-Poly battery
+    # that the modular one replaced, under the same mutation.
+    @pytest.mark.parametrize("name, mutated, failing, digest", [
+        ("u-even-as-split-product",
+         lambda f, n: (f.u(2 * n), f.u(n) * f.u(n) + f.u(n - 1) * f.u(n - 1)),
+         range(1, 41),
+         "b7ccf54579f6b9016ead4773526713b8c21f98c95fbf9d4ddedea3cb366f3dcb"),
+        ("u-odd-sum-plus-one-factor",
+         lambda f, n: (f.u(2 * n + 1) + f.u(2 * n) + 1,
+                       (2 * f.x + 2) * (f.u(n) * f.u(n) + f.u(n) * f.u(n - 1))),
+         range(1, 41),
+         "f6b17eb67c60b06ec5eb8bf1744bb9c763fb2cc8934c1ebfb7a3fcc6ac9721f0"),
+        ("odd-part-odd-index-recurrence",
+         lambda f, k: (f.po(2 * k + 5), 2 * f.x * f.po(2 * k + 3) + f.po(2 * k + 1)),
+         range(0, 41),
+         "eb38e9adb946b9e47ad281866b2e84fb3c11c08bda5e82a755990e406442a5de"),
+    ], ids=["u-even-as-split-product", "u-odd-sum-plus-one-factor",
+            "odd-part-odd-index-recurrence"])
+    def test_mutated_identity_is_caught(self, monkeypatch, name, mutated,
+                                        failing, digest):
+        table = [(n_, parity, mutated if n_ == name else fn)
+                 for n_, parity, fn in identities._IDENTITIES]
+        monkeypatch.setattr(identities, "_IDENTITIES", table)
+        report = identity_suite(40)
+        assert [(c.identity, c.n) for c in report.failures] == [
+            (name, n) for n in failing]
+        for c in report.failures:
+            lhs, rhs = mutated(identities._STORED, c.n)
+            assert (c.lhs, c.rhs) == (lhs.coeffs, rhs.coeffs)
+        assert report.checked == _on_poly_only(monkeypatch, 40).checked
+        assert _digest(report) == digest
+
+    # cheb_u with constant coefficient + 1 at one index k, 40 < k <= 81:
+    # failures and digest recorded as above.
+    @pytest.mark.parametrize("k, failing, digest", [
+        (42, 16, "0eeec8ad0a39d22e07fee689e9eb35333aaffa4fd6c456bdf96f99063df037a8"),
+        (61, 11, "945b25af36f32b00aea0ad440e8d39ef283e5c652d163bfd7031f419331f5a5b"),
+        (81, 7, "8bb7412b71b82ac9257d179968acc51f95b7cfcc41d3915d7e07caa147b1a41d"),
+    ], ids=["k42", "k61", "k81"])
+    def test_corrupted_second_kind_is_caught(self, monkeypatch, cold_caches,
+                                             k, failing, digest):
+        real = cheb_u
+
+        def corrupted(n):
+            p = real(n)
+            if n == k:
+                return Poly((p.coeffs[0] + 1,) + p.coeffs[1:])
+            return p
+
+        monkeypatch.setattr(chebyshev, "cheb_u", corrupted)
+        report = identity_suite(40)
+        assert len(report.failures) == failing
+        assert _digest(report) == digest
+
+    def test_corrupted_split_factors_match_poly_battery(self, monkeypatch):
+        # The two corruptions of TestIdentitySuite, compared in full.
+        real = partial_e
+
+        def corrupted(n):
+            p = real(n)
+            if n == 4:
+                return Poly((p.coeffs[0] + 1,) + p.coeffs[1:])
+            return p
+
+        with monkeypatch.context() as m:
+            m.setattr(chebyshev, "partial_e", corrupted)
+            assert _digest(identity_suite(6)) == (
+                "3dae26396dc675341b8cf917963e43d8e49429477a972b8b8f7e79211c9b6e23")
+        monkeypatch.setattr(chebyshev, "partial_o", lambda n: Poly([5]))
+        assert _digest(identity_suite(2)) == (
+            "ab3db33cb8097f36176f3cb7a63f47f3810cccb277f8c15f4063ff474ee30ab8")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fanqec import chebyshev
+from fanqec import chebyshev, qec
 from fanqec.cli import main
 from fanqec.graphs import path
 from fanqec.polynomial import Poly
@@ -201,6 +201,35 @@ class TestQec:
     def test_non_integer_fan_exits_two(self, capsys):
         code, _, _ = run(capsys, "qec", "fan", "many")
         assert code == 2
+
+
+class TestOracleCap:
+    """Graphs over the oracle's vertex cap exit 2 before any n x n array."""
+
+    @pytest.fixture(autouse=True)
+    def no_matrices(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("n x n array built above the cap")
+
+        monkeypatch.setattr(qec, "distance_matrix", refuse)
+        monkeypatch.setattr(qec, "helmert_basis", refuse)
+
+    def test_path_file_just_over_cap(self, capsys, tmp_path):
+        n = qec.MAX_ORACLE_VERTICES + 1
+        edge_file = tmp_path / "long_path.edges"
+        edge_file.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        code, out, err = run(capsys, "qec", "graph", str(edge_file))
+        assert code == 2
+        assert out == ""
+        assert str(qec.MAX_ORACLE_VERTICES) in err and "Traceback" not in err
+
+    def test_fan_at_cap_is_over_it(self, capsys):
+        # fan n has n + 1 vertices.
+        code, out, err = run(capsys, "qec", "fan", str(qec.MAX_ORACLE_VERTICES),
+                             "--method", "numeric")
+        assert code == 2
+        assert out == ""
+        assert str(qec.MAX_ORACLE_VERTICES) in err
 
 
 class TestTable:

@@ -58,6 +58,31 @@ class TestAddition:
         assert Poly([1, 2]) + Poly([-1, 2]) == Poly([0, 4])
 
 
+class TestSubtraction:
+    @pytest.mark.parametrize("a, b, diff", [
+        ((1, 2, 3), (1,), (0, 2, 3)),
+        ((1,), (1, 2, 3), (0, -2, -3)),
+        ((0, 0, 5), (1, 2, 5), (-1, -2)),
+        ((), (4, 0, 1), (-4, 0, -1)),
+    ])
+    def test_unequal_lengths_both_orders(self, a, b, diff):
+        assert Poly(a) - Poly(b) == Poly(diff)
+        assert Poly(b) - Poly(a) == Poly(tuple(-c for c in diff))
+
+    def test_integer_operands(self):
+        assert Poly([1, 2]) - 3 == Poly([-2, 2])
+        assert 3 - Poly([1, 2]) == Poly([2, -2])
+        assert 0 - ZERO == ZERO
+        assert 5 - ZERO == Poly([5])
+
+    def test_matches_negated_sum(self):
+        rng = random.Random(31415)
+        for _ in range(150):
+            a, b = random_poly(rng), random_poly(rng)
+            assert a - b == a + (-b)
+            assert (a - b) + b == a
+
+
 class TestMultiplication:
     def test_difference_of_squares(self):
         assert Poly([-1, 1]) * Poly([1, 1]) == Poly([-1, 0, 1])
