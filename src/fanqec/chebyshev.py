@@ -18,9 +18,10 @@ tie fails the battery runs on exact Poly arithmetic, which also decides
 and reports every failure.
 
 Exact signs of S_n and of the even split factor at a rational p/q need no
-coefficients: the homogenised second-kind recurrence gives q^k U_k(p/q)
-with two integers of state (``u_pair_at``, ``CompanionSign``,
-``EvenPartSign``).
+coefficients: q^k U_k(p/q) is a Lucas sequence in 2p and q^2, and index
+doubling gives the pair (q^m U_m, q^(m-1) U_{m-1})(p/q) with two integers
+of state and O(log m) multiplications of numbers up to the final size
+(``u_pair_at``, ``CompanionSign``, ``EvenPartSign``).
 
 Floating-point evaluation goes through the recurrences (stable on [-1, 1])
 rather than coefficient Horner, whose cancellation is hopeless once the
@@ -218,17 +219,28 @@ def phi(n: int) -> Poly:
 def u_pair_at(m: int, p: int, q: int) -> tuple[int, int]:
     """(V_m, V_{m-1}) with V_k = q^k U_k(p/q), for q > 0 and m >= 0.
 
-    Integer recurrence V_0 = 1, V_1 = 2p, V_{k+1} = 2p V_k - q^2 V_{k-1}
-    (with V_{-1} = 0): only two integers are held, so memory stays linear in
-    the bit size of V_m and no U_k coefficient vector is built.
+    V_k is the Lucas sequence U_{k+1}(2p, q^2): V_{-1} = 0, V_0 = 1 and
+    V_{k+1} = 2p V_k - q^2 V_{k-1}.  The pair is reached by doubling over
+    the bits of m, most significant first (Joye and Quisquater, Efficient
+    computation of full Lucas sequences, 1996):
+
+        V_{2k}   = (V_k - q V_{k-1}) (V_k + q V_{k-1})
+        V_{2k-1} = V_{k-1} (2 V_k - 2p V_{k-1})
+
+    and a set bit takes one ordinary step.  That is O(log m) multiplications
+    of numbers up to the bit size of V_m, with two integers of state and no
+    U_k coefficient vector.
     """
     if m < 0:
         raise ValueError(f"index {m} must be >= 0")
     if q <= 0:
         raise ValueError("denominator must be positive")
     two_p, q2, cur, prev = 2 * p, q * q, 1, 0
-    for _ in range(m):
-        cur, prev = two_p * cur - q2 * prev, cur
+    for bit in range(m.bit_length() - 1, -1, -1):
+        q_prev = q * prev
+        cur, prev = (cur - q_prev) * (cur + q_prev), prev * (2 * cur - two_p * prev)
+        if m >> bit & 1:
+            cur, prev = two_p * cur - q2 * prev, cur
     return cur, prev
 
 
@@ -292,6 +304,14 @@ class EvenPartSign:
 # -- stable floating-point evaluation ---------------------------------------
 
 
+def _u_walk(n: int, x: float) -> tuple[float, float]:
+    """(U_n(x), U_{n-1}(x)) by the forward recurrence from U_{-1} = 0, n >= 0."""
+    prev, cur = 0.0, 1.0
+    for _ in range(n):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur, prev
+
+
 def u_value(n: int, x: float) -> float:
     """U_n(x) by the forward recurrence (stable for |x| <= 1)."""
     if n == -1:
@@ -300,12 +320,7 @@ def u_value(n: int, x: float) -> float:
         return -1.0
     if n < -2:
         raise ValueError(f"index {n} below -2")
-    prev, cur = 1.0, 2.0 * x
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    return _u_walk(n, x)[0]
 
 
 def partial_e_value(n: int, x: float) -> float:
@@ -323,8 +338,9 @@ def partial_o_value(n: int, x: float) -> float:
 
 
 def s_value(n: int, x: float) -> float:
+    _check_index(n)
     m, odd = divmod(n, 2)
-    um, um1 = u_value(m, x), u_value(m - 1, x)
+    um, um1 = _u_walk(m, x)
     if odd:
         return (2.0 * ((2 * m + 2) * x * x + (2 * m - 1) * x - 1.0) * um
                 - 2.0 * ((2 * m + 3) * x + 2 * m + 1) * um1)

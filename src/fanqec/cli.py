@@ -233,7 +233,8 @@ def _cmd_qec(args: argparse.Namespace) -> int:
     if method not in ("auto", Method.NUMERIC_ORACLE):
         return _fail("graph targets support only the numeric method", 2)
     try:
-        text = open(args.value, encoding="utf-8").read()
+        with open(args.value, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         return _fail(f"cannot read {args.value!r}: {exc}", 2)
     result = qec_numeric(from_edge_list(text))

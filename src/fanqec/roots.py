@@ -8,11 +8,11 @@ exact integer arithmetic, and bisection narrows brackets by exact-sign
 midpoint queries.  Floating point is used only to propose endpoints, never
 to accept them.
 
-The signs come from the two-term integer recurrence for q^k U_k(p/q)
-(``CompanionSign`` and ``EvenPartSign``), not from coefficient vectors, so
-no S_n or U_k coefficients are built here and memory stays linear in the
-bit size of one value.  Every helper only calls ``sign_at``, so a ``Poly``
-works in their place.
+The signs come from q^k U_k(p/q) by index doubling (``CompanionSign`` and
+``EvenPartSign``), not from coefficient vectors, so no S_n or U_k
+coefficients are built here and memory stays linear in the bit size of one
+value.  Every helper only calls ``sign_at``, so a ``Poly`` works in their
+place.
 """
 
 from __future__ import annotations
@@ -125,21 +125,25 @@ def bisect(p: ExactSign, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
     return ZeroCert(float((lo + hi) / 2), lo, hi, True)
 
 
-def _verified_endpoint(p: ExactSign, base: Fraction, direction: int,
+def _verified_endpoint(p: ExactSign, base: Fraction, toward: Fraction,
                        want: int, exact: bool = False) -> Fraction:
-    """Rational point at or near base, on the given side, with the required exact sign.
+    """Rational point near base, on the side of toward, with the required exact sign.
 
     An exact base is tried as is first.  A base rounded from an irrational
     grid point is not: it may sit on either side of that point, so its first
     candidate lies 2^-52 away, about one unit in the last place of a double
     near 1, which covers the rounding.  Every grid endpoint then costs one
     sign query, whichever way its rounding fell, and stays that close to the
-    grid point.  The nudge doubles on a failed sign check up to 2^-20 (far
-    inside the zero separation of the families used here) before giving up.
+    grid point.  The nudge doubles on a failed sign check up to 2^-20, but a
+    candidate never reaches toward, the neighbouring point of the zero
+    localization: past it the bracket could hold three zeros.
     """
+    direction = 1 if toward > base else -1
     nudge = Fraction(0) if exact else _NUDGE_START
     while nudge <= _NUDGE_LIMIT:
         cand = base + direction * nudge
+        if direction * (toward - cand) <= 0:
+            break
         if p.sign_at(cand) == want:
             return cand
         nudge = nudge * 2 if nudge else _NUDGE_START
@@ -210,21 +214,36 @@ def beta(n: int) -> float:
     raise BadBracket(f"no sign change around claimed minimal zero {b}")
 
 
-def _s_bracket(s: ExactSign, n: int, lo_float: float | None, hi_float: float,
-               want_lo: int, want_hi: int, tol: float) -> Bracket:
-    """Verified bracket from (possibly irrational) endpoint approximations.
+def _grid_point(j: int, den: int) -> float:
+    """cos(j*pi/den) on the zero grid of S_n, with its ends -1 (j >= den) and 1 (j <= 0)."""
+    if j >= den:
+        return -1.0
+    return math.cos(max(j, 0) * math.pi / den)
 
-    lo_float None means the endpoint -1, which is nudged inward if its sign
-    is wrong; cosine endpoints are nudged outward, so the target zero stays
-    inside.
+
+def _zero_between(s: ExactSign, n: int, den: int, j_lo: int, j_hi: int,
+                  want_lo: int, tol: float) -> ZeroCert:
+    """Certified zero of S_n between the grid points j_lo > j_hi.
+
+    The endpoint -1 (j_lo >= den) is exact and nudged inward if its sign is
+    wrong; cosine endpoints are nudged outward, so the target zero stays
+    inside, but never to the next grid point, so no other zero joins it.
     """
-    if lo_float is None:
-        lo = _verified_endpoint(s, Fraction(-1), +1, want_lo, exact=True)
+    lo_f, hi_f = _grid_point(j_lo, den), _grid_point(j_hi, den)
+    exact = _probe_rationals(s, lo_f, hi_f)
+    if exact is not None:
+        return exact
+    if j_lo >= den:
+        lo = _verified_endpoint(s, Fraction(-1), Fraction(hi_f), want_lo,
+                                exact=True)
     else:
-        lo = _verified_endpoint(s, Fraction(lo_float), -1, want_lo)
-    hi = _verified_endpoint(s, Fraction(hi_float), +1, want_hi)
-    bracket = Bracket(lo, hi, want_lo, want_hi)
-    return _float_refined(s, lambda x: s_value(n, x), bracket, tol)
+        lo = _verified_endpoint(s, Fraction(lo_f),
+                                Fraction(_grid_point(j_lo + 2, den)), want_lo)
+    hi = _verified_endpoint(s, Fraction(hi_f),
+                            Fraction(_grid_point(j_hi - 2, den)), -want_lo)
+    bracket = Bracket(lo, hi, want_lo, -want_lo)
+    bracket = _float_refined(s, lambda x: s_value(n, x), bracket, tol)
+    return bisect(s, bracket, tol)
 
 
 # Rational zeros that actually occur in the family (S_1, S_2, S_3); probing
@@ -255,19 +274,11 @@ def gamma(n: int, tol: float = 1e-12) -> ZeroCert:
             return _exact_cert(s, -_HALF)
         raise BadBracket("expected exact minimal zero at -1/2")
     m, odd = divmod(n, 2)
-    if odd:
-        want_lo, want_hi = (-1) ** m, (-1) ** (m + 1)
-        lo_f = None
-        hi_f = math.cos((2 * m + 1) * math.pi / (2 * m + 2))
-    else:
-        want_lo, want_hi = (-1) ** (m + 1), (-1) ** m
-        lo_f = math.cos(2 * m * math.pi / (2 * m + 1))
-        hi_f = math.cos((2 * m - 1) * math.pi / (2 * m + 1))
-    exact = _probe_rationals(s, -1.0 if lo_f is None else lo_f, hi_f)
-    if exact is not None:
-        return exact
-    bracket = _s_bracket(s, n, lo_f, hi_f, want_lo, want_hi, tol)
-    return bisect(s, bracket, tol)
+    if odd:  # from -1 (grid index den) to the smallest grid point
+        den, j_lo, j_hi, want_lo = 2 * m + 2, 2 * m + 2, 2 * m + 1, (-1) ** m
+    else:  # from the minimal even-factor zero, cos(2m*pi/(2m+1))
+        den, j_lo, j_hi, want_lo = 2 * m + 1, 2 * m, 2 * m - 1, (-1) ** (m + 1)
+    return _zero_between(s, n, den, j_lo, j_hi, want_lo, tol)
 
 
 def alpha(n: int, tol: float = 1e-12) -> float:
@@ -303,15 +314,9 @@ def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
     den = 2 * m + 2 if odd else 2 * m + 1
     certs: list[ZeroCert] = []
     for k in range(count, 0, -1):
-        want_lo, want_hi = (-1) ** (k + 1), (-1) ** k
-        hi_f = math.cos((2 * k - 1) * math.pi / den)
-        lo_f = None if k == count else math.cos((2 * k + 1) * math.pi / den)
-        exact = _probe_rationals(s, -1.0 if lo_f is None else lo_f, hi_f)
-        if exact is not None:
-            certs.append(exact)
-            continue
-        bracket = _s_bracket(s, n, lo_f, hi_f, want_lo, want_hi, tol)
-        certs.append(bisect(s, bracket, tol))
+        # k == count reaches past den, so its lower end is -1.
+        certs.append(_zero_between(s, n, den, 2 * k + 1, 2 * k - 1,
+                                   (-1) ** (k + 1), tol))
     certs.append(_exact_cert(s, Fraction(1)))
     return certs
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,9 +23,20 @@ from fanqec.chebyshev import (
     phi,
     s_poly,
     s_value,
+    u_value,
 )
 from fanqec import chebyshev, identities
 from fanqec.polynomial import ONE, Poly
+
+
+def u_value_reference(n: int, x: float) -> float:
+    """U_n(x), n >= 0, by the forward recurrence started at U_0 = 1, U_1 = 2x."""
+    prev, cur = 1.0, 2.0 * x
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur
 
 
 class TestSecondKind:
@@ -220,6 +232,26 @@ class TestCompanionPolynomials:
                 expected = (2 * (-1) ** k / math.sin((2 * k - 1) * math.pi / (2 * m + 2))
                             * (1 + x) ** 2)
                 assert abs(s_value(2 * m + 1, x) - expected) < 1e-9
+
+    def test_value_from_one_walk_equals_two_walks(self):
+        # s_value takes U_m and U_{m-1} from one float walk; the same
+        # operations as two u_value walks, so the values are equal, not close.
+        rng = random.Random(4021)
+        points = [-1.0, 0.0, 1.0] + [rng.uniform(-1.0, 1.0) for _ in range(50)]
+        for m in range(0, 201):
+            for x in points:
+                assert u_value(m, x) == u_value_reference(m, x)
+        for n in range(0, 401):
+            m, odd = divmod(n, 2)
+            for x in points:
+                um, um1 = u_value(m, x), u_value(m - 1, x)
+                if odd:
+                    two_walks = (2.0 * ((2 * m + 2) * x * x + (2 * m - 1) * x - 1.0) * um
+                                 - 2.0 * ((2 * m + 3) * x + 2 * m + 1) * um1)
+                else:
+                    two_walks = (((2 * m + 1) * x + 2 * m - 1) * um
+                                 - ((2 * m + 3) * x + 2 * m + 1) * um1)
+                assert s_value(n, x) == two_walks, (n, x)
 
     def test_value_at_second_even_minimal_zero(self):
         # The odd-index member evaluated at the next even member's minimal

@@ -33,6 +33,20 @@ def random_points(seed: int, count: int) -> list[Fraction]:
     return out
 
 
+def linear_pairs(p: int, q: int, count: int) -> list[tuple[int, int]]:
+    """(V_m, V_{m-1}) for m < count, one recurrence step at a time.
+
+    The reference for the doubling kernel: V_{k+1} = 2p V_k - q^2 V_{k-1}
+    from V_0 = 1, V_{-1} = 0.
+    """
+    two_p, q2, cur, prev = 2 * p, q * q, 1, 0
+    out = []
+    for _ in range(count):
+        out.append((cur, prev))
+        cur, prev = two_p * cur - q2 * prev, cur
+    return out
+
+
 class TestKernel:
     @pytest.mark.parametrize("x", [Fraction(-1), Fraction(3, 7),
                                    Fraction(-5, 8), Fraction(9, 4)])
@@ -45,6 +59,21 @@ class TestKernel:
                 assert Fraction(vm1, q ** (m - 1)) == cheb_u(m - 1).evaluate(x)
             else:
                 assert vm1 == 0
+
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (-1, 1), (3, 7),
+                                      (-5, 8), (9, 4), (7, 1024),
+                                      (-2 ** 53 + 1, 2 ** 53)])
+    def test_doubling_matches_linear_loop(self, p, q):
+        for m, pair in enumerate(linear_pairs(p, q, 512)):
+            assert u_pair_at(m, p, q) == pair, m
+
+    def test_doubling_at_odd_grid_endpoint(self):
+        # The endpoint gamma(4021) queries first: cos(4021*pi/4022) rounded
+        # to a double, moved 2^-52 outward; m = 2010 has eight set bits.
+        base = Fraction(math.cos(4021 * math.pi / 4022))
+        for x in (base, base + Fraction(1, 2 ** 52)):
+            p, q = x.numerator, x.denominator
+            assert u_pair_at(2010, p, q) == linear_pairs(p, q, 2011)[-1]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fanqec import roots
 from fanqec.chebyshev import s_poly
 from fanqec.polynomial import Poly
 from fanqec.roots import (
@@ -119,6 +120,50 @@ class TestGamma:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             gamma(0)
+
+
+class _ConstantSign:
+    """Sign stub that records every query and always answers the same."""
+
+    def __init__(self, sign: int):
+        self.sign, self.queries = sign, []
+
+    def sign_at(self, x) -> int:
+        self.queries.append(Fraction(x))
+        return self.sign
+
+
+def _nudged_end(n: int, end: str) -> tuple[Fraction, Fraction]:
+    """(base, neighbouring grid point) of one end of gamma(n)'s bracket."""
+    m, odd = divmod(n, 2)
+    if odd:
+        grid = [Fraction(math.cos(j * math.pi / (2 * m + 2)))
+                for j in (2 * m - 1, 2 * m + 1)]
+        return (Fraction(-1), grid[1]) if end == "lo" else (grid[1], grid[0])
+    beta_, hi, above = (Fraction(math.cos(j * math.pi / (2 * m + 1)))
+                        for j in (2 * m, 2 * m - 1, 2 * m - 3))
+    return (beta_, Fraction(-1)) if end == "lo" else (hi, above)
+
+
+@pytest.mark.parametrize("n", [6400, 6401, 20000, 20001])
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_nudges_stop_before_the_neighbouring_grid_point(monkeypatch, n, end):
+    # Near -1 the grid gap falls below the 2^-20 nudge ceiling (9.9e-8 above
+    # the odd bracket at n = 20001): an endpoint whose sign never verifies
+    # must raise, not walk past the next zero.  The stub gives the lower end
+    # its sign when the upper end is the one to fail.
+    m, odd = divmod(n, 2)
+    want_lo = (-1) ** m if odd else (-1) ** (m + 1)
+    stub = _ConstantSign(want_lo if end == "hi" else -want_lo)
+    monkeypatch.setattr(roots, "CompanionSign", lambda _: stub)
+    with pytest.raises(BadBracket):
+        gamma(n)
+    base, neighbour = _nudged_end(n, end)
+    tried = stub.queries[1:] if end == "hi" or base == -1 else stub.queries
+    if base == -1:
+        assert stub.queries[0] == -1
+    assert len(tried) >= 10
+    assert all(min(base, neighbour) < x < max(base, neighbour) for x in tried)
 
 
 class TestAlpha:
