@@ -5,7 +5,10 @@ built by its three-term recurrence; the first/third/fourth kinds get their
 own independent recurrences so that the cross-family identifications below
 are genuine checks rather than tautologies.  The even/odd split factors of
 the second-kind polynomials are built from second-kind differences, and the
-fan-graph polynomials from their defining combinations.
+fan-graph polynomials from their defining combinations.  No table of
+members is kept: U, T, V and W are held in a few short windows of their
+recurrences (``_ChainStore``), and each derived builder caches its last
+few members, so memory follows the largest member read, not every one.
 
 The identity battery over these families (``identity_suite``, code in
 ``fanqec.identities``) checks each identity coefficient-exactly without
@@ -56,51 +59,122 @@ class NotIntegral(ArithmeticError):
     """Halving the variable produced a non-integer coefficient."""
 
 
-def _three_term_family(name: str) -> Callable[[int], Poly]:
-    """Memoized builder of family `name`, indexed from its first seed."""
-    _, first, second = _SEEDS[name]
-    cache = [Poly(first), Poly(second)]
-    lock = threading.Lock()
-
-    def build(i: int) -> Poly:
-        if i >= len(cache):
-            with lock:
-                while len(cache) <= i:
-                    cache.append(_TWO_X * cache[-1] - cache[-2])
-        return cache[i]
-
-    return build
+# A family in a _ChainStore keeps at most _CHAINS chains, each holding its
+# last _CHAIN_KEEP members.  The battery reads each family near a few
+# indices (k-2..k in the ties; n/2, n and 2n in the identities) that all
+# move up with n, so a chain per region serves every read from a held
+# member or a short walk up.
+_CHAINS = 4
+_CHAIN_KEEP = 6
 
 
-_u_core = _three_term_family("u")
-_t_core = _three_term_family("t")
-_v_core = _three_term_family("v")
-_w_core = _three_term_family("w")
+class _Chain:
+    """Members k0, k0+1, ... of a three-term family, walked up by `step`.
+
+    Only the last _CHAIN_KEEP members are held.
+    """
+
+    __slots__ = ("held", "top", "_step")
+
+    def __init__(self, k0: int, first, second, step: Callable):
+        self.held = {k0: first, k0 + 1: second}
+        self.top = k0 + 1
+        self._step = step
+
+    def member(self, k: int):
+        held = self.held
+        while self.top < k:
+            self.top += 1
+            held[self.top] = self._step(held[self.top - 1], held[self.top - 2])
+            held.pop(self.top - _CHAIN_KEEP, None)
+        return held[k]
+
+
+class _ChainStore:
+    """Members of u, t, v and w as one kind of value, in windowed chains.
+
+    make(coeffs) turns seed coefficients into a value and step(cur, prev)
+    is the recurrence P(k+2) = 2x P(k+1) - P(k) on such values.  Member k
+    comes from the chain that holds it, else from the chain whose top is
+    nearest below k, walked up to it, else from a new chain started at the
+    family's seeds.  A family keeps at most _CHAINS chains and drops the
+    one used least recently, so the store holds a bounded number of members
+    whatever is read.  Not thread-safe: a store shared between threads is
+    read under a lock.
+    """
+
+    def __init__(self, make: Callable, step: Callable):
+        self._make, self._step = make, step
+        # Per family, least recently used first.
+        self._chains: dict[str, list[_Chain]] = {family: [] for family in _SEEDS}
+
+    def member(self, family: str, k: int):
+        chains = self._chains[family]
+        if chains:
+            held = chains[-1].held
+            if k in held:
+                return held[k]
+        self._use(family, chains, k)
+        return chains[-1].member(k)
+
+    def _use(self, family: str, chains: list[_Chain], k: int) -> None:
+        """Make the chain that serves member k the last, most recent one."""
+        chain = _nearest(chains, k)
+        if chain is None:
+            k0, first, second = _SEEDS[family]
+            chain = _Chain(k0, self._make(first), self._make(second), self._step)
+            if len(chains) == _CHAINS:
+                del chains[0]
+        else:
+            chains.remove(chain)
+        chains.append(chain)
+
+
+def _nearest(chains: list[_Chain], k: int) -> _Chain | None:
+    """The chain holding member k, else the one whose top is nearest below k."""
+    below = None
+    for chain in chains:
+        if k in chain.held:
+            return chain
+        if chain.top < k and (below is None or chain.top > below.top):
+            below = chain
+    return below
+
+
+# The stored families behind cheb_u/t/v/w, which the battery ties and
+# `fanqec poly` both read.
+_FAMILY_STORE = _ChainStore(Poly, lambda cur, prev: _TWO_X * cur - prev)
+_FAMILY_LOCK = threading.Lock()
+
+
+def _stored(family: str, k: int) -> Poly:
+    with _FAMILY_LOCK:
+        return _FAMILY_STORE.member(family, k)
 
 
 def cheb_u(n: int) -> Poly:
     """Second-kind polynomial U_n; conventions U_{-1} = 0 and U_{-2} = -1."""
     if n < -2:
         raise ValueError(f"index {n} below -2")
-    return _u_core(n + 2)
+    return _stored("u", n)
 
 
 def cheb_t(n: int) -> Poly:
     """First-kind polynomial T_n."""
     _check_index(n)
-    return _t_core(n)
+    return _stored("t", n)
 
 
 def cheb_v(n: int) -> Poly:
     """Third-kind polynomial V_n (seeds 1 and 2x - 1)."""
     _check_index(n)
-    return _v_core(n)
+    return _stored("v", n)
 
 
 def cheb_w(n: int) -> Poly:
     """Fourth-kind polynomial W_n (seeds 1 and 2x + 1)."""
     _check_index(n)
-    return _w_core(n)
+    return _stored("w", n)
 
 
 def _check_index(n: int) -> None:
@@ -153,8 +227,13 @@ class _Defined(_Families):
 
 _DEFINED = _Defined()
 
+# Entries each derived builder keeps.  The battery reads a member at most a
+# few times in a row (its tie, then the coefficient checks at the same
+# index), and so does `verify` for s_poly.
+_DERIVED_CACHE = 4
 
-@lru_cache(maxsize=64)
+
+@lru_cache(maxsize=_DERIVED_CACHE)
 def partial_e(n: int) -> Poly:
     """Even-zero factor of U_n: collects the zeros cos(k*pi/(n+1)) with k even.
 
@@ -165,7 +244,7 @@ def partial_e(n: int) -> Poly:
     return _DEFINED.pe(n)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_DERIVED_CACHE)
 def partial_o(n: int) -> Poly:
     """Odd-zero factor of U_n, so that U_n = partial_e(n) * partial_o(n)."""
     _check_index(n)
@@ -182,7 +261,7 @@ def compress(p: Poly) -> Poly:
     return Poly(out)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_DERIVED_CACHE)
 def s_poly(n: int) -> Poly:
     """Companion polynomial S_n whose minimal zero drives the odd fan values.
 
@@ -202,7 +281,7 @@ def _s_factors(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return m, (2 * m - 1, 2 * m + 1), (2 * m + 1, 2 * m + 3)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_DERIVED_CACHE)
 def phi(n: int) -> Poly:
     """Stationary-value polynomial of the fan problem, degree n + 2.
 
@@ -350,7 +429,7 @@ def s_value(n: int, x: float) -> float:
 # -- identity battery --------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class IdentityCheck:
     """Outcome of one coefficient-exact identity at one index."""
 

@@ -47,6 +47,7 @@ from .chebyshev import (
     IdentityCheck,
     IdentityReport,
     NotIntegral,
+    _ChainStore,
     _Families,
     compress,
 )
@@ -140,27 +141,6 @@ _IDENTITIES: tuple[tuple[str, int | None, Callable], ...] = (
 # -- the three backends ------------------------------------------------------
 
 
-class _Chain:
-    """Members k0, k0+1, ... of a three-term family, walked up by `step`.
-
-    Only the last `keep` members are held (all of them when keep is None).
-    """
-
-    def __init__(self, k0: int, first, second, step: Callable, keep: int | None):
-        self.held = {k0: first, k0 + 1: second}
-        self.top = k0 + 1
-        self._step, self._keep = step, keep
-
-    def member(self, k: int):
-        held = self.held
-        while self.top < k:
-            self.top += 1
-            held[self.top] = self._step(held[self.top - 1], held[self.top - 2])
-            if self._keep is not None:
-                held.pop(self.top - self._keep, None)
-        return held[k]
-
-
 class _Stored(_Families):
     """Poly backend: the families exactly as the library stores them.
 
@@ -220,10 +200,7 @@ class _Norms(_Families):
     def __init__(self):
         self.reads: dict[str, int] = {}
         two_x = 2 * self.x
-        self._chains = {
-            family: _Chain(k0, self.poly(first), self.poly(second),
-                           lambda cur, prev: two_x * cur - prev, keep=None)
-            for family, (k0, first, second) in _SEEDS.items()}
+        self._families = _ChainStore(self.poly, lambda cur, prev: two_x * cur - prev)
 
     @staticmethod
     def poly(coeffs: tuple[int, ...]) -> _Bound:
@@ -232,7 +209,7 @@ class _Norms(_Families):
     def member(self, family: str, k: int) -> _Bound:
         self.reads[family] = max(self.reads.get(family, k), k)
         if family in _SEEDS:
-            return self._chains[family].member(k)
+            return self._families.member(family, k)
         return self.defined(family, k)
 
 
@@ -358,11 +335,9 @@ class _Mod:
 class _Tables:
     """u, t, v and w at the points 0..cols-1 modulo each of `primes`.
 
-    Members come from each family's own recurrence, walked in chains that
-    hold their last six members: the battery reads each family near a few
-    indices (n/2, n and 2n) that all move up with n, so a chain per region
-    is enough and no whole table of members is ever held.  Members are kept
-    reduced, so sums of four products of them fit in int64.
+    Members come from each family's own recurrence, in the same windowed
+    chains as the stored Poly families (chebyshev._ChainStore).  Members
+    are kept reduced, so sums of four products of them fit in int64.
     """
 
     def __init__(self, primes: list[int], cols: int):
@@ -371,30 +346,15 @@ class _Tables:
         p = np.array(primes, dtype=np.int64)[:, None]
         self.mod = (p, 1.0 / p)
         self.x = np.arange(cols, dtype=np.int64)[None, :]
-        self._chains: dict[str, list[_Chain]] = {family: [] for family in _SEEDS}
+        two_x = 2 * self.x
+        self.families = _ChainStore(
+            self._values, lambda cur, prev: _reduce(two_x * cur - prev, *self.mod))
 
     def _values(self, coeffs: tuple[int, ...]) -> np.ndarray:
         acc = np.zeros((self.rows, self.cols), dtype=np.int64)
         for c in reversed(coeffs):
             acc = _reduce(acc * self.x + c, *self.mod)
         return acc
-
-    def member(self, family: str, k: int) -> np.ndarray:
-        chains = self._chains[family]
-        for chain in chains:
-            if k in chain.held:
-                return chain.held[k]
-        below = [chain for chain in chains if chain.top < k]
-        if below:
-            chain = max(below, key=lambda c: c.top)
-        else:
-            k0, first, second = _SEEDS[family]
-            two_x = 2 * self.x
-            chain = _Chain(k0, self._values(first), self._values(second),
-                           lambda cur, prev: _reduce(two_x * cur - prev, *self.mod),
-                           keep=6)
-            chains.append(chain)
-        return chain.member(k)
 
     def vanishes(self, fn: Callable, n: int, bound: _Bound) -> bool:
         """True when lhs - rhs of fn at n is proven zero over the integers.
@@ -426,8 +386,8 @@ class _Residues(_Families):
 
     def member(self, family: str, k: int) -> _Mod:
         if family in _SEEDS:
-            values = self._tables.member(family, k)[:self._rows, :self._cols]
-            return _Mod(values, _REDUCED_BOUND, self._mod)
+            values = self._tables.families.member(family, k)
+            return _Mod(values[:self._rows, :self._cols], _REDUCED_BOUND, self._mod)
         return self.defined(family, k)
 
 

@@ -189,7 +189,9 @@ def beta(n: int) -> float:
 
     Closed form cos(2m*pi/(2m+1)) for n = 2m and cos(2m*pi/(2m+2)) for
     n = 2m+1, verified by an exact sign change (or exact evaluation when the
-    zero is rational).
+    zero is rational).  The symmetric probe around it doubles from 2^-40
+    but stays above -1 and below the neighbouring grid point
+    cos((2m-1)pi/(n+1)), so the sign change it finds is this zero's alone.
     """
     if n <= 1:
         raise ValueError(f"even-zero factor of index {n} is constant, no minimal zero")
@@ -206,8 +208,9 @@ def beta(n: int) -> float:
     den = n + 1  # 2m+1 for even n, 2m+2 for odd n
     b = math.cos(2 * m * math.pi / den)
     bf = Fraction(b)
+    room = min(bf + 1, Fraction(_grid_point(2 * m - 1, den)) - bf)
     probe = _SIMPLE_PROBE
-    while probe <= _NUDGE_LIMIT:
+    while probe <= _NUDGE_LIMIT and probe < room:
         if ue.sign_at(bf - probe) * ue.sign_at(bf + probe) < 0:
             return b
         probe *= 2

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -84,6 +86,93 @@ class TestOtherKinds:
         for fam in (cheb_t, cheb_v, cheb_w, partial_e, partial_o, s_poly, phi):
             with pytest.raises(ValueError):
                 fam(-1)
+
+
+def _fresh_family(first: tuple[int, ...], second: tuple[int, ...],
+                  top: int) -> list[Poly]:
+    """Members 0..top of P(k+2) = 2x P(k+1) - P(k), walked once from two seeds."""
+    two_x = Poly([0, 2])
+    members = [Poly(first), Poly(second)]
+    while len(members) <= top:
+        members.append(two_x * members[-1] - members[-2])
+    return members
+
+
+# Seeds at index 0 and 1, written out here rather than read from chebyshev.
+_FRESH_SEEDS = {
+    "u": ((1,), (0, 2)),
+    "t": ((1,), (0, 1)),
+    "v": ((1,), (-1, 2)),
+    "w": ((1,), (1, 2)),
+}
+
+
+def _held(store) -> int:
+    return sum(len(chain.held) for chains in store._chains.values()
+               for chain in chains)
+
+
+class TestFamilyStore:
+    @pytest.fixture
+    def store(self):
+        return chebyshev._ChainStore(
+            Poly, lambda cur, prev: chebyshev._TWO_X * cur - prev)
+
+    @pytest.mark.parametrize("family", sorted(_FRESH_SEEDS))
+    def test_any_read_order_equals_a_fresh_recurrence(self, store, family):
+        ref = _fresh_family(*_FRESH_SEEDS[family], 160)
+        interleaved = [k for n in range(2, 81) for k in (n // 2, n, 2 * n)]
+        # Six regions, more than a family's chains, so early ones are evicted
+        # and read again.
+        evicting = [k for _ in range(2) for start in (10, 40, 70, 100, 130, 155)
+                    for k in range(start, start + 3)]
+        for order in (range(160, -1, -1), interleaved, evicting):
+            for k in order:
+                assert store.member(family, k) == ref[k], (family, k)
+            assert len(store._chains[family]) <= chebyshev._CHAINS
+        assert _held(store) <= chebyshev._CHAINS * chebyshev._CHAIN_KEEP
+
+    def test_public_builders_in_descending_order(self):
+        for family, builder in (("u", cheb_u), ("t", cheb_t), ("v", cheb_v),
+                                ("w", cheb_w)):
+            ref = _fresh_family(*_FRESH_SEEDS[family], 90)
+            for k in range(90, -1, -1):
+                assert builder(k) == ref[k], (family, k)
+
+    def test_concurrent_readers_agree(self):
+        ref = _fresh_family(*_FRESH_SEEDS["u"], 120)
+        orders = [list(range(120)), list(range(119, -1, -1)),
+                  [k for n in range(1, 60) for k in (n // 2, 2 * n, n)],
+                  random.Random(5).sample(range(120), 120)]
+        wrong: list[int] = []
+
+        def read(order):
+            for k in order:
+                if cheb_u(k) != ref[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(order,))
+                       for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong, wrong[:5]
+
+    def test_battery_holds_a_bounded_number_of_members(self):
+        # The bound is fixed by the module constants, not by max_n: the
+        # battery reads U_k up to 2 * max_n + 1.
+        assert identity_suite(300).ok
+        assert _held(chebyshev._FAMILY_STORE) <= (
+            len(chebyshev._SEEDS) * chebyshev._CHAINS * chebyshev._CHAIN_KEEP)
+        for builder in (partial_e, partial_o, s_poly, phi):
+            assert builder.cache_info().currsize <= chebyshev._DERIVED_CACHE
 
 
 # Hand-expanded from the second-kind differences (exact integer arithmetic).

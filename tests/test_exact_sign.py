@@ -145,7 +145,7 @@ def test_odd_route_builds_no_coefficients(monkeypatch):
     def no_coefficients(*args):
         raise AssertionError("coefficient vector built on the odd route")
 
-    monkeypatch.setattr(chebyshev, "_u_core", no_coefficients)
+    monkeypatch.setattr(chebyshev._FAMILY_STORE, "member", no_coefficients)
     for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
                "__rsub__"):
         monkeypatch.setattr(Poly, op, no_coefficients)

@@ -166,6 +166,21 @@ def test_nudges_stop_before_the_neighbouring_grid_point(monkeypatch, n, end):
     assert all(min(base, neighbour) < x < max(base, neighbour) for x in tried)
 
 
+@pytest.mark.parametrize("n", [6400, 6401, 20000, 20001])
+def test_beta_probe_stays_between_minus_one_and_the_neighbouring_grid_point(
+        monkeypatch, n):
+    # At n = 20000 the 2^-20 probe ceiling is ten times the gap to the next
+    # even-factor zero (9.9e-8): a sign that never changes must raise, and
+    # no probe may pass -1 or the grid point above the minimal zero.
+    stub = _ConstantSign(1)
+    monkeypatch.setattr(roots, "EvenPartSign", lambda _: stub)
+    with pytest.raises(BadBracket):
+        beta(n)
+    neighbour = Fraction(math.cos((2 * (n // 2) - 1) * math.pi / (n + 1)))
+    assert len(stub.queries) >= 10
+    assert all(-1 < x < neighbour for x in stub.queries)
+
+
 class TestAlpha:
     def test_known_values(self):
         assert alpha(0) == 1.0
