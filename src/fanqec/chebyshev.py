@@ -352,10 +352,7 @@ class CompanionSign:
         xf = Fraction(x)
         p, q = xf.numerator, xf.denominator
         m, head, tail = _s_factors(self.n)
-        vm, vm1 = u_pair_at(m, p, q)
-        q_e = q ** (len(head) - len(tail) + 1)
-        return _sign(_homogenised(head, p, q) * vm
-                     - _homogenised(tail, p, q) * q_e * vm1)
+        return _companion_sign(head, tail, p, q, *u_pair_at(m, p, q))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -380,6 +377,41 @@ class EvenPartSign:
         return _sign(vm if odd else vm + q * vm1)
 
 
+def _companion_sign(head, tail, p: int, q: int, vm: int, vm1: int) -> int:
+    """Sign of q^(m+d) S_n(p/q) from (V_m, V_{m-1}); see CompanionSign."""
+    q_e = q ** (len(head) - len(tail) + 1)
+    return _sign(_homogenised(head, p, q) * vm
+                 - _homogenised(tail, p, q) * q_e * vm1)
+
+
+def split_signs(n: int, x: Fraction | int) -> tuple[int, int, int]:
+    """Exact signs of (s_poly(n), partial_e(n), partial_o(n)) at x.
+
+    All three come from one u_pair_at call.  The even part is as in
+    EvenPartSign; the odd part is U_m - U_{m-1} for n = 2m, so
+    q^m partial_o = V_m - q V_{m-1}, and U_{m+1} - U_{m-1} for n = 2m+1,
+    so q^(m+1) partial_o = 2 (p V_m - q^2 V_{m-1}).
+    """
+    p, q = x.numerator, x.denominator
+    m, head, tail = _s_factors(n)
+    vm, vm1 = u_pair_at(m, p, q)
+    s = _companion_sign(head, tail, p, q, vm, vm1)
+    if n % 2:
+        return s, _sign(vm), _sign(p * vm - q * q * vm1)
+    return s, _sign(vm + q * vm1), _sign(vm - q * vm1)
+
+
+def s_degree(n: int) -> int:
+    """Degree of s_poly(n) read off its factors, without coefficients.
+
+    S_n = head U_m - tail U_{m-1}: the first product has degree
+    deg(head) + m, with a nonzero leading coefficient, and the second at
+    most deg(tail) + m - 1, which is lower because deg(tail) <= deg(head).
+    """
+    m, head, _ = _s_factors(n)
+    return len(head) - 1 + m
+
+
 # -- stable floating-point evaluation ---------------------------------------
 
 
@@ -400,20 +432,6 @@ def u_value(n: int, x: float) -> float:
     if n < -2:
         raise ValueError(f"index {n} below -2")
     return _u_walk(n, x)[0]
-
-
-def partial_e_value(n: int, x: float) -> float:
-    m, odd = divmod(n, 2)
-    if odd:
-        return u_value(m, x)
-    return u_value(m, x) + u_value(m - 1, x)
-
-
-def partial_o_value(n: int, x: float) -> float:
-    m, odd = divmod(n, 2)
-    if odd:
-        return u_value(m + 1, x) - u_value(m - 1, x)
-    return u_value(m, x) - u_value(m - 1, x)
 
 
 def s_value(n: int, x: float) -> float:

@@ -96,76 +96,14 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _zero_structure_failures(max_n: int, tol: float) -> list[str]:
-    """Interlacing and simplicity of the companion-polynomial zeros."""
-    failures = []
-    for n in range(max_n + 1):
-        try:
-            certs = roots.zeros_of_s(n, tol)
-        except roots.BadBracket as exc:
-            failures.append(f"zero-structure n={n}: {exc}")
-            continue
-        if len(certs) != s_poly(n).degree:
-            failures.append(f"zero-structure n={n}: {len(certs)} zeros for "
-                            f"degree {s_poly(n).degree}")
-            continue
-        if any(not c.simple for c in certs):
-            failures.append(f"zero-structure n={n}: non-simple certificate")
-        values = [c.value for c in certs]
-        if values != sorted(values):
-            failures.append(f"zero-structure n={n}: zeros not ascending")
-        m, odd = divmod(n, 2)
-        den = 2 * m + 2 if odd else 2 * m + 1
-        count = m + 1 if odd else m
-        xi = [math.cos((2 * k - 1) * math.pi / den) for k in range(1, count + 1)]
-        # values[:-1] ascend from the bracket at -1, xi descends from x = 1.
-        for i, value in enumerate(values[:-1]):
-            k = count - i
-            lo = -1.0 if k == count else xi[k]
-            hi = xi[k - 1]
-            if not lo < value < hi:
-                failures.append(f"zero-structure n={n}: zero {value} outside "
-                                f"({lo}, {hi})")
-    return failures
-
-
-def _ordering_failures(max_n: int, tol: float) -> list[str]:
-    """Minimal-zero comparisons and interleaving, plus monotonicity."""
-    failures = []
-    gam = {n: roots.gamma(n, tol).value for n in range(1, max_n + 1)}
-    bet = {n: roots.beta(n) for n in range(2, max_n + 1)}
-    for n in range(3, max_n + 1):
-        m = n // 2
-        if n % 2:
-            edge = math.cos((2 * m + 1) * math.pi / (2 * m + 2))
-            if not (-1.0 < gam[n] < edge < bet[n]):
-                failures.append(f"comparison n={n}: odd ordering violated")
-        else:
-            edge = math.cos((2 * m - 1) * math.pi / (2 * m + 1))
-            if not (-1.0 < bet[n] < gam[n] < edge):
-                failures.append(f"comparison n={n}: even ordering violated")
-    for n in range(3, max_n, 2):
-        if not bet[n + 1] < gam[n] < bet[n - 1]:
-            failures.append(f"interleaving n={n}: not between adjacent "
-                            "even-factor zeros")
-    alphas = [roots.alpha(n, tol) for n in range(0, max_n + 1)]
-    if max_n >= 2 and not (alphas[0] == 1.0 and alphas[1] == alphas[2] == -0.5):
-        failures.append("alpha-monotone: wrong initial values")
-    for n in range(2, max_n):
-        if not (-1.0 < alphas[n + 1] < alphas[n]):
-            failures.append(f"alpha-monotone: not strictly decreasing at {n + 1}")
-    return failures
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     roots_cap = args.roots_max_n
     if roots_cap is None:
         roots_cap = min(args.max_n, 60)
+    elif roots_cap < 0:
+        return _fail("roots_max_n must be >= 0", 2)
     report = identity_suite(args.max_n)
-    roots_failures = []
-    if roots_cap >= 3:
-        roots_failures += _zero_structure_failures(roots_cap, args.tol)
-        roots_failures += _ordering_failures(roots_cap, args.tol)
+    roots_failures = roots.root_report(roots_cap).failures
     inequality_ok = roots.check_elementary_inequality(args.grid)
     ok = report.ok and not roots_failures and inequality_ok
 
@@ -326,11 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=50, dest="max_n")
     p_verify.add_argument("--roots-max-n", type=int, default=None,
                           dest="roots_max_n",
-                          help="cap for bisection-based checks "
+                          help="cap for the root-structure report "
                                "(default min(max-n, 60))")
     p_verify.add_argument("--grid", type=int, default=512,
                           help="grid intervals for the inequality check")
-    _add_tol(p_verify)
     _add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -141,15 +141,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return d
 
 
-def path_adjacency(n: int) -> np.ndarray:
-    """Tridiagonal 0/1 adjacency matrix of the path on n vertices."""
-    a = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = 1.0
-    a[idx + 1, idx] = 1.0
-    return a
-
-
 def path_spectrum(n: int) -> np.ndarray:
     """Eigenvalues 2cos(k*pi/(n+1)) of the path adjacency matrix, k = 1..n.
 

@@ -8,11 +8,16 @@ exact integer arithmetic, and bisection narrows brackets by exact-sign
 midpoint queries.  Floating point is used only to propose endpoints, never
 to accept them.
 
-The signs come from q^k U_k(p/q) by index doubling (``CompanionSign`` and
-``EvenPartSign``), not from coefficient vectors, so no S_n or U_k
-coefficients are built here and memory stays linear in the bit size of one
-value.  Every helper only calls ``sign_at``, so a ``Poly`` works in their
-place.
+The signs come from q^k U_k(p/q) by index doubling (``CompanionSign``,
+``EvenPartSign`` and ``split_signs``), not from coefficient vectors, so no
+S_n or U_k coefficients are built here and memory stays linear in the bit
+size of one value.  Every helper only calls ``sign_at``, so a ``Poly`` works
+in their place.
+
+``root_report`` certifies the zero structure of every S_n up to a cap and
+the orderings of the minimal zeros without bisecting anything: it counts
+exact sign changes at rationals around the cosine grid points and decides
+each ordering by exact signs at one proposed separator.
 """
 
 from __future__ import annotations
@@ -22,7 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol
 
-from .chebyshev import CompanionSign, EvenPartSign, s_value
+from .chebyshev import (
+    CompanionSign,
+    EvenPartSign,
+    s_degree,
+    s_value,
+    split_signs,
+)
 
 _NUDGE_START = Fraction(1, 2 ** 52)
 _NUDGE_LIMIT = Fraction(1, 2 ** 20)
@@ -322,6 +333,226 @@ def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
                                    (-1) ** (k + 1), tol))
     certs.append(_exact_cert(s, Fraction(1)))
     return certs
+
+
+# -- exact root-structure report ---------------------------------------------
+
+# A sandwich around a grid point first reaches _SANDWICH_START / (n+1) of a
+# grid step to either side; a rejected one is shrunk by 2^-8, at most
+# _SANDWICH_TRIES times.  The zero of S_n nearest a grid point is typically
+# 0.6/(n+1) steps away, so most pairs pass at once; near -1 the zeros crowd
+# the grid points (4e-8 steps away at n = 401) and the lowest few shrink.
+_SANDWICH_START = 2.0 ** -4
+_SANDWICH_SHRINK = 2.0 ** -8
+_SANDWICH_TRIES = 6
+
+
+def _bits_for(gap: float) -> int:
+    """Fractional bits of a dyadic grid whose step is at most gap / 8."""
+    return max(1, 4 - math.frexp(gap)[1])
+
+
+def _cos_pi_dyadic(j: float, den: float, bits: int, shift: float = 0.0,
+                   up: bool = False) -> Fraction:
+    """A dyadic with the given fractional bits next to cos((j+shift)*pi/den).
+
+    The float is 1 - 2 sin^2(t pi/(2 den)) with t = j + shift, or near -1
+    it is -1 + 2 sin^2(t' pi/(2 den)) with t' = (den - j) - shift, so it is
+    accurate relative to its distance from the nearer of 1 and -1 and a
+    shift far below one unit of j survives.  It is rounded up or down.  It
+    only proposes a point: which side of anything the point lies on is
+    settled by exact signs.
+    """
+    if 2 * j <= den:
+        base, t = 1, j + shift
+    else:
+        base, t = -1, (den - j) - shift
+    scaled = math.ldexp(-base * 2.0 * math.sin(t * math.pi / (2 * den)) ** 2, bits)
+    k = math.ceil(scaled) if up else math.floor(scaled)
+    return Fraction((base << bits) + k, 1 << bits)
+
+
+def _sandwich(n: int, j: int, den: int) -> list[tuple[Fraction, tuple]]:
+    """Rationals a < b around cos(j*pi/den), each with its split_signs.
+
+    Accepted when partial_o(n) changes sign from a to b while S_n keeps a
+    nonzero sign and no sign is zero; a rejected pair is moved closer.
+    """
+    eps = _SANDWICH_START / den
+    for _ in range(_SANDWICH_TRIES):
+        bits = _bits_for(eps * math.pi / den * math.sin(j * math.pi / den))
+        a = _cos_pi_dyadic(j, den, bits, eps)
+        b = _cos_pi_dyadic(j, den, bits, -eps, up=True)
+        sa, sb = split_signs(n, a), split_signs(n, b)
+        if 0 not in sa and 0 not in sb and sa[2] != sb[2] and sa[0] == sb[0]:
+            return [(a, sa), (b, sb)]
+        eps *= _SANDWICH_SHRINK
+    raise BadBracket(f"no sign-verified rationals around cos({j}pi/{den})")
+
+
+@dataclass(frozen=True)
+class ZeroStructure:
+    """Exact zero localization of s_poly(n), as zero_structure proves it.
+
+    brackets ascend and each holds exactly one zero of S_n, a simple one;
+    with x = 1 they account for every zero.  The i-th lies inside the i-th
+    open interval of the cosine grid from the bottom, the first reaching
+    down to -1.  even_bracket holds the minimal zero of partial_e(n) and no
+    other zero of it (None when partial_e(n) is constant, n <= 1).
+    """
+
+    n: int
+    brackets: tuple[Bracket, ...]
+    even_bracket: Bracket | None
+
+
+def zero_structure(n: int) -> ZeroStructure:
+    """Certify the zero localization of S_n by counting exact sign changes.
+
+    The grid points cos(j*pi/(n+1)) with odd j are the zeros of
+    partial_o(n), whose degree is their number, c.  Around each, a pair of
+    rationals where partial_o changes sign puts that grid point between
+    them; c such disjoint pairs leave partial_o no other zero, so the pairs
+    isolate the grid points in order.  S_n keeps its sign across every pair
+    and changes it across each of the c gaps between them (the lowest from
+    -1); with S_n(1) = 0 that is c + 1 distinct zeros, which is its degree.
+    So each gap holds exactly one zero, a simple one, and S_n has no other.
+    The even part changes sign across the gaps its zeros fall in, the top
+    deg partial_e(n) of them, which isolates its minimal zero the same way.
+    Every sign comes from one split_signs query; a float only proposes the
+    rationals.  Raises BadBracket naming the first step that fails.
+    """
+    if n < 0:
+        raise ValueError(f"index {n} must be >= 0")
+    den = n + 1
+    m, odd = divmod(n, 2)
+    count = m + odd
+    if split_signs(n, 1)[0] != 0:
+        raise BadBracket("expected zero at x = 1")
+    degree = s_degree(n)
+    if degree != count + 1:
+        raise BadBracket(f"degree {degree} for {count} grid intervals")
+    points = [(Fraction(-1), split_signs(n, -1))]
+    for j in range(2 * count - 1, 0, -2):
+        points += _sandwich(n, j, den)
+    xs = [x for x, _ in points] + [Fraction(1)]
+    if any(x >= y for x, y in zip(xs, xs[1:])):
+        raise BadBracket("grid rationals out of order")
+    brackets, even = [], None
+    for i in range(count):
+        (lo, slo), (hi, shi) = points[2 * i], points[2 * i + 1]
+        if slo[0] * shi[0] >= 0:
+            raise BadBracket(f"no sign change in grid interval {i + 1} from -1")
+        brackets.append(Bracket(lo, hi, slo[0], shi[0]))
+        if i >= odd:
+            if slo[1] * shi[1] >= 0:
+                raise BadBracket(f"even part keeps its sign in grid interval "
+                                 f"{i + 1} from -1")
+            if i == odd:
+                even = Bracket(lo, hi, slo[1], shi[1])
+    return ZeroStructure(n, tuple(brackets), even)
+
+
+def _side(zero: tuple[ExactSign, Bracket], x: Fraction) -> int:
+    """-1, 0 or 1 as x lies below, at or above the one zero in the bracket."""
+    sign, bracket = zero
+    if x <= bracket.lo:
+        return -1
+    if x >= bracket.hi:
+        return 1
+    s = sign.sign_at(x)
+    return 0 if s == 0 else (-1 if s == bracket.sign_lo else 1)
+
+
+def _separated(low, high, x: Fraction) -> bool:
+    """Whether x certifies that zero low lies strictly below zero high."""
+    a, b = _side(low, x), _side(high, x)
+    return a >= 0 >= b and (a, b) != (0, 0)
+
+
+def _alpha_separator(n: int) -> Fraction:
+    """Rational proposed between alpha(n + 1) and alpha(n), n >= 2.
+
+    alpha(n) is -cos(pi/(n+1)) for even n and just below it for odd n,
+    above -cos(pi/(n+2)); the proposal is -cos(pi/(n+3/2)).
+    """
+    gap = 2 * (math.sin(math.pi / (2 * n + 2)) ** 2
+               - math.sin(math.pi / (2 * n + 4)) ** 2)
+    return _cos_pi_dyadic(n + 0.5, n + 1.5, _bits_for(gap))
+
+
+@dataclass(frozen=True)
+class RootReport:
+    """Outcome of root_report: one line per failed check, in a fixed order."""
+
+    max_n: int
+    failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def root_report(max_n: int) -> RootReport:
+    """Zero structure of S_n and the minimal-zero orderings for n <= max_n.
+
+    Each n gets zero_structure.  The orderings compare the certified
+    minimal zeros gamma_n of S_n and beta_n of partial_e(n) at proposed
+    rational separators, accepted by exact signs (CompanionSign,
+    EvenPartSign) inside the brackets zero_structure isolated them in:
+
+    * gamma_n < cos(n pi/(n+1)) < beta_n for odd n >= 3 holds once the
+      structure does, since the rationals around that grid point are the top
+      of gamma_n's bracket and the bottom of beta_n's;
+    * beta_n < gamma_n for even n >= 4, where both share the lowest bracket,
+      and gamma_n < cos((n-1)pi/(n+1)) by that bracket;
+    * alpha strictly decreasing from n = 2, with alpha_1 = alpha_2 = -1/2
+      (alpha_0 = 1 is S_0's only zero), where alpha_n is beta_n for even n
+      and gamma_n for odd n; for odd n the interleaving
+      beta_{n+1} < gamma_n < beta_{n-1} is the same pair of steps.
+
+    An ordering that needs an index whose structure failed is not decided;
+    that index's structure failure is reported instead.  No float accepts
+    anything.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    failures: list[str] = []
+    gammas, betas = {}, {}
+    for n in range(max_n + 1):
+        try:
+            structure = zero_structure(n)
+        except BadBracket as exc:
+            failures.append(f"zero-structure n={n}: {exc}")
+            continue
+        if structure.brackets:
+            gammas[n] = (CompanionSign(n), structure.brackets[0])
+        if structure.even_bracket is not None:
+            betas[n] = (EvenPartSign(n), structure.even_bracket)
+
+    for n in range(4, max_n + 1, 2):
+        # beta_n = cos(n pi/(n+1)); the proposal lies a quarter step above.
+        if n in gammas and n in betas:
+            den = n + 1
+            between = _cos_pi_dyadic(n, den, _bits_for(
+                math.pi / (4 * den) * math.sin(math.pi / den)), -0.25)
+            if not _separated(betas[n], gammas[n], between):
+                failures.append(f"comparison n={n}: even ordering violated")
+
+    alphas = {n: (gammas if n % 2 else betas).get(n) for n in range(2, max_n + 1)}
+    decreasing = {n: _separated(alphas[n + 1], alphas[n], _alpha_separator(n))
+                  for n in range(2, max_n) if alphas[n] and alphas[n + 1]}
+    for n in range(3, max_n, 2):
+        if not (decreasing.get(n - 1, True) and decreasing.get(n, True)):
+            failures.append(f"interleaving n={n}: not between adjacent "
+                            "even-factor zeros")
+    half = Fraction(-1, 2)
+    if (max_n >= 2 and 1 in gammas and 2 in betas
+            and not _side(gammas[1], half) == _side(betas[2], half) == 0):
+        failures.append("alpha-monotone: wrong initial values")
+    failures += [f"alpha-monotone: not strictly decreasing at {n + 1}"
+                 for n, ok in decreasing.items() if not ok]
+    return RootReport(max_n, tuple(failures))
 
 
 def check_elementary_inequality(grid: int) -> bool:

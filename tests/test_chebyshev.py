@@ -19,9 +19,7 @@ from fanqec.chebyshev import (
     compress,
     identity_suite,
     partial_e,
-    partial_e_value,
     partial_o,
-    partial_o_value,
     phi,
     s_poly,
     s_value,
@@ -29,6 +27,22 @@ from fanqec.chebyshev import (
 )
 from fanqec import chebyshev, identities
 from fanqec.polynomial import ONE, Poly
+
+
+def partial_e_value(n: int, x: float) -> float:
+    """Float even part of U_n by its formula in U_m (float test oracle)."""
+    m, odd = divmod(n, 2)
+    if odd:
+        return u_value(m, x)
+    return u_value(m, x) + u_value(m - 1, x)
+
+
+def partial_o_value(n: int, x: float) -> float:
+    """Float odd part of U_n by its formula in U_m (float test oracle)."""
+    m, odd = divmod(n, 2)
+    if odd:
+        return u_value(m + 1, x) - u_value(m - 1, x)
+    return u_value(m, x) - u_value(m - 1, x)
 
 
 def u_value_reference(n: int, x: float) -> float:

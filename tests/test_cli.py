@@ -107,12 +107,29 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         ("verify", "--max-n", "-1"),
         ("verify", "--max-n", "3", "--grid", "1"),
+        ("verify", "--roots-max-n", "-5"),
     ])
     def test_bad_argument_exits_two_with_message(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.strip() and "Traceback" not in err
+
+    def test_mutated_companion_fails_with_line(self, capsys, monkeypatch):
+        real = chebyshev._s_factors
+
+        def flipped(n):
+            m, head, tail = real(n)
+            return (m, head, (-tail[0],) + tail[1:]) if n == 7 else (m, head, tail)
+
+        monkeypatch.setattr(chebyshev, "_s_factors", flipped)
+        code, out, _ = run(capsys, "verify", "--max-n", "2", "--roots-max-n", "9")
+        assert code == 1
+        assert out.splitlines()[1:3] == [
+            "zero structure and orderings up to n=9: 1 failures",
+            "  FAIL zero-structure n=7: expected zero at x = 1",
+        ]
+        assert out.strip().endswith("FAILED")
 
     def test_corrupted_build_fails_with_name(self, capsys, monkeypatch):
         real = chebyshev.partial_e
@@ -291,7 +308,7 @@ class TestParser:
         ("table", "fan", "3", "5", "--tol", "nan"),
         ("qec", "fan", "4", "--method", "closed", "--tol", "-1"),
         ("qec", "fan", "5", "--tol", "inf"),
-        ("verify", "--max-n", "3", "--tol", "0"),
+        ("verify", "--tol", "1e-12"),  # verify has no --tol: an unknown option
     ])
     def test_bad_tol_exits_two_with_message(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -13,7 +13,10 @@ from fanqec.chebyshev import (
     EvenPartSign,
     cheb_u,
     partial_e,
+    partial_o,
+    s_degree,
     s_poly,
+    split_signs,
     u_pair_at,
 )
 from fanqec.polynomial import Poly
@@ -136,6 +139,53 @@ def test_signs_match_coefficient_horner(monkeypatch):
                     mismatches.append((kind, n, x))
     assert checked > 301 * 2 * len(shared)
     assert not mismatches, mismatches[:5]
+
+
+def test_report_signs_match_coefficient_horner(monkeypatch):
+    # Gate for split_signs and for the separators of the root report: for
+    # every n <= 120 each point root_report asks a sign at, and the fixed
+    # and seeded points, give the signs of the coefficient vectors of S_n
+    # and of both split factors.
+    seen: dict[int, set[Fraction]] = {}
+    real_split = roots.split_signs
+
+    def recording_split(n, x):
+        seen.setdefault(n, set()).add(Fraction(x))
+        return real_split(n, x)
+
+    def recording(cls):
+        def make(n):
+            inner = cls(n)
+
+            class Recorder:
+                def sign_at(self, x):
+                    seen.setdefault(n, set()).add(Fraction(x))
+                    return inner.sign_at(x)
+
+            return Recorder()
+        return make
+
+    monkeypatch.setattr(roots, "split_signs", recording_split)
+    monkeypatch.setattr(roots, "CompanionSign", recording(CompanionSign))
+    monkeypatch.setattr(roots, "EvenPartSign", recording(EvenPartSign))
+    assert roots.root_report(120).ok
+    shared = set(FIXED_POINTS) | set(random_points(2025, 20))
+    mismatches = []
+    for n in range(121):
+        polys = (s_poly(n), partial_e(n), partial_o(n))
+        for x in seen.get(n, set()) | shared:
+            want = tuple(poly.sign_at(x) for poly in polys)
+            got = (split_signs(n, x), CompanionSign(n).sign_at(x),
+                   EvenPartSign(n).sign_at(x))
+            if got != (want, want[0], want[1]):
+                mismatches.append((n, x))
+    assert sum(map(len, seen.values())) > 7000
+    assert not mismatches, mismatches[:5]
+
+
+def test_degree_from_factors():
+    for n in range(0, 301):
+        assert s_degree(n) == s_poly(n).degree
 
 
 def test_odd_route_builds_no_coefficients(monkeypatch):

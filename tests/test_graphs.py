@@ -15,11 +15,19 @@ from fanqec.graphs import (
     from_edge_list,
     join,
     path,
-    path_adjacency,
     path_eigenvector,
     path_spectrum,
     single,
 )
+
+
+def path_adjacency(n: int) -> np.ndarray:
+    """Tridiagonal 0/1 adjacency matrix of the path on n vertices."""
+    a = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = 1.0
+    a[idx + 1, idx] = 1.0
+    return a
 
 
 def complete(n: int) -> Graph:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fanqec import roots
+from fanqec import chebyshev, roots
 from fanqec.chebyshev import s_poly
 from fanqec.polynomial import Poly
 from fanqec.roots import (
@@ -17,6 +17,8 @@ from fanqec.roots import (
     bisect,
     check_elementary_inequality,
     gamma,
+    root_report,
+    zero_structure,
     zeros_of_s,
 )
 
@@ -261,6 +263,88 @@ class TestOrderings:
     def test_interleaving_up_to_sixty(self):
         for n in range(3, 60, 2):
             assert beta(n + 1) < gamma(n).value < beta(n - 1)
+
+
+def _mutated_tail(monkeypatch, target: int, change) -> None:
+    """Give S_target the tail factor change(tail); every other S_n keeps its own."""
+    real = chebyshev._s_factors
+
+    def factors(n):
+        m, head, tail = real(n)
+        return (m, head, change(tail)) if n == target else (m, head, tail)
+
+    monkeypatch.setattr(chebyshev, "_s_factors", factors)
+
+
+class TestRootReport:
+    def test_passes_to_criterion_six_range(self):
+        report = root_report(120)
+        assert report.max_n == 120
+        assert report.failures == ()
+        assert report.ok
+
+    def test_rejects_negative_cap(self):
+        with pytest.raises(ValueError, match="max_n must be >= 0"):
+            root_report(-1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_small_structures(self, n):
+        # S_0 = x - 1 has no bracket; S_1..S_3 have the rational zeros -1/2
+        # and -3/4 inside theirs.
+        structure = zero_structure(n)
+        assert len(structure.brackets) == s_poly(n).degree - 1
+        zeros = {1: [-0.5], 2: [-0.5], 3: [-0.75, -0.5]}.get(n, [])
+        for bracket, z in zip(structure.brackets, zeros):
+            assert bracket.lo < Fraction(z) < bracket.hi
+        assert (structure.even_bracket is None) == (n <= 1)
+
+    def test_zeros_of_s_certificates_lie_inside(self):
+        for n in range(0, 121):
+            certs = zeros_of_s(n)
+            brackets = zero_structure(n).brackets
+            assert len(certs) == len(brackets) + 1, f"n={n}"
+            for cert, bracket in zip(certs, brackets):
+                assert bracket.lo < cert.lo <= cert.hi < bracket.hi, f"n={n}"
+            assert certs[-1].lo == certs[-1].hi == 1
+
+    def test_even_bracket_holds_beta(self):
+        for n in range(2, 61):
+            bracket = zero_structure(n).even_bracket
+            assert bracket.lo < Fraction(beta(n)) < bracket.hi, f"n={n}"
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 11, 60])
+    def test_flipped_tail_sign_fails_at_that_index(self, monkeypatch, n):
+        _mutated_tail(monkeypatch, n, lambda t: (-t[0],) + t[1:])
+        report = root_report(n + 1)
+        assert not report.ok
+        assert report.failures == (f"zero-structure n={n}: expected zero at x = 1",)
+
+    @pytest.mark.parametrize("n", [3, 10, 11, 60])
+    def test_flip_that_keeps_the_zero_at_one_is_caught(self, monkeypatch, n):
+        # tail(1) is unchanged, so only the sign pattern on the grid shows it.
+        _mutated_tail(monkeypatch, n, lambda t: (-t[0], t[1] + 2 * t[0]))
+        report = root_report(n + 1)
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith(
+            f"zero-structure n={n}: no sign change in grid interval")
+
+    def test_grid_shifted_by_one_index_is_caught(self, monkeypatch):
+        real = roots._cos_pi_dyadic
+        monkeypatch.setattr(roots, "_cos_pi_dyadic",
+                            lambda j, *rest, **kw: real(j + 1, *rest, **kw))
+        report = root_report(12)
+        assert report.failures == tuple(
+            f"zero-structure n={n}: no sign-verified rationals around "
+            f"cos({2 * ((n + 1) // 2) - 1}pi/{n + 1})" for n in range(1, 13))
+
+    def test_separator_orders_zeros_exactly(self):
+        third = (Poly([-1, 3]), Bracket(Fraction(0), Fraction(1), -1, 1))
+        two_thirds = (Poly([-2, 3]), Bracket(Fraction(0), Fraction(1), -1, 1))
+        half = Fraction(1, 2)
+        assert roots._separated(third, two_thirds, half)
+        assert not roots._separated(two_thirds, third, half)
+        assert roots._separated(third, two_thirds, Fraction(1, 3))
+        assert not roots._separated(third, third, Fraction(1, 3))
 
 
 class TestElementaryInequality:
