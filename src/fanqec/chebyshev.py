@@ -26,14 +26,17 @@ doubling gives the pair (q^m U_m, q^(m-1) U_{m-1})(p/q) with two integers
 of state and O(log m) multiplications of numbers up to the final size
 (``u_pair_at``, ``CompanionSign``, ``EvenPartSign``).
 
-Floating-point evaluation goes through the recurrences (stable on [-1, 1])
-rather than coefficient Horner, whose cancellation is hopeless once the
-coefficients reach 2**50 and beyond.
+Floating-point values of S_n (``s_value``) are only proposals for the
+root search.  They take U_m and U_{m-1} from the angle of x, in O(1)
+operations with full relative precision next to -1 and 1, rather than from
+coefficient Horner, whose cancellation is hopeless once the coefficients
+reach 2**50 and beyond, or from an O(n) walk of the recurrence.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
@@ -412,32 +415,48 @@ def s_degree(n: int) -> int:
     return len(head) - 1 + m
 
 
-# -- stable floating-point evaluation ---------------------------------------
+# -- floating-point evaluation in the angle variable -------------------------
 
 
-def _u_walk(n: int, x: float) -> tuple[float, float]:
-    """(U_n(x), U_{n-1}(x)) by the forward recurrence from U_{-1} = 0, n >= 0."""
-    prev, cur = 0.0, 1.0
-    for _ in range(n):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur, prev
+def _u_pair_float(m: int, x: float) -> tuple[float, float]:
+    """(U_m(x), U_{m-1}(x)) for m >= 0 and -1 <= x <= 1, from the angle of x.
 
-
-def u_value(n: int, x: float) -> float:
-    """U_n(x) by the forward recurrence (stable for |x| <= 1)."""
-    if n == -1:
-        return 0.0
-    if n == -2:
-        return -1.0
-    if n < -2:
-        raise ValueError(f"index {n} below -2")
-    return _u_walk(n, x)[0]
+    With x = cos(phi), U_k(x) = sin((k+1) phi) / sin(phi).  The angle is
+    taken from 1 + x for x <= 0 and from 1 - x for x > 0, so that it keeps
+    full relative precision next to -1 and 1.
+    """
+    if not -1.0 <= x <= 1.0:
+        raise ValueError(f"x = {x} outside [-1, 1]")
+    # For x <= 0 the angle is delta = pi - phi, and
+    # sin(k phi) = (-1)^(k+1) sin(k delta).
+    flip = x <= 0.0
+    sign = -1.0 if flip and m % 2 else 1.0
+    sign_prev = -sign if flip else sign
+    if abs(x) == 1.0:
+        return sign * (m + 1), sign_prev * m
+    angle = 2.0 * math.asin(math.sqrt(0.5 * (1.0 + x if flip else 1.0 - x)))
+    below = math.sin(angle)
+    return (sign * math.sin((m + 1) * angle) / below,
+            sign_prev * math.sin(m * angle) / below)
 
 
 def s_value(n: int, x: float) -> float:
+    """S_n(x) in double precision, for n >= 0 and -1 <= x <= 1.
+
+    S_n = head U_m - tail U_{m-1} with m = n // 2 (see s_poly), where U_m
+    and U_{m-1} come from the trigonometric form of the second kind,
+    U_k(cos phi) = sin((k+1) phi) / sin(phi) (Mason and Handscomb,
+    Chebyshev Polynomials, ch. 1): O(1) operations at any n.  Where
+    |x| >= 1/2, the one of 1 + x and 1 - x that sets the angle is exact,
+    so the angle is accurate relative to the distance to -1 or 1, where
+    the zeros crowd.  Each of U_m, U_{m-1} is off by a few ulps of m + 1,
+    so the error is a few ulps of (|head| + |tail|)(m + 1), with no
+    cancellation between huge coefficients.  Raises ValueError outside
+    [-1, 1].  A float proposal only: roots accepts nothing by it.
+    """
     _check_index(n)
     m, odd = divmod(n, 2)
-    um, um1 = _u_walk(m, x)
+    um, um1 = _u_pair_float(m, x)
     if odd:
         return (2.0 * ((2 * m + 2) * x * x + (2 * m - 1) * x - 1.0) * um
                 - 2.0 * ((2 * m + 3) * x + 2 * m + 1) * um1)

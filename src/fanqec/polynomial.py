@@ -169,9 +169,9 @@ class Poly:
     def evaluate_float(self, x: float) -> float:
         """Horner evaluation in double precision.
 
-        Fine at modest degree; for high-degree family members prefer the
-        recurrence-based evaluators, which do not suffer the cancellation
-        of huge coefficients.
+        Fine at modest degree; for S_n at high degree prefer
+        chebyshev.s_value, which works in the angle variable and so does
+        not suffer the cancellation of huge coefficients.
         """
         acc = 0.0
         for c in reversed(self.coeffs):

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,10 +24,19 @@ from fanqec.chebyshev import (
     phi,
     s_poly,
     s_value,
-    u_value,
 )
 from fanqec import chebyshev, identities
 from fanqec.polynomial import ONE, Poly
+
+
+def u_value(n: int, x: float) -> float:
+    """U_n(x), n >= -2, by the forward recurrence from U_{-1} = 0 (float test oracle)."""
+    if n == -2:
+        return -1.0
+    prev, cur = 0.0, 1.0
+    for _ in range(n + 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return prev
 
 
 def partial_e_value(n: int, x: float) -> float:
@@ -56,6 +66,13 @@ def u_value_reference(n: int, x: float) -> float:
 
 
 class TestSecondKind:
+    def test_walk_oracle_matches_reference_walk(self):
+        rng = random.Random(4021)
+        points = [-1.0, 0.0, 1.0] + [rng.uniform(-1.0, 1.0) for _ in range(50)]
+        for m in range(0, 201):
+            for x in points:
+                assert u_value(m, x) == u_value_reference(m, x)
+
     @pytest.mark.parametrize("n, coeffs", [
         (-2, (-1,)),
         (-1, ()),
@@ -336,25 +353,25 @@ class TestCompanionPolynomials:
                             * (1 + x) ** 2)
                 assert abs(s_value(2 * m + 1, x) - expected) < 1e-9
 
-    def test_value_from_one_walk_equals_two_walks(self):
-        # s_value takes U_m and U_{m-1} from one float walk; the same
-        # operations as two u_value walks, so the values are equal, not close.
+    def test_value_within_bound_of_exact(self):
+        # The angle form against the exact value at the same double: within
+        # 1e-14 (||head||_1 + ||tail||_1)(m + 1), including next to -1 and 1,
+        # where 1 + x or 1 - x goes down to 1e-12.
         rng = random.Random(4021)
-        points = [-1.0, 0.0, 1.0] + [rng.uniform(-1.0, 1.0) for _ in range(50)]
-        for m in range(0, 201):
+        points = [-1.0, 0.0, 1.0] + [rng.uniform(-1.0, 1.0) for _ in range(20)]
+        for k in range(1, 13):
+            points += [-1.0 + 10.0 ** -k, 1.0 - 10.0 ** -k]
+        for n in range(0, 201):
+            m, head, tail = chebyshev._s_factors(n)
+            bound = 1e-14 * (sum(map(abs, head)) + sum(map(abs, tail))) * (m + 1)
+            s = s_poly(n)
             for x in points:
-                assert u_value(m, x) == u_value_reference(m, x)
-        for n in range(0, 401):
-            m, odd = divmod(n, 2)
-            for x in points:
-                um, um1 = u_value(m, x), u_value(m - 1, x)
-                if odd:
-                    two_walks = (2.0 * ((2 * m + 2) * x * x + (2 * m - 1) * x - 1.0) * um
-                                 - 2.0 * ((2 * m + 3) * x + 2 * m + 1) * um1)
-                else:
-                    two_walks = (((2 * m + 1) * x + 2 * m - 1) * um
-                                 - ((2 * m + 3) * x + 2 * m + 1) * um1)
-                assert s_value(n, x) == two_walks, (n, x)
+                assert abs(s_value(n, x) - float(s.evaluate(Fraction(x)))) <= bound, (n, x)
+
+    @pytest.mark.parametrize("x", [-1.5, 1.5])
+    def test_value_outside_interval_rejected(self, x):
+        with pytest.raises(ValueError):
+            s_value(7, x)
 
     def test_value_at_second_even_minimal_zero(self):
         # The odd-index member evaluated at the next even member's minimal

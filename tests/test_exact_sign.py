@@ -206,11 +206,12 @@ def test_odd_route_builds_no_coefficients(monkeypatch):
     assert partial_e.cache_info().misses == e_misses
 
 
-@pytest.mark.parametrize("n", [1601, 1603, 1605, 3481, 3569])
+@pytest.mark.parametrize("n", [1601, 1603, 1605, 3481, 3569, 20001, 40001])
 def test_odd_value_strictly_inside_proven_bounds(n):
     # The true constant sits just above the lower bound here; an endpoint
     # moved 2^-40 outward past the cosine grid point used to print a value
-    # up to 2.2e-13 below it.
+    # up to 2.2e-13 below it.  At 20001 and 40001 the bracket's absolute
+    # width is already a sizeable part of the gap between the bounds.
     lower = -4.0 * math.sin(math.pi / (2 * (n + 1))) ** 2
     upper = -4.0 * math.sin(math.pi / (2 * (n + 2))) ** 2
     assert lower < qec_fan(n).value < upper

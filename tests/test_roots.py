@@ -183,6 +183,34 @@ def test_beta_probe_stays_between_minus_one_and_the_neighbouring_grid_point(
     assert all(-1 < x < neighbour for x in stub.queries)
 
 
+def _walked_s_value(n: int, x: float) -> float:
+    """S_n(x) with U_m, U_{m-1} from the float recurrence walk (test oracle)."""
+    m, odd = divmod(n, 2)
+    prev, um = 0.0, 1.0
+    for _ in range(m):
+        prev, um = um, 2.0 * x * um - prev
+    if odd:
+        return (2.0 * ((2 * m + 2) * x * x + (2 * m - 1) * x - 1.0) * um
+                - 2.0 * ((2 * m + 3) * x + 2 * m + 1) * prev)
+    return ((2 * m + 1) * x + 2 * m - 1) * um - ((2 * m + 3) * x + 2 * m + 1) * prev
+
+
+def _certificates() -> list[tuple[Fraction, Fraction, float]]:
+    odd = [*range(3, 402, 2), 1601, 2811, 3481, 4001]
+    certs = [gamma(n) for n in odd]
+    certs += [c for n in range(0, 81) for c in zeros_of_s(n, 1e-9)]
+    return [(c.lo, c.hi, c.value) for c in certs]
+
+
+def test_float_proposals_give_the_walks_certificates(monkeypatch):
+    # The float proposals only steer the bisection, but which brackets come
+    # out depends on the sign of every float midpoint: the angle form must
+    # give the same certificates as a float walk of the recurrence.
+    angle = _certificates()
+    monkeypatch.setattr(roots, "s_value", _walked_s_value)
+    assert _certificates() == angle
+
+
 class TestAlpha:
     def test_known_values(self):
         assert alpha(0) == 1.0
