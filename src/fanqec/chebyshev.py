@@ -20,11 +20,13 @@ battery reads is tied, in linear time, to its recurrence or formula; if a
 tie fails the battery runs on exact Poly arithmetic, which also decides
 and reports every failure.
 
-Exact signs of S_n and of the even split factor at a rational p/q need no
+Exact signs of S_n and of both split factors at a rational p/q need no
 coefficients: q^k U_k(p/q) is a Lucas sequence in 2p and q^2, and index
 doubling gives the pair (q^m U_m, q^(m-1) U_{m-1})(p/q) with two integers
 of state and O(log m) multiplications of numbers up to the final size
-(``u_pair_at``, ``CompanionSign``, ``EvenPartSign``).
+(``u_pair_at``).  ``split_signs`` turns one such pair into all three signs;
+its formulas are the only ones, and ``CompanionSign`` and ``EvenPartSign``
+read the S_n and even-factor parts of it.
 
 Floating-point values of S_n (``s_value``) are only proposals for the
 root search.  They take U_m and U_{m-1} from the angle of x, in O(1)
@@ -336,72 +338,53 @@ def _sign(value: int) -> int:
     return (value > 0) - (value < 0)
 
 
-@dataclasses.dataclass(frozen=True)
-class CompanionSign:
-    """Exact sign of s_poly(n) at rationals, from u_pair_at alone.
-
-    With x = p/q, d the head degree and e = d - tail degree + 1,
-    q^(m+d) S_n(x) = head(p, q) V_m - tail(p, q) q^e V_{m-1}; q > 0, so the
-    signs agree.  Same sign_at contract as Poly.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"index {self.n} must be >= 0")
-
-    def sign_at(self, x: Fraction | int) -> int:
-        xf = Fraction(x)
-        p, q = xf.numerator, xf.denominator
-        m, head, tail = _s_factors(self.n)
-        return _companion_sign(head, tail, p, q, *u_pair_at(m, p, q))
-
-
-@dataclasses.dataclass(frozen=True)
-class EvenPartSign:
-    """Exact sign of partial_e(n) at rationals, from u_pair_at alone.
-
-    q^m U_m(p/q) = V_m for odd n = 2m+1 and q^m (U_m + U_{m-1})(p/q) =
-    V_m + q V_{m-1} for even n = 2m.  Same sign_at contract as Poly.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"index {self.n} must be >= 0")
-
-    def sign_at(self, x: Fraction | int) -> int:
-        xf = Fraction(x)
-        p, q = xf.numerator, xf.denominator
-        m, odd = divmod(self.n, 2)
-        vm, vm1 = u_pair_at(m, p, q)
-        return _sign(vm if odd else vm + q * vm1)
-
-
-def _companion_sign(head, tail, p: int, q: int, vm: int, vm1: int) -> int:
-    """Sign of q^(m+d) S_n(p/q) from (V_m, V_{m-1}); see CompanionSign."""
-    q_e = q ** (len(head) - len(tail) + 1)
-    return _sign(_homogenised(head, p, q) * vm
-                 - _homogenised(tail, p, q) * q_e * vm1)
-
-
 def split_signs(n: int, x: Fraction | int) -> tuple[int, int, int]:
-    """Exact signs of (s_poly(n), partial_e(n), partial_o(n)) at x.
+    """Exact signs of (s_poly(n), partial_e(n), partial_o(n)) at x = p/q.
 
-    All three come from one u_pair_at call.  The even part is as in
-    EvenPartSign; the odd part is U_m - U_{m-1} for n = 2m, so
-    q^m partial_o = V_m - q V_{m-1}, and U_{m+1} - U_{m-1} for n = 2m+1,
-    so q^(m+1) partial_o = 2 (p V_m - q^2 V_{m-1}).
+    All three come from (V_m, V_{m-1}) = u_pair_at(m, p, q), each value
+    times a positive power of q, which keeps its sign.  With S_n =
+    head U_m - tail U_{m-1} (_s_factors), d the head degree and e = d -
+    tail degree + 1, q^(m+d) S_n = head(p, q) V_m - tail(p, q) q^e V_{m-1}.
+    For n = 2m+1, partial_e = U_m and partial_o = U_{m+1} - U_{m-1}, so
+    q^m partial_e = V_m and q^(m+1) partial_o = 2 (p V_m - q^2 V_{m-1}); for
+    n = 2m they are U_m + U_{m-1} and U_m - U_{m-1}, so q^m times them is
+    V_m + q V_{m-1} and V_m - q V_{m-1}.
     """
     p, q = x.numerator, x.denominator
     m, head, tail = _s_factors(n)
     vm, vm1 = u_pair_at(m, p, q)
-    s = _companion_sign(head, tail, p, q, vm, vm1)
+    q_e = q ** (len(head) - len(tail) + 1)
+    s = _sign(_homogenised(head, p, q) * vm
+              - _homogenised(tail, p, q) * q_e * vm1)
     if n % 2:
         return s, _sign(vm), _sign(p * vm - q * q * vm1)
     return s, _sign(vm + q * vm1), _sign(vm - q * vm1)
+
+
+@dataclasses.dataclass(frozen=True)
+class _SplitSign:
+    """Sign of one part of split_signs(n, x); Poly's sign_at contract."""
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"index {self.n} must be >= 0")
+
+    def sign_at(self, x: Fraction | int) -> int:
+        return split_signs(self.n, Fraction(x))[self._part]
+
+
+class CompanionSign(_SplitSign):
+    """Exact sign of s_poly(n) at rationals: part 0 of split_signs."""
+
+    _part = 0
+
+
+class EvenPartSign(_SplitSign):
+    """Exact sign of partial_e(n) at rationals: part 1 of split_signs."""
+
+    _part = 1
 
 
 def s_degree(n: int) -> int:

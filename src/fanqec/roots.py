@@ -14,10 +14,12 @@ S_n or U_k coefficients are built here and memory stays linear in the bit
 size of one value.  Every helper only calls ``sign_at``, so a ``Poly`` works
 in their place.
 
-``root_report`` certifies the zero structure of every S_n up to a cap and
-the orderings of the minimal zeros without bisecting anything: it counts
-exact sign changes at rationals around the cosine grid points and decides
-each ordering by exact signs at one proposed separator.
+``zero_structure`` proves the zero localization of S_n by counting exact
+sign changes at rationals around the cosine grid points; ``zeros_of_s``
+narrows its brackets, and ``root_report`` runs it up to a cap and decides
+the orderings of the minimal zeros by exact signs at one proposed
+separator each.  ``gamma`` keeps a bracket built from the theorem's grid
+points, a few sign queries where the whole structure costs about 2n.
 """
 
 from __future__ import annotations
@@ -67,18 +69,6 @@ class Bracket:
             raise BadBracket("endpoint signs must be -1 or +1")
         if self.sign_lo == self.sign_hi:
             raise BadBracket("equal signs at both endpoints")
-
-    @classmethod
-    def around(cls, p: ExactSign, lo: Fraction, hi: Fraction) -> Bracket:
-        """Bracket with signs computed exactly; zero at an endpoint is rejected."""
-        slo, shi = p.sign_at(lo), p.sign_at(hi)
-        if slo == 0 or shi == 0:
-            raise BadBracket("exact zero at a bracket endpoint")
-        return cls(lo, hi, slo, shi)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -229,56 +219,40 @@ def beta(n: int) -> float:
 
 
 def _grid_point(j: int, den: int) -> float:
-    """cos(j*pi/den) on the zero grid of S_n, with its ends -1 (j >= den) and 1 (j <= 0)."""
-    if j >= den:
-        return -1.0
-    return math.cos(max(j, 0) * math.pi / den)
-
-
-def _zero_between(s: ExactSign, n: int, den: int, j_lo: int, j_hi: int,
-                  want_lo: int, tol: float) -> ZeroCert:
-    """Certified zero of S_n between the grid points j_lo > j_hi.
-
-    The endpoint -1 (j_lo >= den) is exact and nudged inward if its sign is
-    wrong; cosine endpoints are nudged outward, so the target zero stays
-    inside, but never to the next grid point, so no other zero joins it.
-    """
-    lo_f, hi_f = _grid_point(j_lo, den), _grid_point(j_hi, den)
-    exact = _probe_rationals(s, lo_f, hi_f)
-    if exact is not None:
-        return exact
-    if j_lo >= den:
-        lo = _verified_endpoint(s, Fraction(-1), Fraction(hi_f), want_lo,
-                                exact=True)
-    else:
-        lo = _verified_endpoint(s, Fraction(lo_f),
-                                Fraction(_grid_point(j_lo + 2, den)), want_lo)
-    hi = _verified_endpoint(s, Fraction(hi_f),
-                            Fraction(_grid_point(j_hi - 2, den)), -want_lo)
-    bracket = Bracket(lo, hi, want_lo, -want_lo)
-    bracket = _float_refined(s, lambda x: s_value(n, x), bracket, tol)
-    return bisect(s, bracket, tol)
+    """cos(j*pi/den) on the zero grid of S_n."""
+    return math.cos(j * math.pi / den)
 
 
 # Rational zeros that actually occur in the family (S_1, S_2, S_3); probing
-# them first turns those certificates into exact width-0 ones.
-_RATIONAL_PROBES = (Fraction(-3, 4), Fraction(-1, 2), Fraction(0))
+# them first turns those certificates into exact width-0 ones.  0 is never
+# one: S_n(0) is +-2 or +-(4m+2) for odd n and +-(2m-1) or +-(2m+1) for even n.
+_RATIONAL_PROBES = (Fraction(-3, 4), Fraction(-1, 2))
 
 
-def _probe_rationals(s: ExactSign, lo_bound: float, hi_bound: float) -> ZeroCert | None:
+def _zero_in(s: ExactSign, n: int, bracket: Bracket, tol: float) -> ZeroCert:
+    """Certified zero of S_n in a bracket that holds exactly one.
+
+    A rational probe inside the bracket that is a zero gives an exact
+    certificate; otherwise the bracket is float-refined and then bisected.
+    """
     for cand in _RATIONAL_PROBES:
-        if lo_bound < cand < hi_bound and s.sign_at(cand) == 0:
+        if bracket.lo < cand < bracket.hi and s.sign_at(cand) == 0:
             return _exact_cert(s, cand)
-    return None
+    bracket = _float_refined(s, lambda x: s_value(n, x), bracket, tol)
+    return bisect(s, bracket, tol)
 
 
 def gamma(n: int, tol: float = 1e-12) -> ZeroCert:
     """Certified minimal zero of s_poly(n), n >= 1.
 
     Indices 1 and 2 have the exact rational zero -1/2.  Otherwise the bracket
-    comes from the proven zero localization: for odd n the interval between
-    -1 and the smallest cosine grid point, for even n = 2m >= 4 the interval
-    between the minimal even-factor zero and cos((2m-1)pi/(2m+1)).
+    comes from the proven zero localization on the grid cos(j*pi/(n+1)):
+    for odd n the interval between -1 and the smallest grid point (j = n),
+    for even n the interval between the minimal even-factor zero (j = n)
+    and the grid point j = n - 1.  The endpoint -1 is exact and nudged
+    inward if its sign is wrong; cosine endpoints are nudged outward, so
+    the zero stays inside, but never to the next grid point, so no other
+    zero joins it.
     """
     if n < 1:
         raise ValueError(f"index {n} must be >= 1")
@@ -288,51 +262,18 @@ def gamma(n: int, tol: float = 1e-12) -> ZeroCert:
             return _exact_cert(s, -_HALF)
         raise BadBracket("expected exact minimal zero at -1/2")
     m, odd = divmod(n, 2)
-    if odd:  # from -1 (grid index den) to the smallest grid point
-        den, j_lo, j_hi, want_lo = 2 * m + 2, 2 * m + 2, 2 * m + 1, (-1) ** m
-    else:  # from the minimal even-factor zero, cos(2m*pi/(2m+1))
-        den, j_lo, j_hi, want_lo = 2 * m + 1, 2 * m, 2 * m - 1, (-1) ** (m + 1)
-    return _zero_between(s, n, den, j_lo, j_hi, want_lo, tol)
-
-
-def alpha(n: int, tol: float = 1e-12) -> float:
-    """Minimal zero of phi(n) via the proven case split, never by root search.
-
-    alpha_0 = 1 and alpha_1 = -1/2 directly; even n >= 2 inherit the
-    even-factor zero, odd n >= 3 the companion-polynomial zero.
-    """
-    if n < 0:
-        raise ValueError(f"index {n} must be >= 0")
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return -0.5
-    if n % 2 == 0:
-        return beta(n)
-    return gamma(n, tol).value
-
-
-def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
-    """All zeros of s_poly(n), ascending: x = 1 plus one per proven bracket.
-
-    The count always equals the degree and each certificate is a simple sign
-    change, which is exactly the statement of the zero-localization theorems.
-    """
-    if n < 0:
-        raise ValueError(f"index {n} must be >= 0")
-    s = CompanionSign(n)
-    if s.sign_at(1) != 0:
-        raise BadBracket("expected zero at x = 1")
-    m, odd = divmod(n, 2)
-    count = m + 1 if odd else m  # brackets below x = 1
-    den = 2 * m + 2 if odd else 2 * m + 1
-    certs: list[ZeroCert] = []
-    for k in range(count, 0, -1):
-        # k == count reaches past den, so its lower end is -1.
-        certs.append(_zero_between(s, n, den, 2 * k + 1, 2 * k - 1,
-                                   (-1) ** (k + 1), tol))
-    certs.append(_exact_cert(s, Fraction(1)))
-    return certs
+    den, j_hi = n + 1, (n if odd else n - 1)
+    want_lo = (-1) ** m if odd else (-1) ** (m + 1)
+    hi_f = _grid_point(j_hi, den)
+    if odd:
+        lo = _verified_endpoint(s, Fraction(-1), Fraction(hi_f), want_lo,
+                                exact=True)
+    else:
+        lo = _verified_endpoint(s, Fraction(_grid_point(n, den)), Fraction(-1),
+                                want_lo)
+    hi = _verified_endpoint(s, Fraction(hi_f),
+                            Fraction(_grid_point(j_hi - 2, den)), -want_lo)
+    return _zero_in(s, n, Bracket(lo, hi, want_lo, -want_lo), tol)
 
 
 # -- exact root-structure report ---------------------------------------------
@@ -453,6 +394,20 @@ def zero_structure(n: int) -> ZeroStructure:
     return ZeroStructure(n, tuple(brackets), even)
 
 
+def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
+    """All zeros of s_poly(n), ascending: one per zero_structure bracket, then 1.
+
+    zero_structure proves that each of its brackets holds exactly one zero,
+    a simple one, and that with x = 1 they are all of them; each bracket is
+    narrowed to width <= tol here.  Raises BadBracket if the structure fails.
+    """
+    brackets = zero_structure(n).brackets
+    s = CompanionSign(n)
+    certs = [_zero_in(s, n, bracket, tol) for bracket in brackets]
+    certs.append(_exact_cert(s, Fraction(1)))
+    return certs
+
+
 def _side(zero: tuple[ExactSign, Bracket], x: Fraction) -> int:
     """-1, 0 or 1 as x lies below, at or above the one zero in the bracket."""
     sign, bracket = zero
@@ -471,10 +426,11 @@ def _separated(low, high, x: Fraction) -> bool:
 
 
 def _alpha_separator(n: int) -> Fraction:
-    """Rational proposed between alpha(n + 1) and alpha(n), n >= 2.
+    """Rational proposed between alpha_{n+1} and alpha_n, n >= 2.
 
-    alpha(n) is -cos(pi/(n+1)) for even n and just below it for odd n,
-    above -cos(pi/(n+2)); the proposal is -cos(pi/(n+3/2)).
+    alpha_n, the minimal zero of phi(n), is -cos(pi/(n+1)) for even n and
+    just below it for odd n, above -cos(pi/(n+2)); the proposal is
+    -cos(pi/(n+3/2)).
     """
     gap = 2 * (math.sin(math.pi / (2 * n + 2)) ** 2
                - math.sin(math.pi / (2 * n + 4)) ** 2)

@@ -120,9 +120,11 @@ def _recorded_root_queries(monkeypatch, indices, zero_indices):
 def test_signs_match_coefficient_horner(monkeypatch):
     # Gate for the kernel: for every n <= 300 the recurrence signs equal
     # Poly.sign_at at the points the root finders query, at fixed points and
-    # at seeded random rationals.  zeros_of_s queries ~70k points over all
-    # n <= 300; its points are taken exhaustively up to the verify default
-    # cap (60) and at five larger indices to keep the run short.
+    # at seeded random rationals.  zeros_of_s asks CompanionSign at ~47k
+    # points over all n <= 300 (its bracket ends come from zero_structure's
+    # split_signs, gated below); its points are taken exhaustively up to the
+    # verify default cap (60) and at five larger indices to keep the run
+    # short.
     indices = range(0, 301)
     queried = _recorded_root_queries(
         monkeypatch, indices, [*range(0, 61), 101, 150, 201, 250, 300])

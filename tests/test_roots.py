@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from fanqec import chebyshev, roots
-from fanqec.chebyshev import s_poly
+from fanqec.chebyshev import CompanionSign, s_poly
 from fanqec.polynomial import Poly
 from fanqec.roots import (
     BadBracket,
     Bracket,
-    alpha,
     beta,
     bisect,
     check_elementary_inequality,
@@ -30,15 +29,19 @@ def min_real_root(p: Poly) -> float:
     return real[0]
 
 
+def _around(p: Poly, lo: Fraction, hi: Fraction) -> Bracket:
+    """Bracket [lo, hi] with the exact signs of p at its ends."""
+    return Bracket(lo, hi, p.sign_at(lo), p.sign_at(hi))
+
+
 class TestBracket:
     def test_rejects_equal_signs(self):
-        p = Poly([1, 0, 1])  # positive everywhere
-        with pytest.raises(BadBracket):
-            Bracket.around(p, Fraction(-1), Fraction(1))
+        with pytest.raises(BadBracket, match="equal signs"):
+            Bracket(Fraction(-1), Fraction(1), 1, 1)
 
     def test_rejects_zero_endpoint(self):
-        with pytest.raises(BadBracket):
-            Bracket.around(Poly([-1, 1]), Fraction(1), Fraction(2))
+        with pytest.raises(BadBracket, match="must be -1 or \\+1"):
+            Bracket(Fraction(1), Fraction(2), 0, 1)
 
     def test_rejects_empty_interval(self):
         with pytest.raises(BadBracket):
@@ -48,22 +51,22 @@ class TestBracket:
 class TestBisect:
     def test_midpoint_hits_exact_root(self):
         p = Poly([-1, 1])
-        cert = bisect(p, Bracket.around(p, Fraction(0), Fraction(2)), 1e-12)
+        cert = bisect(p, _around(p, Fraction(0), Fraction(2)), 1e-12)
         assert cert.value == 1.0
         assert cert.is_exact
         assert cert.simple
 
     def test_companion_small(self):
         p = s_poly(1)
-        cert = bisect(p, Bracket.around(p, Fraction(-1), Fraction(0)), 1e-12)
+        cert = bisect(p, _around(p, Fraction(-1), Fraction(0)), 1e-12)
         assert cert.value == -0.5
         assert cert.is_exact
 
     def test_width_bound(self):
         p = Poly([-2, 0, 1])  # sqrt(2)
-        cert = bisect(p, Bracket.around(p, Fraction(1), Fraction(2)), 1e-10)
+        cert = bisect(p, _around(p, Fraction(1), Fraction(2)), 1e-10)
         assert not cert.is_exact
-        assert float(cert.width) <= 1e-10
+        assert float(cert.hi - cert.lo) <= 1e-10
         assert abs(cert.value - math.sqrt(2)) < 1e-10
 
     def test_companion_theorem_bracket(self):
@@ -71,7 +74,7 @@ class TestBisect:
         # its localization theorem provides.
         p = s_poly(3)
         hi = Fraction(math.cos(3 * math.pi / 4))
-        cert = bisect(p, Bracket.around(p, Fraction(-1), hi), 1e-12)
+        cert = bisect(p, _around(p, Fraction(-1), hi), 1e-12)
         assert abs(cert.value - (-0.75)) <= 1e-12
 
     def test_certificate_brackets_root(self):
@@ -212,21 +215,10 @@ def test_float_proposals_give_the_walks_certificates(monkeypatch):
 
 
 class TestAlpha:
-    def test_known_values(self):
-        assert alpha(0) == 1.0
-        assert alpha(1) == -0.5
-        assert alpha(2) == -0.5
-
-    def test_even_is_even_part_zero(self):
-        for n in (4, 6, 10, 24):
-            assert alpha(n) == beta(n)
-
-    def test_odd_is_companion_zero(self):
-        for n in (3, 7, 15):
-            assert alpha(n) == gamma(n).value
-
     def test_strictly_decreasing_above_two(self):
-        values = [alpha(n) for n in range(2, 61)]
+        # alpha_n, the minimal zero of phi(n), is beta_n for even n and
+        # gamma_n for odd n.
+        values = [gamma(n).value if n % 2 else beta(n) for n in range(2, 61)]
         for a, b in zip(values, values[1:]):
             assert -1.0 < b < a
 
@@ -268,6 +260,16 @@ class TestZerosOfS:
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g == pytest.approx(e, abs=1e-9)
+
+    def test_rational_zeros_are_the_probed_ones(self):
+        # S_n(0) = head(0) U_m(0) - tail(0) U_{m-1}(0) is never zero, so 0 is
+        # not probed; -1/2 and -3/4 are zeros exactly for S_1..S_3 and S_3.
+        zeros = {(Fraction(-1, 2), 1), (Fraction(-1, 2), 2),
+                 (Fraction(-1, 2), 3), (Fraction(-3, 4), 3)}
+        for n in range(0, 401):
+            sign = CompanionSign(n)
+            for r in (Fraction(0), Fraction(-1, 2), Fraction(-3, 4)):
+                assert (sign.sign_at(r) == 0) == ((r, n) in zeros), f"n={n}, r={r}"
 
     def test_all_simple_and_sorted(self):
         for n in range(0, 31):
@@ -326,14 +328,14 @@ class TestRootReport:
             assert bracket.lo < Fraction(z) < bracket.hi
         assert (structure.even_bracket is None) == (n <= 1)
 
-    def test_zeros_of_s_certificates_lie_inside(self):
-        for n in range(0, 121):
-            certs = zeros_of_s(n)
-            brackets = zero_structure(n).brackets
-            assert len(certs) == len(brackets) + 1, f"n={n}"
-            for cert, bracket in zip(certs, brackets):
-                assert bracket.lo < cert.lo <= cert.hi < bracket.hi, f"n={n}"
-            assert certs[-1].lo == certs[-1].hi == 1
+    @pytest.mark.parametrize("n", [3, 10, 11, 60])
+    def test_zeros_of_s_raises_the_structure_failure(self, monkeypatch, n):
+        # zeros_of_s narrows zero_structure's brackets, so a structure that
+        # fails stops it with the structure's own message.
+        _mutated_tail(monkeypatch, n, lambda t: (-t[0], t[1] + 2 * t[0]))
+        with pytest.raises(BadBracket) as raised:
+            zeros_of_s(n, 1e-9)
+        assert str(raised.value) == "no sign change in grid interval 1 from -1"
 
     def test_even_bracket_holds_beta(self):
         for n in range(2, 61):
