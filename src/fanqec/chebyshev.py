@@ -220,17 +220,27 @@ class _Families:
         raise KeyError(family)
 
 
-class _Defined(_Families):
-    """Derived families as Poly, by their formulas in the stored U_k."""
+# Builder of each family, by the name the family accessor uses.
+_BUILDERS = {"u": "cheb_u", "t": "cheb_t", "v": "cheb_v", "w": "cheb_w",
+             "pe": "partial_e", "po": "partial_o", "s": "s_poly", "phi": "phi"}
+
+
+class _Stored(_Families):
+    """Poly backend: the families exactly as this module builds them.
+
+    member() looks the builder up by name when it is called, so a builder
+    replaced in this module is what runs; the inherited defined() is the
+    formula the derived builders use and the battery ties them to.
+    """
 
     x = X
     poly = Poly
 
     def member(self, family: str, k: int) -> Poly:
-        return cheb_u(k) if family == "u" else self.defined(family, k)
+        return globals()[_BUILDERS[family]](k)
 
 
-_DEFINED = _Defined()
+_STORED = _Stored()
 
 # Entries each derived builder keeps.  The battery reads a member at most a
 # few times in a row (its tie, then the coefficient checks at the same
@@ -246,14 +256,14 @@ def partial_e(n: int) -> Poly:
     trigonometric form and the even-k product formula are float test oracles.
     """
     _check_index(n)
-    return _DEFINED.pe(n)
+    return _STORED.defined("pe", n)
 
 
 @lru_cache(maxsize=_DERIVED_CACHE)
 def partial_o(n: int) -> Poly:
     """Odd-zero factor of U_n, so that U_n = partial_e(n) * partial_o(n)."""
     _check_index(n)
-    return _DEFINED.po(n)
+    return _STORED.defined("po", n)
 
 
 def compress(p: Poly) -> Poly:
@@ -273,7 +283,7 @@ def s_poly(n: int) -> Poly:
     S_{2m}   = ((2m+1)x + 2m-1) U_m - ((2m+3)x + 2m+1) U_{m-1}
     S_{2m+1} = 2((2m+2)x^2 + (2m-1)x - 1) U_m - 2((2m+3)x + 2m+1) U_{m-1}
     """
-    return _DEFINED.s(n)
+    return _STORED.defined("s", n)
 
 
 def _s_factors(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -294,7 +304,7 @@ def phi(n: int) -> Poly:
     (x-1) * partial_e(n) * s_poly(n), which the identity suite checks.
     """
     _check_index(n)
-    return _DEFINED.phi(n)
+    return _STORED.defined("phi", n)
 
 
 # -- exact signs without coefficients ---------------------------------------

@@ -48,6 +48,9 @@ _FAMILIES: dict[str, tuple[Callable[[int], Poly], int]] = {
     "phi": (phi, 0),
 }
 
+# Grid intervals on which `verify` checks the elementary inequality.
+_INEQUALITY_GRID = 512
+
 _METHODS = {
     "auto": "auto",
     "numeric": Method.NUMERIC_ORACLE,
@@ -104,7 +107,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _fail("roots_max_n must be >= 0", 2)
     report = identity_suite(args.max_n)
     roots_failures = roots.root_report(roots_cap).failures
-    inequality_ok = roots.check_elementary_inequality(args.grid)
+    inequality_ok = roots.check_elementary_inequality(_INEQUALITY_GRID)
     ok = report.ok and not roots_failures and inequality_ok
 
     if args.format == "json":
@@ -119,7 +122,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         rows = [["identity", c.identity, c.n, c.passed] for c in report.checked]
         rows += [["roots", msg, "", False] for msg in roots_failures]
-        rows += [["inequality", "elementary-inequality", args.grid, inequality_ok]]
+        rows += [["inequality", "elementary-inequality", _INEQUALITY_GRID, inequality_ok]]
         _print_csv(["section", "check", "n", "passed"], rows)
     else:
         print(f"identities: {len(report.checked)} checks up to n={args.max_n}, "
@@ -130,7 +133,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               f"{len(roots_failures)} failures")
         for msg in roots_failures:
             print(f"  FAIL {msg}")
-        print(f"elementary inequality on {args.grid} intervals: "
+        print(f"elementary inequality on {_INEQUALITY_GRID} intervals: "
               f"{'ok' if inequality_ok else 'FAIL'}")
         print("OK" if ok else "FAILED")
     return 0 if ok else 1
@@ -192,8 +195,6 @@ def _odd_bounds(n: int) -> tuple[float, float] | None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.kind != "fan":
-        return _fail(f"unknown table kind {args.kind!r}", 2)
     if not 1 <= args.start <= args.stop:
         return _fail(f"need 1 <= from <= to, got {args.start}..{args.stop}", 2)
     entries = []
@@ -266,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                           dest="roots_max_n",
                           help="cap for the root-structure report "
                                "(default min(max-n, 60))")
-    p_verify.add_argument("--grid", type=int, default=512,
-                          help="grid intervals for the inequality check")
     _add_format(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -4,10 +4,10 @@
 each coefficient-exactly over the integers.  Each identity is written once,
 as lhs and rhs over a family accessor, and runs on three backends:
 
-* residues: the families' values at the points 0..D modulo primes just
-  below 2**31 (``PRIMES``), as int64 numpy arrays, with U, T, V and W from
-  their own three-term recurrences and the split factors, S_n and phi_n
-  from their defining formulas;
+* residues: the families' values at the points 0..D modulo the primes
+  just below 2**31 (``_primes_above``), as int64 numpy arrays, with U, T,
+  V and W from their own three-term recurrences and the split factors,
+  S_n and phi_n from their defining formulas;
 * norms: upper bounds on degree and l1 norm (||fg|| <= ||f|| ||g||,
   ||f + g|| <= ||f|| + ||g||), which give D and a bound M on every
   coefficient of lhs - rhs;
@@ -26,8 +26,9 @@ its two coefficient vectors.  The
 compress/monic and S_n divisible by x - 1 checks are coefficient
 properties and always run on Poly.
 
-Every stored family is read through the ``chebyshev`` module when it is
-used, so a builder replaced there is what the battery checks.
+Every stored family is read through ``chebyshev._STORED``, which looks its
+builder up when it is used, so a builder replaced there is what the battery
+checks.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import chebyshev
 from .chebyshev import (
-    _DEFINED,
     _SEEDS,
+    _STORED,
     _TWO_X,
     IdentityCheck,
     IdentityReport,
@@ -51,13 +51,9 @@ from .chebyshev import (
     _Families,
     compress,
 )
-from .polynomial import X, Poly
+from .polynomial import Poly
 
 _X_MINUS_ONE = Poly((-1, 1))
-
-# Builder of each family, by the name the identity accessor uses.
-_BUILDERS = {"u": "cheb_u", "t": "cheb_t", "v": "cheb_v", "w": "cheb_w",
-             "pe": "partial_e", "po": "partial_o", "s": "s_poly", "phi": "phi"}
 
 
 def _cmp(identity: str, n: int, lhs: Poly, rhs: Poly) -> IdentityCheck:
@@ -141,22 +137,6 @@ _IDENTITIES: tuple[tuple[str, int | None, Callable], ...] = (
 # -- the three backends ------------------------------------------------------
 
 
-class _Stored(_Families):
-    """Poly backend: the families exactly as the library stores them.
-
-    Names are looked up when called, so a replaced builder is what runs.
-    """
-
-    x = X
-    poly = Poly
-
-    def member(self, family: str, k: int) -> Poly:
-        return getattr(chebyshev, _BUILDERS[family])(k)
-
-
-_STORED = _Stored()
-
-
 class _Bound:
     """Upper bounds on the degree and the l1 norm of a polynomial.
 
@@ -213,23 +193,6 @@ class _Norms(_Families):
         return self.defined(family, k)
 
 
-# Primes just below 2**31: a product of two residues fits in int64, and the
-# points 0..D stay distinct modulo each of them for any D reached here.
-PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
-    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
-    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
-    2147482937, 2147482921,
-)
-# Bound tracking keeps every entry below this in absolute value, so that
-# a - q*p in _reduce cannot overflow int64 either.
-_INT64_LIMIT = 2 ** 63 - 2 ** 32
-# Absolute value of an entry after _reduce.
-_REDUCED_BOUND = PRIMES[0] // 2 + 2 ** 13
-
-
 def _is_prime(q: int) -> bool:
     """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3,215,031,751."""
     d, s = q - 1, 0
@@ -249,15 +212,27 @@ def _is_prime(q: int) -> bool:
 
 
 def _primes_above(bound: int) -> list[int]:
-    """Fewest primes whose product exceeds bound: PRIMES, then the next
-    primes below them (only for an index past about 380)."""
-    more = (q for q in itertools.count(PRIMES[-1] - 2, -2) if _is_prime(q))
+    """Fewest of the primes below 2**31, largest first, whose product exceeds bound.
+
+    A product of two residues fits in int64, and the points 0..D stay
+    distinct modulo each of these primes for any D reached here.
+    """
     primes, product = [], 1
-    for q in itertools.chain(PRIMES, more):
-        primes.append(q)
-        product *= q
-        if product > bound:
-            return primes
+    for q in itertools.count(2 ** 31 - 1, -2):
+        if _is_prime(q):
+            primes.append(q)
+            product *= q
+            if product > bound:
+                return primes
+
+
+# The largest prime the residues are taken modulo.
+_TOP_PRIME = _primes_above(0)[0]
+# Bound tracking keeps every entry below this in absolute value, so that
+# a - q*p in _reduce cannot overflow int64 either.
+_INT64_LIMIT = 2 ** 63 - 2 ** 32
+# Absolute value of an entry after _reduce.
+_REDUCED_BOUND = _TOP_PRIME // 2 + 2 ** 13
 
 
 def _reduce(a, p: np.ndarray, inv_p: np.ndarray) -> np.ndarray:
@@ -291,7 +266,7 @@ class _Mod:
         if abs(other) <= _REDUCED_BOUND:
             return _Mod(other, abs(other), self.mod)
         residues = [[other % int(q)] for q in self.mod[0][:, 0]]
-        return _Mod(np.array(residues, dtype=np.int64), PRIMES[0] - 1, self.mod)
+        return _Mod(np.array(residues, dtype=np.int64), _TOP_PRIME - 1, self.mod)
 
     def reduced(self) -> _Mod:
         if self.bound <= _REDUCED_BOUND:
@@ -400,7 +375,7 @@ def _tie(family: str, k: int) -> bool:
     """
     stored = getattr(_STORED, family)
     if family not in _SEEDS:
-        return stored(k) == _DEFINED.member(family, k)
+        return stored(k) == _STORED.defined(family, k)
     k0, first, second = _SEEDS[family]
     if k < k0 + 2:
         return stored(k) == Poly(first if k == k0 else second)
@@ -431,9 +406,9 @@ def _stored_pass(max_n: int, reads: dict[str, int]) -> tuple[bool, list[Identity
 def _monic_checks(n: int) -> list[IdentityCheck]:
     out = []
     for name, poly in (
-        ("compressed-u-monic", chebyshev.cheb_u(n)),
-        ("compressed-even-part-monic", chebyshev.partial_e(n)),
-        ("compressed-odd-part-monic", chebyshev.partial_o(n)),
+        ("compressed-u-monic", _STORED.u(n)),
+        ("compressed-even-part-monic", _STORED.pe(n)),
+        ("compressed-odd-part-monic", _STORED.po(n)),
     ):
         try:
             c = compress(poly)
@@ -449,7 +424,7 @@ def _monic_checks(n: int) -> list[IdentityCheck]:
 
 
 def _s_root_at_one_check(n: int) -> IdentityCheck:
-    s = chebyshev.s_poly(n)
+    s = _STORED.s(n)
     try:
         s.exact_div(_X_MINUS_ONE)
     except (ArithmeticError, ZeroDivisionError):

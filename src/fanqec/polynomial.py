@@ -140,43 +140,36 @@ class Poly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        """Exact value at a rational point."""
+    def _horner(self, x: Fraction | int) -> tuple[int, int]:
+        """(q^d * self(x), q) for x = p/q in lowest terms and d the degree."""
         xf = Fraction(x)
         num, den = xf.numerator, xf.denominator
         if not self.coeffs:
-            return Fraction(0)
+            return 0, den
         acc = self.coeffs[-1]
         bpow = 1
         for c in reversed(self.coeffs[:-1]):
             bpow *= den
             acc = acc * num + c * bpow
-        return Fraction(acc, den ** self.degree)
+        return acc, den
+
+    def evaluate(self, x: Fraction | int) -> Fraction:
+        """Exact value at a rational point."""
+        acc, den = self._horner(x)
+        return Fraction(acc, den ** max(self.degree, 0))
 
     def sign_at(self, x: Fraction | int) -> int:
         """Exact sign (-1, 0, +1) at a rational point, integer arithmetic only."""
-        xf = Fraction(x)
-        num, den = xf.numerator, xf.denominator
-        if not self.coeffs:
-            return 0
-        acc = self.coeffs[-1]
-        bpow = 1
-        for c in reversed(self.coeffs[:-1]):
-            bpow *= den
-            acc = acc * num + c * bpow
+        acc, _ = self._horner(x)
         return (acc > 0) - (acc < 0)
 
     def evaluate_float(self, x: float) -> float:
-        """Horner evaluation in double precision.
+        """The exact value at a finite double x, rounded to a double.
 
-        Fine at modest degree; for S_n at high degree prefer
-        chebyshev.s_value, which works in the angle variable and so does
-        not suffer the cancellation of huge coefficients.
+        No cancellation of huge coefficients, but O(degree) big-integer
+        steps; the root search proposes floats with chebyshev.s_value.
         """
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return float(self.evaluate(x))
 
 
 ZERO = Poly()

@@ -190,9 +190,10 @@ def beta(n: int) -> float:
 
     Closed form cos(2m*pi/(2m+1)) for n = 2m and cos(2m*pi/(2m+2)) for
     n = 2m+1, verified by an exact sign change (or exact evaluation when the
-    zero is rational).  The symmetric probe around it doubles from 2^-40
-    but stays above -1 and below the neighbouring grid point
-    cos((2m-1)pi/(n+1)), so the sign change it finds is this zero's alone.
+    zero is rational).  The factor has degree m, so its sign is (-1)^m
+    below the zero.  _verified_endpoint nudges the closed form toward -1 and
+    toward the neighbouring grid point cos((2m-1)pi/(n+1)), so the sign
+    change it brackets is this zero's alone.
     """
     if n <= 1:
         raise ValueError(f"even-zero factor of index {n} is constant, no minimal zero")
@@ -208,14 +209,10 @@ def beta(n: int) -> float:
     m = n // 2
     den = n + 1  # 2m+1 for even n, 2m+2 for odd n
     b = math.cos(2 * m * math.pi / den)
-    bf = Fraction(b)
-    room = min(bf + 1, Fraction(_grid_point(2 * m - 1, den)) - bf)
-    probe = _SIMPLE_PROBE
-    while probe <= _NUDGE_LIMIT and probe < room:
-        if ue.sign_at(bf - probe) * ue.sign_at(bf + probe) < 0:
-            return b
-        probe *= 2
-    raise BadBracket(f"no sign change around claimed minimal zero {b}")
+    below = (-1) ** m
+    _verified_endpoint(ue, Fraction(b), Fraction(-1), below)
+    _verified_endpoint(ue, Fraction(b), Fraction(_grid_point(2 * m - 1, den)), -below)
+    return b
 
 
 def _grid_point(j: int, den: int) -> float:

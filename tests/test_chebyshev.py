@@ -473,6 +473,10 @@ def _falling(d: int) -> tuple[int, ...]:
     return p.coeffs
 
 
+# The 32 largest primes below 2**31, from the search the battery walks.
+_PRIMES = tuple(identities._primes_above(2 ** 961))
+
+
 def _digest(report) -> str:
     data = json.dumps(report.to_json_dict(), sort_keys=True)
     return hashlib.sha256(data.encode()).hexdigest()
@@ -508,11 +512,22 @@ class TestModularBattery:
         assert names == expected
         assert report.ok
 
-    def test_primes_are_distinct_primes_above_every_point(self):
-        # PRIMES, and the primes that extend them past its product (2**992),
-        # as an index above about 380 needs.
+    def test_primes_are_the_consecutive_primes_below_2_31(self):
+        # By trial division: every number from 2**31 - 1 down to the last
+        # prime returned is either the next one returned or composite.
         primes = identities._primes_above(2 ** 1200)
-        assert tuple(primes[:32]) == identities.PRIMES
+
+        def is_prime(q):
+            return q % 2 and all(q % d for d in range(3, math.isqrt(q) + 1, 2))
+
+        assert primes == [q for q in range(2 ** 31 - 1, primes[-1] - 1, -1)
+                          if is_prime(q)]
+        assert len(_PRIMES) == 32 and list(_PRIMES) == primes[:32]
+
+    def test_primes_are_distinct_primes_above_every_point(self):
+        # Past the product of the first 32 primes (about 2**992), as an index
+        # above about 380 needs.
+        primes = identities._primes_above(2 ** 1200)
         assert len(set(primes)) == len(primes) > 32
         for p in primes:
             assert p < 2 ** 31
@@ -549,24 +564,24 @@ class TestModularBattery:
         assert identity_suite(60).ok
 
     def test_reduce_is_congruent_and_small(self):
-        p = np.array(identities.PRIMES, dtype=np.int64)[:, None]
+        p = np.array(_PRIMES, dtype=np.int64)[:, None]
         limit = identities._INT64_LIMIT - 1
         rng = np.random.default_rng(7)
         a = np.concatenate([
-            rng.integers(-limit, limit, size=(len(identities.PRIMES), 500),
+            rng.integers(-limit, limit, size=(len(_PRIMES), 500),
                          dtype=np.int64),
-            np.array([[-limit, -1, 0, 1, limit]] * len(identities.PRIMES)),
+            np.array([[-limit, -1, 0, 1, limit]] * len(_PRIMES)),
         ], axis=1)
         r = identities._reduce(a, p, 1.0 / p)
         assert np.all(np.abs(r) <= identities._REDUCED_BOUND)
-        for row, q in enumerate(identities.PRIMES):
+        for row, q in enumerate(_PRIMES):
             assert all((int(x) - int(y)) % q == 0 for x, y in zip(a[row], r[row]))
 
     @pytest.mark.parametrize("coeffs", [
         # x(x-1)...(x-d+1): zero at the points 0..d-1, nonzero at d.
         *(pytest.param(_falling(d), id=f"falling-{d}") for d in (0, 1, 5, 40)),
         # A constant that every prime but the last one needed divides.
-        *(pytest.param((math.prod(identities.PRIMES[:k]),), id=f"primes-{k}")
+        *(pytest.param((math.prod(_PRIMES[:k]),), id=f"primes-{k}")
           for k in (1, 3, 10)),
     ])
     def test_near_misses_are_refuted(self, monkeypatch, coeffs):

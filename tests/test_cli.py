@@ -1,10 +1,14 @@
 """Command-line interface: outputs, exit codes, round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +51,60 @@ def test_doc_example_output_is_exact(capsys, argv, expected):
     assert out == expected
 
 
+# SHA-256 of stdout, recorded at commit 0a2f280: any byte of these outputs
+# that changes must change here too, on purpose.
+_GOLDEN = {
+    "table fan 1 401 --format csv":
+        "c02d3ca519bf00d8933d132d8988c1b71bf6222c906e39c133b39868af7a12e8",
+    "verify --max-n 60 --format json":
+        "aa5a5e4af30f8e694a1089be7bbeeaf6955de4a185f3e9dcefd3e2b35a11ecaa",
+    "poly s 300 --format json":
+        "24f730776e488d1a1b89baad75eabdab6a0c3025a69c762b34a91c5648d5f8c7",
+    "qec fan 4001 --format json":
+        "17c39c2f6b6044bd6bb1be2a9888b61b5ad0ac7e99dfcda3d216baa267b7361e",
+}
+
+
+@pytest.mark.parametrize("command", _GOLDEN)
+def test_golden_stdout_bytes(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN[command]
+
+
+class TestEntry:
+    """The console-script target `entry`, in a fresh interpreter."""
+
+    @staticmethod
+    def entry(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = ("import sys; from fanqec.cli import entry; "
+                  f"sys.argv = ['fanqec', *{list(argv)!r}]; entry()")
+        return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+    def test_readme_example(self):
+        expected = next(p.values[1] for p in doc_examples()
+                        if p.values[0] == ["qec", "fan", "3"])
+        proc = self.entry("qec", "fan", "3")
+        assert proc.returncode == 0
+        assert proc.stdout == expected.encode()
+
+    def test_bad_argument_exits_two(self):
+        proc = self.entry("qec", "fan", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.strip() and b"Traceback" not in proc.stderr
+
+    def test_disconnected_graph_exits_three(self, tmp_path):
+        edge_file = tmp_path / "two_parts.edges"
+        edge_file.write_text("0 1\n2 3\n")
+        proc = self.entry("qec", "graph", str(edge_file))
+        assert proc.returncode == 3
+        assert b"disconnected" in proc.stderr
+
+
 class TestPoly:
     def test_phi_json(self, capsys):
         code, out, _ = run(capsys, "poly", "phi", "0", "--format", "json")
@@ -87,17 +145,16 @@ class TestPoly:
 
 class TestVerify:
     def test_small_run_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max-n", "10", "--grid", "32")
+        code, out, _ = run(capsys, "verify", "--max-n", "10")
         assert code == 0
         assert out.strip().endswith("OK")
 
     def test_trivial_run_passes(self, capsys):
-        code, _, _ = run(capsys, "verify", "--max-n", "0", "--grid", "16")
+        code, _, _ = run(capsys, "verify", "--max-n", "0")
         assert code == 0
 
     def test_json_shape(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max-n", "5", "--grid", "16",
-                           "--format", "json")
+        code, out, _ = run(capsys, "verify", "--max-n", "5", "--format", "json")
         assert code == 0
         data = json.loads(out)
         assert data["ok"] is True
@@ -106,7 +163,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--max-n", "-1"),
-        ("verify", "--max-n", "3", "--grid", "1"),
+        ("verify", "--grid", "512"),  # --grid is gone: an unknown option
         ("verify", "--roots-max-n", "-5"),
     ])
     def test_bad_argument_exits_two_with_message(self, capsys, argv):
@@ -143,8 +200,7 @@ class TestVerify:
             return p
 
         monkeypatch.setattr(chebyshev, "partial_e", corrupted)
-        code, out, _ = run(capsys, "verify", "--max-n", "6", "--roots-max-n", "0",
-                           "--grid", "16")
+        code, out, _ = run(capsys, "verify", "--max-n", "6", "--roots-max-n", "0")
         assert code == 1
         assert "u-split-product" in out
         assert out.strip().endswith("FAILED")
