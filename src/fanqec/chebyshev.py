@@ -11,14 +11,14 @@ recurrences (``_ChainStore``), and each derived builder caches its last
 few members, so memory follows the largest member read, not every one.
 
 The identity battery over these families (``identity_suite``, code in
-``fanqec.identities``) checks each identity coefficient-exactly without
-multiplying coefficient vectors: lhs - rhs is evaluated at the points 0..D
-modulo primes just below 2**31 whose product exceeds a proven l1 bound on
-its coefficients, which makes it zero over the integers (the CRT
-argument).  That stands for the stored families only after each one the
-battery reads is tied, in linear time, to its recurrence or formula; if a
-tie fails the battery runs on exact Poly arithmetic, which also decides
-and reports every failure.
+``fanqec.identities``) proves each identity for every index at once: on a
+parity class n = 2j + r both sides are C-finite sequences in j, the
+identity's own formula gives a bound B on the order of their difference,
+and exact checks at j = 0..B-1 (n <= 11 for the identities here) make it
+zero at every j.  That stands for the stored families only after each one
+the battery reads is tied, in linear time, to its recurrence or formula;
+an identity without such a proof runs on exact Poly arithmetic at every
+n, which also decides and reports every failure.
 
 Exact signs of S_n and of both split factors at a rational p/q need no
 coefficients: q^k U_k(p/q) is a Lucas sequence in 2p and q^2, and index
@@ -42,7 +42,6 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .polynomial import X, Poly
 
@@ -65,55 +64,51 @@ class NotIntegral(ArithmeticError):
 
 
 # A family in a _ChainStore keeps at most _CHAINS chains, each holding its
-# last _CHAIN_KEEP members.  The battery reads each family near a few
-# indices (k-2..k in the ties; n/2, n and 2n in the identities) that all
-# move up with n, so a chain per region serves every read from a held
-# member or a short walk up.
+# last _CHAIN_KEEP members.  The ties walk each family up once, reading
+# k-2..k, which one chain serves; an identity checked on Poly reads near
+# n/2, n and 2n as n moves up, and a chain per region serves each read from
+# a held member or a short walk up.
 _CHAINS = 4
 _CHAIN_KEEP = 6
 
 
 class _Chain:
-    """Members k0, k0+1, ... of a three-term family, walked up by `step`.
+    """Members k0, k0+1, ... of a family, walked up by P(k+2) = 2x P(k+1) - P(k).
 
     Only the last _CHAIN_KEEP members are held.
     """
 
-    __slots__ = ("held", "top", "_step")
+    __slots__ = ("held", "top")
 
-    def __init__(self, k0: int, first, second, step: Callable):
+    def __init__(self, k0: int, first: Poly, second: Poly):
         self.held = {k0: first, k0 + 1: second}
         self.top = k0 + 1
-        self._step = step
 
-    def member(self, k: int):
+    def member(self, k: int) -> Poly:
         held = self.held
         while self.top < k:
             self.top += 1
-            held[self.top] = self._step(held[self.top - 1], held[self.top - 2])
+            held[self.top] = _TWO_X * held[self.top - 1] - held[self.top - 2]
             held.pop(self.top - _CHAIN_KEEP, None)
         return held[k]
 
 
 class _ChainStore:
-    """Members of u, t, v and w as one kind of value, in windowed chains.
+    """Members of u, t, v and w as Poly, in windowed chains.
 
-    make(coeffs) turns seed coefficients into a value and step(cur, prev)
-    is the recurrence P(k+2) = 2x P(k+1) - P(k) on such values.  Member k
-    comes from the chain that holds it, else from the chain whose top is
-    nearest below k, walked up to it, else from a new chain started at the
-    family's seeds.  A family keeps at most _CHAINS chains and drops the
-    one used least recently, so the store holds a bounded number of members
-    whatever is read.  Not thread-safe: a store shared between threads is
-    read under a lock.
+    Member k comes from the chain that holds it, else from the chain whose
+    top is nearest below k, walked up to it, else from a new chain started
+    at the family's seeds.  A family keeps at most _CHAINS chains and drops
+    the one used least recently, so the store holds a bounded number of
+    members whatever is read.  Not thread-safe: a store shared between
+    threads is read under a lock.
     """
 
-    def __init__(self, make: Callable, step: Callable):
-        self._make, self._step = make, step
+    def __init__(self):
         # Per family, least recently used first.
         self._chains: dict[str, list[_Chain]] = {family: [] for family in _SEEDS}
 
-    def member(self, family: str, k: int):
+    def member(self, family: str, k: int) -> Poly:
         chains = self._chains[family]
         if chains:
             held = chains[-1].held
@@ -127,7 +122,7 @@ class _ChainStore:
         chain = _nearest(chains, k)
         if chain is None:
             k0, first, second = _SEEDS[family]
-            chain = _Chain(k0, self._make(first), self._make(second), self._step)
+            chain = _Chain(k0, Poly(first), Poly(second))
             if len(chains) == _CHAINS:
                 del chains[0]
         else:
@@ -148,7 +143,7 @@ def _nearest(chains: list[_Chain], k: int) -> _Chain | None:
 
 # The stored families behind cheb_u/t/v/w, which the battery ties and
 # `fanqec poly` both read.
-_FAMILY_STORE = _ChainStore(Poly, lambda cur, prev: _TWO_X * cur - prev)
+_FAMILY_STORE = _ChainStore()
 _FAMILY_LOCK = threading.Lock()
 
 
@@ -191,8 +186,10 @@ class _Families:
     """Family accessor that the identities and the derived builders use.
 
     A subclass gives member(family, k), x and poly(coeffs) for one kind of
-    value: Poly, residues modulo primes, or norm bounds.  defined() builds a
-    derived family member (pe, po, s, phi) by its formula in u.
+    value: Poly at an int index, or order bounds at an index a*j + b
+    (fanqec.identities).  defined() builds a derived family member (pe, po,
+    s, phi) by its formula in u; it and _s_factors never compare or test
+    the index, so one formula serves both.
     """
 
     def u(self, k): return self.member("u", k)
@@ -283,13 +280,12 @@ def s_poly(n: int) -> Poly:
     S_{2m}   = ((2m+1)x + 2m-1) U_m - ((2m+3)x + 2m+1) U_{m-1}
     S_{2m+1} = 2((2m+2)x^2 + (2m-1)x - 1) U_m - 2((2m+3)x + 2m+1) U_{m-1}
     """
+    _check_index(n)
     return _STORED.defined("s", n)
 
 
 def _s_factors(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(m, head, tail) with S_n = head * U_m - tail * U_{m-1}, ascending coefficients."""
-    if n < 0:
-        raise ValueError(f"index {n} must be >= 0")
     m, odd = divmod(n, 2)
     if odd:
         return m, (-2, 4 * m - 2, 4 * m + 4), (4 * m + 2, 4 * m + 6)
@@ -404,6 +400,7 @@ def s_degree(n: int) -> int:
     deg(head) + m, with a nonzero leading coefficient, and the second at
     most deg(tail) + m - 1, which is lower because deg(tail) <= deg(head).
     """
+    _check_index(n)
     m, head, _ = _s_factors(n)
     return len(head) - 1 + m
 

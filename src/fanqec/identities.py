@@ -2,29 +2,30 @@
 
 ``identity_suite`` checks 27 identities at every index n up to a bound,
 each coefficient-exactly over the integers.  Each identity is written once,
-as lhs and rhs over a family accessor, and runs on three backends:
+as lhs and rhs over a family accessor, and runs on two backends: the stored
+Poly objects, and order bounds (``_Orders``) on an index object that stands
+for every n of one parity class n = 2j + r at once.
 
-* residues: the families' values at the points 0..D modulo the primes
-  just below 2**31 (``_primes_above``), as int64 numpy arrays, with U, T,
-  V and W from their own three-term recurrences and the split factors,
-  S_n and phi_n from their defining formulas;
-* norms: upper bounds on degree and l1 norm (||fg|| <= ||f|| ||g||,
-  ||f + g|| <= ||f|| + ||g||), which give D and a bound M on every
-  coefficient of lhs - rhs;
-* the stored Poly objects, i.e. plain exact coefficient arithmetic.
+On such a class every member an identity reads sits at an index a*j + b,
+and with lambda + 1/lambda = 2x each member of U, T, V and W is
+c lambda^(a*j) + c' lambda^(-a*j), with c and c' free of j.  Sums and
+products keep that shape, so lhs - rhs is sum_e p_e(j) lambda^(e*j) with
+polynomials p_e: a C-finite sequence in j, which satisfies a monic linear
+recurrence of order B = sum_e (deg p_e + 1) (Kauers and Paule, The
+Concrete Tetrahedron, ch. 4; Zeilberger, The C-finite ansatz, 2013).  If it
+vanishes at j = 0..B-1 it vanishes at every j, for every x > 1 and so as
+a polynomial.  The backend reads B off the identity's own formula; a
+formula that compares, tests or hashes the index raises there, gets no
+bound, and is not proven.
 
-lhs - rhs vanishing at D + 1 distinct points modulo a prime p makes it zero
-modulo p; over primes whose product exceeds M, every coefficient is a
-multiple of that product and at most M in size, so it is 0 (the CRT
-argument, von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).
 That proof stands for the stored polynomials only once they are tied to
-their definitions: before the residues run, every stored member the battery
-reads is checked, in linear time, against its recurrence or formula, and if
-one tie fails the whole battery runs on Poly.  A check the residues do not
-prove, a false identity, is decided on Poly, which also gives the failure
-its two coefficient vectors.  The
-compress/monic and S_n divisible by x - 1 checks are coefficient
-properties and always run on Poly.
+their definitions: every stored member the battery reads, up to the larger
+of max_n and the top base index, is checked, in linear time, against its
+recurrence or formula, and if one tie fails nothing is proven.  An identity
+without a proof, whether it has no bound, a failing base check or a
+failing tie, is decided at every n on Poly, which also gives a failure its
+two coefficient vectors.  The compress/monic and S_n divisible by x - 1
+checks are coefficient properties and always run on Poly.
 
 Every stored family is read through ``chebyshev._STORED``, which looks its
 builder up when it is used, so a builder replaced there is what the battery
@@ -33,12 +34,8 @@ checks.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import operator
 from typing import Callable
-
-import numpy as np
 
 from .chebyshev import (
     _SEEDS,
@@ -47,7 +44,6 @@ from .chebyshev import (
     IdentityCheck,
     IdentityReport,
     NotIntegral,
-    _ChainStore,
     _Families,
     compress,
 )
@@ -65,9 +61,9 @@ def _cmp(identity: str, n: int, lhs: Poly, rhs: Poly) -> IdentityCheck:
 # Each identity is written once: name, the parity of n it is checked at
 # (None: every n), and a function of a family accessor f and n that returns
 # (lhs, rhs).  The accessor gives f.u(k), f.t(k), f.v(k), f.w(k), f.pe(n),
-# f.po(n), f.s(n), f.phi(n), f.x and f.poly(coeffs) on one of three
-# backends: the stored Poly objects, residues at the points 0..D modulo
-# primes, or degree and l1-norm bounds.
+# f.po(n), f.s(n), f.phi(n), f.x and f.poly(coeffs) on one of two
+# backends: the stored Poly objects at an int n, or order bounds at an
+# index a*j + b.
 _IDENTITIES: tuple[tuple[str, int | None, Callable], ...] = (
     ("u-split-product", None, lambda f, n: (f.u(n), f.pe(n) * f.po(n))),
     ("u-even-as-split-product", None, lambda f, n: (
@@ -134,236 +130,144 @@ _IDENTITIES: tuple[tuple[str, int | None, Callable], ...] = (
 )
 
 
-# -- the three backends ------------------------------------------------------
+# -- the order-bound backend -------------------------------------------------
 
 
-class _Bound:
-    """Upper bounds on the degree and the l1 norm of a polynomial.
+class _Index:
+    """The index a*j + b on one parity class n = 2j + r, j = 0, 1, 2, ...
 
-    ||f + g||_1, ||f - g||_1 <= ||f||_1 + ||g||_1 and ||fg||_1 <=
-    ||f||_1 ||g||_1, so bounds computed through an identity's expression
-    bound every coefficient of lhs - rhs.
+    It adds and subtracts ints and indices, multiplies by ints, and divides
+    by an int d that divides a (//, % and divmod, the remainder b % d being
+    the same at every j).  Comparisons, bool and hash raise, so a formula
+    that branches on the index cannot run on one.
     """
 
-    __slots__ = ("degree", "norm")
+    __slots__ = ("a", "b")
 
-    def __init__(self, degree: int, norm: int):
-        self.degree, self.norm = degree, norm
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
 
     @staticmethod
-    def of(value: _Bound | int) -> _Bound:
-        return value if isinstance(value, _Bound) else _Bound(0, abs(value))
+    def of(k: _Index | int) -> _Index:
+        return k if isinstance(k, _Index) else _Index(0, operator.index(k))
 
-    def __add__(self, other: _Bound | int) -> _Bound:
-        other = _Bound.of(other)
-        return _Bound(max(self.degree, other.degree), self.norm + other.norm)
-
-    __radd__ = __sub__ = __rsub__ = __add__
-
-    def __mul__(self, other: _Bound | int) -> _Bound:
-        other = _Bound.of(other)
-        if not (self.norm and other.norm):
-            return _Bound(-1, 0)
-        return _Bound(self.degree + other.degree, self.norm * other.norm)
-
-    __rmul__ = __mul__
-
-
-class _Norms(_Families):
-    """Norm backend: _Bound values, and the highest index of each family read.
-
-    The recorded indices are the range the ties must cover.
-    """
-
-    x = _Bound(1, 1)
-
-    def __init__(self):
-        self.reads: dict[str, int] = {}
-        two_x = 2 * self.x
-        self._families = _ChainStore(self.poly, lambda cur, prev: two_x * cur - prev)
-
-    @staticmethod
-    def poly(coeffs: tuple[int, ...]) -> _Bound:
-        return _Bound(len(coeffs) - 1, sum(map(abs, coeffs)))
-
-    def member(self, family: str, k: int) -> _Bound:
-        self.reads[family] = max(self.reads.get(family, k), k)
-        if family in _SEEDS:
-            return self._families.member(family, k)
-        return self.defined(family, k)
-
-
-def _is_prime(q: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3,215,031,751."""
-    d, s = q - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, q)
-        if x in (1, q - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_above(bound: int) -> list[int]:
-    """Fewest of the primes below 2**31, largest first, whose product exceeds bound.
-
-    A product of two residues fits in int64, and the points 0..D stay
-    distinct modulo each of these primes for any D reached here.
-    """
-    primes, product = [], 1
-    for q in itertools.count(2 ** 31 - 1, -2):
-        if _is_prime(q):
-            primes.append(q)
-            product *= q
-            if product > bound:
-                return primes
-
-
-# The largest prime the residues are taken modulo.
-_TOP_PRIME = _primes_above(0)[0]
-# Bound tracking keeps every entry below this in absolute value, so that
-# a - q*p in _reduce cannot overflow int64 either.
-_INT64_LIMIT = 2 ** 63 - 2 ** 32
-# Absolute value of an entry after _reduce.
-_REDUCED_BOUND = _TOP_PRIME // 2 + 2 ** 13
-
-
-def _reduce(a, p: np.ndarray, inv_p: np.ndarray) -> np.ndarray:
-    """a - q*p, congruent to a modulo p, with q a/p rounded in float64.
-
-    For |a| < 2**63 the float quotient is off by less than 2**-18, so
-    |a - q*p| <= p/2 + p * 2**-18 <= _REDUCED_BOUND.  Three float roundings
-    cost less than one int64 division.
-    """
-    q = a * inv_p
-    np.rint(q, out=q)
-    return a - p * q.astype(np.int64)
-
-
-class _Mod:
-    """Residues of one polynomial: row i modulo prime i, column j at x = j.
-
-    `mod` is the (p, 1/p) column pair of the rows; `bound` caps the absolute
-    value of every entry, and entries are reduced only when a sum or a
-    product could pass _INT64_LIMIT.
-    """
-
-    __slots__ = ("a", "bound", "mod")
-
-    def __init__(self, a, bound: int, mod: tuple[np.ndarray, np.ndarray]):
-        self.a, self.bound, self.mod = a, bound, mod
-
-    def _lift(self, other: _Mod | int) -> _Mod:
-        if isinstance(other, _Mod):
-            return other
-        if abs(other) <= _REDUCED_BOUND:
-            return _Mod(other, abs(other), self.mod)
-        residues = [[other % int(q)] for q in self.mod[0][:, 0]]
-        return _Mod(np.array(residues, dtype=np.int64), _TOP_PRIME - 1, self.mod)
-
-    def reduced(self) -> _Mod:
-        if self.bound <= _REDUCED_BOUND:
-            return self
-        return _Mod(_reduce(self.a, *self.mod), _REDUCED_BOUND, self.mod)
-
-    def _combine(self, other: _Mod | int, op) -> _Mod:
-        a, b = self, self._lift(other)
-        if a.bound + b.bound >= _INT64_LIMIT:
-            a, b = a.reduced(), b.reduced()
-        return _Mod(op(a.a, b.a), a.bound + b.bound, self.mod)
-
-    def __add__(self, other: _Mod | int) -> _Mod:
-        return self._combine(other, operator.add)
+    def __add__(self, other: _Index | int) -> _Index:
+        other = _Index.of(other)
+        return _Index(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
-    def __sub__(self, other: _Mod | int) -> _Mod:
-        return self._combine(other, operator.sub)
+    def __neg__(self) -> _Index:
+        return _Index(-self.a, -self.b)
 
-    def __rsub__(self, other: int) -> _Mod:
-        return self._lift(other)._combine(self, operator.sub)
+    def __sub__(self, other: _Index | int) -> _Index:
+        return self + -_Index.of(other)
 
-    def __mul__(self, other: _Mod | int) -> _Mod:
-        a, b = self, self._lift(other)
-        if a.bound < b.bound:
-            a, b = b, a
-        if a.bound * b.bound >= _INT64_LIMIT:
-            a = a.reduced()
-            if a.bound * b.bound >= _INT64_LIMIT:
-                b = b.reduced()
-        return _Mod(a.a * b.a, a.bound * b.bound, self.mod)
+    def __rsub__(self, other: int) -> _Index:
+        return -self + other
+
+    def __mul__(self, other: int) -> _Index:
+        if not isinstance(other, int):
+            return NotImplemented
+        return _Index(self.a * other, self.b * other)
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        """Zero modulo every row's prime: a reduced entry is below p."""
-        return not np.count_nonzero(self.reduced().a)
+    def __divmod__(self, d: int) -> tuple[_Index, int]:
+        if not isinstance(d, int) or not d or self.a % d:
+            raise TypeError(f"({self.a}j + {self.b}) // {d} is not affine in j")
+        return _Index(self.a // d, self.b // d), self.b % d
+
+    def __floordiv__(self, d: int) -> _Index:
+        return divmod(self, d)[0]
+
+    def __mod__(self, d: int) -> int:
+        return divmod(self, d)[1]
+
+    def _refuse(self, *args):
+        raise TypeError("an index a*j + b has no value to compare, test or hash")
+
+    # Ordering comparisons already raise TypeError, and != asks __eq__.
+    __eq__ = __bool__ = __hash__ = _refuse
 
 
-class _Tables:
-    """u, t, v and w at the points 0..cols-1 modulo each of `primes`.
+class _Terms(dict):
+    """{e: d}: a sequence in j of the form sum_e p_e(j) lambda^(e*j), deg p_e <= d.
 
-    Members come from each family's own recurrence, in the same windowed
-    chains as the stored Poly families (chebyshev._ChainStore).  Members
-    are kept reduced, so sums of four products of them fit in int64.
+    Here lambda + 1/lambda = 2x.  A sum takes the union of the terms and the
+    larger degree, a product adds exponents and degrees.  Such a sequence
+    satisfies the monic recurrence with characteristic polynomial
+    prod_e (z - lambda^e)^(d + 1), of order sum_e (d + 1) = order().
     """
 
-    def __init__(self, primes: list[int], cols: int):
-        self.rows, self.cols = len(primes), cols
-        self._products = list(itertools.accumulate(primes, operator.mul))
-        p = np.array(primes, dtype=np.int64)[:, None]
-        self.mod = (p, 1.0 / p)
-        self.x = np.arange(cols, dtype=np.int64)[None, :]
-        two_x = 2 * self.x
-        self.families = _ChainStore(
-            self._values, lambda cur, prev: _reduce(two_x * cur - prev, *self.mod))
+    @staticmethod
+    def of(value: _Terms | _Index | int) -> _Terms:
+        if isinstance(value, _Terms):
+            return value
+        if isinstance(value, _Index):
+            return _Terms({0: 1})
+        operator.index(value)  # any other value has no bound
+        return _Terms({0: 0})
 
-    def _values(self, coeffs: tuple[int, ...]) -> np.ndarray:
-        acc = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for c in reversed(coeffs):
-            acc = _reduce(acc * self.x + c, *self.mod)
-        return acc
+    def __add__(self, other: _Terms | _Index | int) -> _Terms:
+        out = _Terms(self)
+        for e, d in _Terms.of(other).items():
+            out[e] = max(d, out.get(e, d))
+        return out
 
-    def vanishes(self, fn: Callable, n: int, bound: _Bound) -> bool:
-        """True when lhs - rhs of fn at n is proven zero over the integers.
+    __radd__ = __sub__ = __rsub__ = __add__
 
-        lhs - rhs has degree <= bound.degree, so if it is zero modulo a
-        prime p at the bound.degree + 1 points (distinct modulo p) it is the
-        zero polynomial over Z/p; if that holds for primes whose product
-        exceeds bound.norm, every integer coefficient, being a multiple of
-        that product and at most bound.norm in size, is zero.
-        """
-        rows = bisect.bisect_right(self._products, bound.norm) + 1
-        lhs, rhs = fn(_Residues(self, rows, bound.degree + 1), n)
-        return (lhs - rhs).is_zero()
+    def __mul__(self, other: _Terms | _Index | int) -> _Terms:
+        out = _Terms()
+        for e, d in self.items():
+            for f, g in _Terms.of(other).items():
+                out[e + f] = max(d + g, out.get(e + f, 0))
+        return out
+
+    __rmul__ = __mul__
+
+    def order(self) -> int:
+        return sum(d + 1 for d in self.values())
 
 
-class _Residues(_Families):
-    """Modular backend: one check's slice of the tables, as _Mod values."""
+class _Orders(_Families):
+    """Order-bound backend: _Terms values, and every member read, as (family, index).
 
-    def __init__(self, tables: _Tables, rows: int, cols: int):
-        self._tables, self._rows, self._cols = tables, rows, cols
-        self._mod = tuple(column[:rows] for column in tables.mod)
-        self.x = _Mod(tables.x[:, :cols], tables.cols, self._mod)
+    A member of u, t, v or w at index a*j + b is c lambda^(a*j) +
+    c' lambda^(-a*j), with c and c' free of j; x and ints are constants, and
+    poly(coeffs) is affine in j once a coefficient is an index.
+    """
 
-    def poly(self, coeffs: tuple[int, ...]) -> _Mod:
-        acc = _Mod(0, 0, self._mod) + (coeffs[-1] if coeffs else 0)
-        for c in reversed(coeffs[:-1]):
-            acc = acc * self.x + c
-        return acc
+    x = _Terms({0: 0})
 
-    def member(self, family: str, k: int) -> _Mod:
+    def __init__(self):
+        self.reads: list[tuple[str, _Index]] = []
+
+    @staticmethod
+    def poly(coeffs: tuple) -> _Terms:
+        return sum(map(_Terms.of, coeffs), _Terms({0: 0}))
+
+    def member(self, family: str, k: _Index | int) -> _Terms:
+        k = _Index.of(k)
+        self.reads.append((family, k))
         if family in _SEEDS:
-            values = self._tables.families.member(family, k)
-            return _Mod(values[:self._rows, :self._cols], _REDUCED_BOUND, self._mod)
+            return _Terms({k.a: 0, -k.a: 0})
         return self.defined(family, k)
+
+
+def _order(fn: Callable, parity: int) -> tuple[int | None, list[tuple[str, _Index]]]:
+    """(B, reads) of fn on the class n = 2j + parity; B is None without a bound.
+
+    B bounds the order of lhs - rhs as a sequence in j, and reads lists the
+    family members fn reads.  An exception while fn runs on the index means
+    that fn is not one expression in j, and it gets no bound.
+    """
+    orders = _Orders()
+    try:
+        lhs, rhs = fn(orders, _Index(2, parity))
+        return _Terms.of(lhs - rhs).order(), orders.reads
+    except Exception:  # whatever it was, the Poly battery meets it again
+        return None, []
 
 
 def _tie(family: str, k: int) -> bool:
@@ -388,8 +292,8 @@ def _stored_pass(max_n: int, reads: dict[str, int]) -> tuple[bool, list[Identity
     Ties every member the battery reads (`reads` maps a family to its highest
     index) to its definition, and runs the coefficient-property checks for
     n <= max_n while their members are still cached.  The first element is
-    whether every tie held: only then may the modular backend, which
-    computes the definitions, stand in for the stored Poly objects.
+    whether every tie held: only then are the stored Poly objects the
+    families whose order bounds _order computes.
     """
     first = {family: _SEEDS[family][0] if family in _SEEDS else 0 for family in reads}
     ties, checks = True, []
@@ -436,30 +340,29 @@ def _s_root_at_one_check(n: int) -> IdentityCheck:
 def identity_suite(max_n: int) -> IdentityReport:
     """The battery behind chebyshev.identity_suite.
 
-    An identity passes on the modular backend only with a proof (see
-    _Tables.vanishes), and only after _stored_pass has shown that the
-    stored Poly families equal what that backend computes; everything else,
-    and every failure, is decided on the stored Poly objects.
+    An identity passes without Poly arithmetic only on its parity classes
+    with a bound (_order) whose base checks pass on the stored Poly objects,
+    and only after _stored_pass has tied those objects to their
+    definitions; everything else, and every failure, is decided on Poly.
+    Base checks above max_n are not reported.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    norms = _Norms()
-    plan = []
-    for n in range(max_n + 1):
-        for name, parity, fn in _IDENTITIES:
-            if parity is None or n % 2 == parity:
-                lhs, rhs = fn(norms, n)
-                plan.append((name, n, fn, _Bound.of(lhs - rhs)))
-    ties_hold, checked = _stored_pass(max_n, norms.reads)
-    primes = _primes_above(max((bound.norm for *_, bound in plan), default=0))
-    cols = max((bound.degree for *_, bound in plan), default=-1) + 1
-    tables = None
-    if ties_hold and cols <= primes[-1]:  # points distinct modulo every prime
-        tables = _Tables(primes, cols)
-    for name, n, fn, bound in plan:
-        if tables is not None and tables.vanishes(fn, n, bound):
-            checked.append(IdentityCheck(name, n, True))
+    plan = [(name, r, fn, _order(fn, r)) for name, parity, fn in _IDENTITIES
+            for r in ((0, 1) if parity is None else (parity,))]
+    top_n = max([max_n] + [r + 2 * order - 2 for _, r, _, (order, _) in plan if order])
+    reads: dict[str, int] = {}
+    for _, r, _, (_, class_reads) in plan:
+        j = (top_n - r) // 2
+        for family, k in class_reads:
+            reads[family] = max(reads.get(family, k.b), k.b, k.a * j + k.b)
+    ties_hold, checked = _stored_pass(max_n, reads)
+    for name, r, fn, (order, _) in plan:
+        indices = range(r, max_n + 1, 2)
+        if ties_hold and order and all(_cmp(name, n, *fn(_STORED, n)).passed
+                                       for n in range(r, r + 2 * order, 2)):
+            checked.extend(IdentityCheck(name, n, True) for n in indices)
         else:
-            checked.append(_cmp(name, n, *fn(_STORED, n)))
+            checked.extend(_cmp(name, n, *fn(_STORED, n)) for n in indices)
     checked.sort(key=lambda c: (c.identity, c.n))
     return IdentityReport(max_n, checked)

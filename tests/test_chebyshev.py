@@ -8,7 +8,6 @@ import sys
 import threading
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from fanqec.chebyshev import (
@@ -146,8 +145,7 @@ def _held(store) -> int:
 class TestFamilyStore:
     @pytest.fixture
     def store(self):
-        return chebyshev._ChainStore(
-            Poly, lambda cur, prev: chebyshev._TWO_X * cur - prev)
+        return chebyshev._ChainStore()
 
     @pytest.mark.parametrize("family", sorted(_FRESH_SEEDS))
     def test_any_read_order_equals_a_fresh_recurrence(self, store, family):
@@ -446,7 +444,7 @@ class TestIdentitySuite:
         assert set(first) == {"identity", "n", "lhs", "rhs"}
 
 
-# -- the modular identity battery ---------------------------------------------
+# -- the identity battery and its order-bound proofs -------------------------
 
 _BATTERY_NAMES = {
     "u-split-product", "u-even-as-split-product", "u-odd-as-split-product",
@@ -473,20 +471,57 @@ def _falling(d: int) -> tuple[int, ...]:
     return p.coeffs
 
 
-# The 32 largest primes below 2**31, from the search the battery walks.
-_PRIMES = tuple(identities._primes_above(2 ** 961))
-
-
 def _digest(report) -> str:
     data = json.dumps(report.to_json_dict(), sort_keys=True)
     return hashlib.sha256(data.encode()).hexdigest()
 
 
 def _on_poly_only(monkeypatch, max_n):
-    """The battery with every check decided on the stored Poly objects."""
+    """The battery with no identity proven: every check decided on Poly."""
     with monkeypatch.context() as m:
-        m.setattr(identities._Tables, "vanishes", lambda *args: False)
+        m.setattr(identities, "_order", lambda fn, parity: (None, []))
         return identity_suite(max_n)
+
+
+class _AtInteger(chebyshev._Families):
+    """The families at one integer x (test oracle).
+
+    u, t, v and w come from their recurrences from _FRESH_SEEDS, with
+    U_{-1} = 0 and U_{-2} = -1; the derived families from chebyshev's
+    formulas, which the battery ties the stored ones to.
+    """
+
+    def __init__(self, x: int, top: int = 170):
+        self.x = x
+        self._members = {}
+        for family, seeds in _FRESH_SEEDS.items():
+            values = [self.poly(seed) for seed in seeds]
+            while len(values) <= top:
+                values.append(2 * x * values[-1] - values[-2])
+            self._members[family] = values
+
+    def poly(self, coeffs):
+        return sum(c * self.x ** i for i, c in enumerate(coeffs))
+
+    def member(self, family, k):
+        if family not in _FRESH_SEEDS:
+            return self.defined(family, k)
+        if k < 0:
+            return {("u", -1): 0, ("u", -2): -1}[family, k]
+        return self._members[family][k]
+
+
+def _rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by elimination."""
+    rank = 0
+    while rows := [row for row in rows if any(row)]:
+        pivot, *rows = rows
+        col = next(i for i, v in enumerate(pivot) if v)
+        rows = [[pivot[col] * v - row[col] * p for v, p in zip(row, pivot)]
+                for row in rows]
+        rows = [[v // g for v in row] for row in rows if (g := math.gcd(*row))]
+        rank += 1
+    return rank
 
 
 @pytest.fixture
@@ -512,77 +547,83 @@ class TestModularBattery:
         assert names == expected
         assert report.ok
 
-    def test_primes_are_the_consecutive_primes_below_2_31(self):
-        # By trial division: every number from 2**31 - 1 down to the last
-        # prime returned is either the next one returned or composite.
-        primes = identities._primes_above(2 ** 1200)
+    def test_passes_are_proven_without_poly_above_n_11(self, monkeypatch):
+        # Every passing identity is decided on Poly only at its base checks,
+        # j = 0..B-1 with B <= 6, so n <= 11.
+        real = identities._cmp
 
-        def is_prime(q):
-            return q % 2 and all(q % d for d in range(3, math.isqrt(q) + 1, 2))
+        def base_only(identity, n, lhs, rhs):
+            assert n <= 11, (identity, n)
+            return real(identity, n, lhs, rhs)
 
-        assert primes == [q for q in range(2 ** 31 - 1, primes[-1] - 1, -1)
-                          if is_prime(q)]
-        assert len(_PRIMES) == 32 and list(_PRIMES) == primes[:32]
-
-    def test_primes_are_distinct_primes_above_every_point(self):
-        # Past the product of the first 32 primes (about 2**992), as an index
-        # above about 380 needs.
-        primes = identities._primes_above(2 ** 1200)
-        assert len(set(primes)) == len(primes) > 32
-        for p in primes:
-            assert p < 2 ** 31
-            assert p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
-        # The points are 0..D with D the largest degree bound of a check.
-        norms = identities._Norms()
-        top_point = max((lhs - rhs).degree for lhs, rhs in
-                        (fn(norms, 300) for _, _, fn in identities._IDENTITIES))
-        assert min(primes) > top_point >= 601
-
-    def test_norm_bound_covers_every_coefficient(self):
-        norms = identities._Norms()
-        stored = identities._STORED
-        for name, parity, fn in identities._IDENTITIES:
-            for n in range(61):
-                if parity is not None and n % 2 != parity:
-                    continue
-                lhs, rhs = fn(stored, n)
-                b_lhs, b_rhs = fn(norms, n)
-                bound = b_lhs - b_rhs
-                diff = lhs - rhs
-                assert bound.norm >= max(map(abs, diff.coeffs), default=0)
-                assert bound.norm >= sum(map(abs, lhs.coeffs + rhs.coeffs)), (name, n)
-                assert bound.degree >= max(lhs.degree, rhs.degree), (name, n)
-                primes = identities._primes_above(bound.norm)
-                assert math.prod(primes) > bound.norm >= math.prod(primes[:-1])
-
-    def test_passes_are_proven_on_the_modular_backend(self, monkeypatch):
-        # Every passing identity is decided without a Poly product.
-        def no_poly(*args):
-            raise AssertionError("identity decided on Poly")
-
-        monkeypatch.setattr(identities, "_cmp", no_poly)
+        monkeypatch.setattr(identities, "_cmp", base_only)
         assert identity_suite(60).ok
 
-    def test_reduce_is_congruent_and_small(self):
-        p = np.array(_PRIMES, dtype=np.int64)[:, None]
-        limit = identities._INT64_LIMIT - 1
-        rng = np.random.default_rng(7)
-        a = np.concatenate([
-            rng.integers(-limit, limit, size=(len(_PRIMES), 500),
-                         dtype=np.int64),
-            np.array([[-limit, -1, 0, 1, limit]] * len(_PRIMES)),
-        ], axis=1)
-        r = identities._reduce(a, p, 1.0 / p)
-        assert np.all(np.abs(r) <= identities._REDUCED_BOUND)
-        for row, q in enumerate(_PRIMES):
-            assert all((int(x) - int(y)) % q == 0 for x, y in zip(a[row], r[row]))
+    @pytest.mark.parametrize("x", [2, 3, 5])
+    def test_order_bound_covers_the_hankel_rank(self, x):
+        # At an integer x each side of an identity, on one parity class, is
+        # an integer sequence in j; the rank of its Hankel matrix is the
+        # order of its shortest recurrence, which the bound must reach.
+        at = _AtInteger(x)
+        for name, parity, fn in identities._IDENTITIES:
+            for r in (0, 1) if parity is None else (parity,):
+                bounds = fn(identities._Orders(), identities._Index(2, r))
+                sides = zip(*(fn(at, 2 * j + r) for j in range(41)))
+                for bound, seq in zip(bounds, sides):
+                    hankel = [list(seq[i:i + 21]) for i in range(21)]
+                    assert bound.order() >= _rank(hankel), (name, r)
+
+    def test_rank_oracle(self):
+        fib = [0, 1]
+        while len(fib) < 41:
+            fib.append(fib[-1] + fib[-2])
+        squares = [j * j for j in range(41)]
+        for seq, rank in ((fib, 2), (squares, 3), ([7] * 41, 1), ([0] * 41, 0)):
+            assert _rank([seq[i:i + 21] for i in range(21)]) == rank
+
+    @pytest.mark.parametrize("use", [
+        lambda n: n == 7, lambda n: n < 7, lambda n: bool(n), lambda n: {n},
+        lambda n: n // 4, lambda n: divmod(n // 2, 2), lambda n: n * n,
+    ], ids=["eq", "lt", "bool", "hash", "floordiv-4", "divmod-slope-1", "square"])
+    def test_formula_that_is_not_affine_in_j_gets_no_bound(self, use):
+        def fn(f, n):
+            use(n)
+            return f.u(n), f.u(n)
+
+        assert identities._order(fn, 0) == (None, [])
+
+    def test_falling_product_needs_its_whole_bound(self, monkeypatch):
+        # prod_{i<12} (n - i) vanishes at n = 0..11, six indices of each
+        # parity: two base checks would pass, but its bound asks for 13.
+        def falling(f, n):
+            return math.prod(f.poly((n - i,)) for i in range(12)), f.poly(())
+
+        monkeypatch.setattr(identities, "_IDENTITIES", [("falling-12", None, falling)])
+        assert identities._order(falling, 0)[0] == 13
+        report = identity_suite(30)
+        assert [(c.identity, c.n) for c in report.failures] == [
+            ("falling-12", n) for n in range(12, 31)]
+        assert report.checked == _on_poly_only(monkeypatch, 30).checked
+
+    def test_companion_flipped_at_one_index_falls_back(self, monkeypatch,
+                                                       cold_caches):
+        # _s_factors that tests its index cannot run on a*j + b, so no
+        # identity reading S_n is proven, and the flip at 31 is found.
+        real = chebyshev._s_factors
+
+        def flipped(n):
+            m, head, tail = real(n)
+            return (m, head, (-tail[0],) + tail[1:]) if n == 31 else (m, head, tail)
+
+        monkeypatch.setattr(chebyshev, "_s_factors", flipped)
+        report = identity_suite(40)
+        assert [(c.identity, c.n) for c in report.failures] == [
+            ("phi-factorization", 31), ("s-divisible-by-x-minus-one", 31)]
+        assert report.checked == _on_poly_only(monkeypatch, 40).checked
 
     @pytest.mark.parametrize("coeffs", [
         # x(x-1)...(x-d+1): zero at the points 0..d-1, nonzero at d.
         *(pytest.param(_falling(d), id=f"falling-{d}") for d in (0, 1, 5, 40)),
-        # A constant that every prime but the last one needed divides.
-        *(pytest.param((math.prod(_PRIMES[:k]),), id=f"primes-{k}")
-          for k in (1, 3, 10)),
     ])
     def test_near_misses_are_refuted(self, monkeypatch, coeffs):
         table = [("near-miss", None, lambda f, n: (f.poly(coeffs), f.poly(())))]
@@ -595,8 +636,8 @@ class TestModularBattery:
         assert identity_suite(30).checked == _on_poly_only(monkeypatch, 30).checked
 
     # A sign flipped in one term of one right-hand side.  Failure sets and
-    # digests of the JSON report were recorded from the all-Poly battery
-    # that the modular one replaced, under the same mutation.
+    # digests of the JSON report were recorded from the all-Poly battery,
+    # under the same mutation.
     @pytest.mark.parametrize("name, mutated, failing, digest", [
         ("u-even-as-split-product",
          lambda f, n: (f.u(2 * n), f.u(n) * f.u(n) + f.u(n - 1) * f.u(n - 1)),

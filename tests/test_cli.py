@@ -58,6 +58,9 @@ _GOLDEN = {
         "c02d3ca519bf00d8933d132d8988c1b71bf6222c906e39c133b39868af7a12e8",
     "verify --max-n 60 --format json":
         "aa5a5e4af30f8e694a1089be7bbeeaf6955de4a185f3e9dcefd3e2b35a11ecaa",
+    # Every one of the 8127 identity checks, one row each.
+    "verify --max-n 300 --format csv":
+        "763cdb8b85923737c09727315f1ab09458ec222e21a757d85fbb49bd512faa8a",
     "poly s 300 --format json":
         "24f730776e488d1a1b89baad75eabdab6a0c3025a69c762b34a91c5648d5f8c7",
     "qec fan 4001 --format json":
