@@ -7,8 +7,8 @@ are genuine checks rather than tautologies.  The even/odd split factors of
 the second-kind polynomials are built from second-kind differences, and the
 fan-graph polynomials from their defining combinations.  No table of
 members is kept: U, T, V and W are held in a few short windows of their
-recurrences (``_ChainStore``), and each derived builder caches its last
-few members, so memory follows the largest member read, not every one.
+recurrences (``_ChainStore``), so memory follows the largest member read,
+not every one.
 
 The identity battery over these families (``identity_suite``, code in
 ``fanqec.identities``) proves each identity for every index at once: on a
@@ -41,7 +41,6 @@ import dataclasses
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache
 
 from .polynomial import X, Poly
 
@@ -65,9 +64,9 @@ class NotIntegral(ArithmeticError):
 
 # A family in a _ChainStore keeps at most _CHAINS chains, each holding its
 # last _CHAIN_KEEP members.  The ties walk each family up once, reading
-# k-2..k, which one chain serves; an identity checked on Poly reads near
-# n/2, n and 2n as n moves up, and a chain per region serves each read from
-# a held member or a short walk up.
+# each member once, which one chain serves; an identity checked on Poly
+# reads near n/2, n and 2n as n moves up, and a chain per region serves
+# each read from a held member or a short walk up.
 _CHAINS = 4
 _CHAIN_KEEP = 6
 
@@ -239,13 +238,7 @@ class _Stored(_Families):
 
 _STORED = _Stored()
 
-# Entries each derived builder keeps.  The battery reads a member at most a
-# few times in a row (its tie, then the coefficient checks at the same
-# index), and so does `verify` for s_poly.
-_DERIVED_CACHE = 4
 
-
-@lru_cache(maxsize=_DERIVED_CACHE)
 def partial_e(n: int) -> Poly:
     """Even-zero factor of U_n: collects the zeros cos(k*pi/(n+1)) with k even.
 
@@ -256,7 +249,6 @@ def partial_e(n: int) -> Poly:
     return _STORED.defined("pe", n)
 
 
-@lru_cache(maxsize=_DERIVED_CACHE)
 def partial_o(n: int) -> Poly:
     """Odd-zero factor of U_n, so that U_n = partial_e(n) * partial_o(n)."""
     _check_index(n)
@@ -273,7 +265,6 @@ def compress(p: Poly) -> Poly:
     return Poly(out)
 
 
-@lru_cache(maxsize=_DERIVED_CACHE)
 def s_poly(n: int) -> Poly:
     """Companion polynomial S_n whose minimal zero drives the odd fan values.
 
@@ -292,7 +283,6 @@ def _s_factors(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     return m, (2 * m - 1, 2 * m + 1), (2 * m + 1, 2 * m + 3)
 
 
-@lru_cache(maxsize=_DERIVED_CACHE)
 def phi(n: int) -> Poly:
     """Stationary-value polynomial of the fan problem, degree n + 2.
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable
 
 from . import roots
 from .chebyshev import (
@@ -32,7 +32,7 @@ from .chebyshev import (
 )
 from .graphs import Disconnected, from_edge_list
 from .polynomial import Poly
-from .qec import Method, qec_fan, qec_numeric
+from .qec import Method, closed_form, qec_fan, qec_numeric
 
 _FAMILIES: dict[str, tuple[Callable[[int], Poly], int]] = {
     "u": (cheb_u, -2),
@@ -64,12 +64,20 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _print_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _emit(fmt: str, data: Callable[[], object], header: list[str],
+          rows: Callable[[], Iterable[list]], lines: Callable[[], Iterable]) -> None:
+    """Print data() as JSON, header and rows() as CSV, or lines() one per line.
+
+    Only fmt's callable runs: no command builds a payload it does not print."""
+    if fmt == "json":
+        print(json.dumps(data()))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows())
+    else:
+        for line in lines():
+            print(line)
 
 
 def _cert_text(certificate: dict[str, float] | None) -> str:
@@ -86,13 +94,11 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     if args.n < min_n:
         return _fail(f"family {args.family!r} needs n >= {min_n}", 2)
     coeffs = list(builder(args.n).coeffs)
-    if args.format == "json":
-        print(json.dumps({"family": args.family, "n": args.n, "coeffs": coeffs}))
-    elif args.format == "csv":
-        _print_csv(["family", "n", "coeffs"],
-                   [[args.family, args.n, " ".join(map(str, coeffs))]])
-    else:
-        print(coeffs)
+    _emit(args.format,
+          lambda: {"family": args.family, "n": args.n, "coeffs": coeffs},
+          ["family", "n", "coeffs"],
+          lambda: [[args.family, args.n, " ".join(map(str, coeffs))]],
+          lambda: [coeffs])
     return 0
 
 
@@ -110,54 +116,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     inequality_ok = roots.check_elementary_inequality(_INEQUALITY_GRID)
     ok = report.ok and not roots_failures and inequality_ok
 
-    if args.format == "json":
-        print(json.dumps({
-            "identities": report.to_json_dict(),
-            "identity_checks": len(report.checked),
-            "roots_max_n": roots_cap,
-            "roots_failures": roots_failures,
-            "elementary_inequality": inequality_ok,
-            "ok": ok,
-        }))
-    elif args.format == "csv":
-        rows = [["identity", c.identity, c.n, c.passed] for c in report.checked]
-        rows += [["roots", msg, "", False] for msg in roots_failures]
-        rows += [["inequality", "elementary-inequality", _INEQUALITY_GRID, inequality_ok]]
-        _print_csv(["section", "check", "n", "passed"], rows)
-    else:
-        print(f"identities: {len(report.checked)} checks up to n={args.max_n}, "
-              f"{len(report.failures)} failures")
-        for c in report.failures:
-            print(f"  FAIL {c.identity} at n={c.n}")
-        print(f"zero structure and orderings up to n={roots_cap}: "
-              f"{len(roots_failures)} failures")
-        for msg in roots_failures:
-            print(f"  FAIL {msg}")
-        print(f"elementary inequality on {_INEQUALITY_GRID} intervals: "
-              f"{'ok' if inequality_ok else 'FAIL'}")
-        print("OK" if ok else "FAILED")
+    _emit(args.format,
+          lambda: {
+              "identities": report.to_json_dict(),
+              "identity_checks": len(report.checked),
+              "roots_max_n": roots_cap,
+              "roots_failures": roots_failures,
+              "elementary_inequality": inequality_ok,
+              "ok": ok,
+          },
+          ["section", "check", "n", "passed"],
+          lambda: chain(
+              (["identity", c.identity, c.n, c.passed] for c in report.checked),
+              (["roots", msg, "", False] for msg in roots_failures),
+              [["inequality", "elementary-inequality", _INEQUALITY_GRID,
+                inequality_ok]]),
+          lambda: chain(
+              [f"identities: {len(report.checked)} checks up to n={args.max_n}, "
+               f"{len(report.failures)} failures"],
+              (f"  FAIL {c.identity} at n={c.n}" for c in report.failures),
+              [f"zero structure and orderings up to n={roots_cap}: "
+               f"{len(roots_failures)} failures"],
+              (f"  FAIL {msg}" for msg in roots_failures),
+              [f"elementary inequality on {_INEQUALITY_GRID} intervals: "
+               f"{'ok' if inequality_ok else 'FAIL'}",
+               "OK" if ok else "FAILED"]))
     return 0 if ok else 1
 
 
 # -- qec ---------------------------------------------------------------------
-
-
-def _print_qec(result, label: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({
-            "target": label,
-            "value": result.value,
-            "method": result.method.value,
-            "certificate": result.certificate,
-        }))
-    elif fmt == "csv":
-        _print_csv(["target", "value", "method", "certificate"],
-                   [[label, repr(result.value), result.method.value,
-                     _cert_text(result.certificate)]])
-    else:
-        print(repr(result.value))
-        print(f"method: {result.method.value}")
-        print(f"certificate: {_cert_text(result.certificate)}")
 
 
 def _cmd_qec(args: argparse.Namespace) -> int:
@@ -167,19 +154,25 @@ def _cmd_qec(args: argparse.Namespace) -> int:
             n = int(args.value)
         except ValueError:
             return _fail(f"fan size must be an integer, got {args.value!r}", 2)
-        result = qec_fan(n, method=method, tol=args.tol)
-        _print_qec(result, f"fan:{n}", args.format)
-        return 0
+        label, result = f"fan:{n}", qec_fan(n, method=method, tol=args.tol)
+    else:
+        if method not in ("auto", Method.NUMERIC_ORACLE):
+            return _fail("graph targets support only the numeric method", 2)
+        try:
+            with open(args.value, encoding="utf-8") as f:
+                text = f.read()
+        except OSError as exc:
+            return _fail(f"cannot read {args.value!r}: {exc}", 2)
+        label, result = args.value, qec_numeric(from_edge_list(text))
 
-    if method not in ("auto", Method.NUMERIC_ORACLE):
-        return _fail("graph targets support only the numeric method", 2)
-    try:
-        with open(args.value, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        return _fail(f"cannot read {args.value!r}: {exc}", 2)
-    result = qec_numeric(from_edge_list(text))
-    _print_qec(result, args.value, args.format)
+    _emit(args.format,
+          lambda: {"target": label, "value": result.value,
+                   "method": result.method.value, "certificate": result.certificate},
+          ["target", "value", "method", "certificate"],
+          lambda: [[label, repr(result.value), result.method.value,
+                    _cert_text(result.certificate)]],
+          lambda: [repr(result.value), f"method: {result.method.value}",
+                   f"certificate: {_cert_text(result.certificate)}"])
     return 0
 
 
@@ -189,37 +182,29 @@ def _cmd_qec(args: argparse.Namespace) -> int:
 def _odd_bounds(n: int) -> tuple[float, float] | None:
     if n % 2 == 0 or n < 3:
         return None
-    lower = -4.0 * math.sin(math.pi / (2 * (n + 1))) ** 2
-    upper = -4.0 * math.sin(math.pi / (2 * (n + 2))) ** 2
-    return lower, upper
+    return closed_form(n), closed_form(n + 1)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     if not 1 <= args.start <= args.stop:
         return _fail(f"need 1 <= from <= to, got {args.start}..{args.stop}", 2)
-    entries = []
-    for n in range(args.start, args.stop + 1):
-        result = qec_fan(n, tol=args.tol)
-        entries.append((n, result, _odd_bounds(n)))
-
-    if args.format == "json":
-        print(json.dumps({"rows": [
-            {"n": n, "qec": r.value, "method": r.method.value,
-             "lower": b[0] if b else None, "upper": b[1] if b else None}
-            for n, r, b in entries
-        ]}))
-    elif args.format == "csv":
-        rows = [[n, repr(r.value), r.method.value,
-                 repr(b[0]) if b else "", repr(b[1]) if b else ""]
-                for n, r, b in entries]
-        _print_csv(["n", "qec", "method", "lower", "upper"], rows)
-    else:
-        print(f"{'n':>4}  {'qec':<24} {'method':<18} {'lower':<24} {'upper':<24}")
-        for n, r, b in entries:
-            lower = repr(b[0]) if b else "-"
-            upper = repr(b[1]) if b else "-"
-            print(f"{n:>4}  {r.value!r:<24} {r.method.value:<18} "
-                  f"{lower:<24} {upper:<24}")
+    entries = [(n, qec_fan(n, tol=args.tol), _odd_bounds(n))
+               for n in range(args.start, args.stop + 1)]
+    line = "{:>4}  {:<24} {:<18} {:<24} {:<24}".format
+    _emit(args.format,
+          lambda: {"rows": [
+              {"n": n, "qec": r.value, "method": r.method.value,
+               "lower": b[0] if b else None, "upper": b[1] if b else None}
+              for n, r, b in entries]},
+          ["n", "qec", "method", "lower", "upper"],
+          lambda: ([n, repr(r.value), r.method.value,
+                    repr(b[0]) if b else "", repr(b[1]) if b else ""]
+                   for n, r, b in entries),
+          lambda: chain(
+              [line("n", "qec", "method", "lower", "upper")],
+              (line(n, repr(r.value), r.method.value,
+                    repr(b[0]) if b else "-", repr(b[1]) if b else "-")
+               for n, r, b in entries)))
     return 0
 
 
@@ -301,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(f"graph is disconnected: {exc}", 3)
     except roots.BadBracket as exc:
         return _fail(f"verification failed: {exc}", 1)
-    except (ValueError, argparse.ArgumentError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), 2)
 
 

@@ -9,6 +9,7 @@ eigenvalues 2cos(k*pi/(n+1)).
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -85,6 +86,7 @@ def fan(n: int) -> Graph:
 def from_edge_list(text: str) -> Graph:
     """Parse `u v` pairs, one per line; `#` starts a comment; 0-indexed.
 
+    A label is ASCII decimal digits; a leading `-` is refused as negative.
     The vertex count is max label + 1.  A label below the maximum that no
     edge uses would be an isolated vertex, so it raises Disconnected here,
     before anything of that size is allocated.
@@ -97,10 +99,10 @@ def from_edge_list(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected two vertex labels, got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex label in {raw!r}") from None
+        # int() would also take "1_0", "+1" and non-ASCII digits.
+        if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+            raise ParseError(f"line {lineno}: non-integer vertex label in {raw!r}")
+        u, v = int(parts[0]), int(parts[1])
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex label in {raw!r}")
         if u == v:

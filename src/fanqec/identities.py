@@ -49,8 +49,6 @@ from .chebyshev import (
 )
 from .polynomial import Poly
 
-_X_MINUS_ONE = Poly((-1, 1))
-
 
 def _cmp(identity: str, n: int, lhs: Poly, rhs: Poly) -> IdentityCheck:
     if lhs == rhs:
@@ -270,49 +268,54 @@ def _order(fn: Callable, parity: int) -> tuple[int | None, list[tuple[str, _Inde
         return None, []
 
 
-def _tie(family: str, k: int) -> bool:
-    """Whether stored member k of a family equals its definition.
+def _tie(family: str, k: int, member: Poly, below: list[Poly]) -> bool:
+    """Whether member k of a family, as stored, equals its definition.
 
-    u, t, v and w start from their seeds and follow their recurrence; the
-    derived families equal their defining formulas in u.  Linear in the
-    degree.
+    u, t, v and w start from their seeds and follow their recurrence from
+    `below`, the stored members k-2 and k-1; the derived families equal
+    their defining formulas in u.  Linear in the degree.
     """
-    stored = getattr(_STORED, family)
     if family not in _SEEDS:
-        return stored(k) == _STORED.defined(family, k)
+        return member == _STORED.defined(family, k)
     k0, first, second = _SEEDS[family]
     if k < k0 + 2:
-        return stored(k) == Poly(first if k == k0 else second)
-    return stored(k) == _TWO_X * stored(k - 1) - stored(k - 2)
+        return member == Poly(first if k == k0 else second)
+    return member == _TWO_X * below[1] - below[0]
 
 
 def _stored_pass(max_n: int, reads: dict[str, int]) -> tuple[bool, list[IdentityCheck]]:
     """All work on the stored Poly objects, in one upward walk of the index.
 
-    Ties every member the battery reads (`reads` maps a family to its highest
-    index) to its definition, and runs the coefficient-property checks for
-    n <= max_n while their members are still cached.  The first element is
+    Fetches each member the battery reads (`reads` maps a family to its
+    highest index; u, pe, po and s reach max_n at least) once from its
+    builder, ties it to its definition until a tie fails, and hands it to
+    the coefficient-property checks for n <= max_n.  The first element is
     whether every tie held: only then are the stored Poly objects the
     families whose order bounds _order computes.
     """
     first = {family: _SEEDS[family][0] if family in _SEEDS else 0 for family in reads}
-    ties, checks = True, []
-    for k in range(min(first.values(), default=0), max([max_n, *reads.values()]) + 1):
+    ties, checks, held = True, [], {family: [] for family in reads}
+    for k in range(min(first.values()), max(reads.values()) + 1):
         for family, top in reads.items():
-            if ties and first[family] <= k <= top:
-                ties = _tie(family, k)
+            if first[family] <= k <= top:
+                member = getattr(_STORED, family)(k)
+                ties = ties and _tie(family, k, member, held[family])
+                held[family] = [*held[family][-1:], member]
         if 0 <= k <= max_n:
-            checks.extend(_monic_checks(k))
-            checks.append(_s_root_at_one_check(k))
+            checks.extend(_coefficient_checks(
+                k, *(held[family][-1] for family in ("u", "pe", "po", "s"))))
     return ties, checks
 
 
-def _monic_checks(n: int) -> list[IdentityCheck]:
+def _coefficient_checks(n: int, u: Poly, pe: Poly, po: Poly,
+                        s: Poly) -> list[IdentityCheck]:
+    """U_n, partial_e(n) and partial_o(n) compress to monic polynomials, and
+    x - 1 divides S_n: it is monic, so it does over the integers iff S_n(1) = 0."""
     out = []
     for name, poly in (
-        ("compressed-u-monic", _STORED.u(n)),
-        ("compressed-even-part-monic", _STORED.pe(n)),
-        ("compressed-odd-part-monic", _STORED.po(n)),
+        ("compressed-u-monic", u),
+        ("compressed-even-part-monic", pe),
+        ("compressed-odd-part-monic", po),
     ):
         try:
             c = compress(poly)
@@ -324,17 +327,12 @@ def _monic_checks(n: int) -> list[IdentityCheck]:
         else:
             expected = c.coeffs[:-1] + (1,) if c.coeffs else (1,)
             out.append(IdentityCheck(name, n, False, c.coeffs, expected))
+    name, at_one = "s-divisible-by-x-minus-one", sum(s.coeffs)
+    if at_one:
+        out.append(IdentityCheck(name, n, False, s.coeffs, (at_one,)))
+    else:
+        out.append(IdentityCheck(name, n, True))
     return out
-
-
-def _s_root_at_one_check(n: int) -> IdentityCheck:
-    s = _STORED.s(n)
-    try:
-        s.exact_div(_X_MINUS_ONE)
-    except (ArithmeticError, ZeroDivisionError):
-        return IdentityCheck("s-divisible-by-x-minus-one", n, False,
-                             s.coeffs, (int(s.evaluate(1)),))
-    return IdentityCheck("s-divisible-by-x-minus-one", n, True)
 
 
 def identity_suite(max_n: int) -> IdentityReport:
@@ -351,7 +349,8 @@ def identity_suite(max_n: int) -> IdentityReport:
     plan = [(name, r, fn, _order(fn, r)) for name, parity, fn in _IDENTITIES
             for r in ((0, 1) if parity is None else (parity,))]
     top_n = max([max_n] + [r + 2 * order - 2 for _, r, _, (order, _) in plan if order])
-    reads: dict[str, int] = {}
+    # The coefficient checks read u, pe, po and s at every n <= max_n.
+    reads = dict.fromkeys(("u", "pe", "po", "s"), max_n)
     for _, r, _, (_, class_reads) in plan:
         j = (top_n - r) // 2
         for family, k in class_reads:

@@ -94,6 +94,12 @@ def qec_numeric(g: Graph) -> QecResult:
     return QecResult(top, Method.NUMERIC_ORACLE, {"residual": residual})
 
 
+def closed_form(n: int) -> float:
+    """-4 sin^2(pi / (2(n+1))), the fan constant for even n; for odd n,
+    closed_form(n) and closed_form(n + 1) bound it from below and above."""
+    return -4.0 * math.sin(math.pi / (2 * (n + 1))) ** 2
+
+
 def qec_fan(n: int, method: Method | str = "auto", tol: float = 1e-12) -> QecResult:
     """Constant of the fan over a path of n vertices.
 
@@ -119,8 +125,7 @@ def qec_fan(n: int, method: Method | str = "auto", tol: float = 1e-12) -> QecRes
     if method is Method.CLOSED_FORM_EVEN:
         if n % 2:
             raise ValueError("closed form is proven for even path lengths only")
-        angle = math.pi / (2 * (n + 1))
-        return QecResult(-4.0 * math.sin(angle) ** 2, method, {"angle": angle})
+        return QecResult(closed_form(n), method, {"angle": math.pi / (2 * (n + 1))})
     if method is Method.NUMERIC_ORACLE:
         return qec_numeric(fan(n))
 
@@ -143,10 +148,7 @@ def tau(n: int) -> float | None:
         raise ValueError("defined for n >= 3")
     if n in (3, 5):
         return None
-    m = n // 2
-    if n % 2:
-        return 2.0 * math.cos(2 * m * math.pi / (2 * m + 2))
-    return 2.0 * math.cos(2 * m * math.pi / (2 * m + 1))
+    return 2.0 * math.cos(2 * (n // 2) * math.pi / (n + 1))
 
 
 def sigma(n: int, tol: float = 1e-12) -> float:

@@ -200,8 +200,19 @@ class TestFamilyStore:
         assert identity_suite(300).ok
         assert _held(chebyshev._FAMILY_STORE) <= (
             len(chebyshev._SEEDS) * chebyshev._CHAINS * chebyshev._CHAIN_KEEP)
-        for builder in (partial_e, partial_o, s_poly, phi):
-            assert builder.cache_info().currsize <= chebyshev._DERIVED_CACHE
+
+    def test_derived_members_follow_a_builder_swap(self, monkeypatch):
+        # No derived member outlives the builders it was made from.
+        even_part, companion = partial_e(10), s_poly(10)
+        real = cheb_u
+
+        def corrupted(n):
+            return real(n) + 1 if n == 5 else real(n)
+
+        monkeypatch.setattr(chebyshev, "cheb_u", corrupted)
+        # partial_e(10) = U_5 + U_4 and S_10 = (9 + 11x) U_5 - (11 + 13x) U_4.
+        assert partial_e(10) == even_part + 1
+        assert s_poly(10) == companion + Poly((9, 11))
 
 
 # Hand-expanded from the second-kind differences (exact integer arithmetic).
@@ -524,18 +535,6 @@ def _rank(rows: list[list[int]]) -> int:
     return rank
 
 
-@pytest.fixture
-def cold_caches():
-    # A corrupted cheb_u reaches the cached derived families; start and end
-    # with empty caches so that no other test sees or supplies them.
-    caches = (partial_e, partial_o, s_poly, phi)
-    for fn in caches:
-        fn.cache_clear()
-    yield
-    for fn in caches:
-        fn.cache_clear()
-
-
 class TestModularBattery:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
     def test_shape(self, n):
@@ -605,8 +604,7 @@ class TestModularBattery:
             ("falling-12", n) for n in range(12, 31)]
         assert report.checked == _on_poly_only(monkeypatch, 30).checked
 
-    def test_companion_flipped_at_one_index_falls_back(self, monkeypatch,
-                                                       cold_caches):
+    def test_companion_flipped_at_one_index_falls_back(self, monkeypatch):
         # _s_factors that tests its index cannot run on a*j + b, so no
         # identity reading S_n is proven, and the flip at 31 is found.
         real = chebyshev._s_factors
@@ -675,8 +673,7 @@ class TestModularBattery:
         (61, 11, "945b25af36f32b00aea0ad440e8d39ef283e5c652d163bfd7031f419331f5a5b"),
         (81, 7, "8bb7412b71b82ac9257d179968acc51f95b7cfcc41d3915d7e07caa147b1a41d"),
     ], ids=["k42", "k61", "k81"])
-    def test_corrupted_second_kind_is_caught(self, monkeypatch, cold_caches,
-                                             k, failing, digest):
+    def test_corrupted_second_kind_is_caught(self, monkeypatch, k, failing, digest):
         real = cheb_u
 
         def corrupted(n):

@@ -65,6 +65,28 @@ _GOLDEN = {
         "24f730776e488d1a1b89baad75eabdab6a0c3025a69c762b34a91c5648d5f8c7",
     "qec fan 4001 --format json":
         "17c39c2f6b6044bd6bb1be2a9888b61b5ad0ac7e99dfcda3d216baa267b7361e",
+    # Recorded at commit 2c3a388: one command or more per output format of
+    # each command, including the per-command cells for a missing value.
+    "poly s 40":
+        "9b3bade05418d34534656b0b359c8025c0d16d6a59956e2aaf6e501718ec4bab",
+    "poly s 40 --format csv":
+        "53d825fe5385a1452a71721ccdc1cc51b6ffe1a289684d94c64ba368ed60a155",
+    "verify --max-n 300":
+        "32bdae6657e9e8dd6c978c27f10a31f1c5e644705f86d6370b46caf27d3ad59f",
+    "verify --max-n 300 --format json":
+        "5a8e0e9ba8b5ee8fb96eb61b9dcd40d7e65d51508d806f1af6542e0f6c43dcad",
+    "qec fan 101":
+        "8ea3b3c48c78d3ef33b0300cb7a54016e99ee5661cdfe924fc82116e15de04bd",
+    "qec fan 101 --format csv":
+        "71c4208e2ab46b2c74827360df0f46034e90a25f9a1c32ff3af3e2d36d4e9d8e",
+    "qec fan 2 --format csv":
+        "35d50c6b3bf6a8c3cdef7ddd6dd6b2b03b3b7f7eda259dc8cffa3adee9721cc7",
+    "qec fan 6":
+        "b57142f3b055b8e87deaa23996bc74861e3ca7bdade846b66365ed92511771d0",
+    "table fan 1 201":
+        "91ad6b868a82343f913c34564070e3ec389d39dea79f621a9018df0616b583f0",
+    "table fan 1 201 --format json":
+        "27b3430cfc3c2bddc54ac6a08bf797a8416cc20e5f8802fbaa05cc538b447caf",
 }
 
 
@@ -263,6 +285,15 @@ class TestQec:
         edge_file.write_text("0 1 2\n")
         code, _, _ = run(capsys, "qec", "graph", str(edge_file))
         assert code == 2
+
+    def test_underscore_label_exits_two(self, capsys, tmp_path):
+        # int() reads "1_0" as 10, which left vertex 1 in no edge (exit 3).
+        edge_file = tmp_path / "underscore.edges"
+        edge_file.write_text("0 1_0\n")
+        code, out, err = run(capsys, "qec", "graph", str(edge_file))
+        assert code == 2
+        assert out == ""
+        assert "non-integer vertex label" in err
 
     def test_closed_method_on_odd_exits_two(self, capsys):
         code, _, _ = run(capsys, "qec", "fan", "5", "--method", "closed")

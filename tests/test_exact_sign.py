@@ -191,9 +191,6 @@ def test_degree_from_factors():
 
 
 def test_odd_route_builds_no_coefficients(monkeypatch):
-    s_misses = s_poly.cache_info().misses
-    e_misses = partial_e.cache_info().misses
-
     def no_coefficients(*args):
         raise AssertionError("coefficient vector built on the odd route")
 
@@ -204,8 +201,6 @@ def test_odd_route_builds_no_coefficients(monkeypatch):
     result = qec_fan(4001)
     assert result.method.value == "root-based"
     assert result.certificate["bracket_hi"] - result.certificate["bracket_lo"] <= 1e-12
-    assert s_poly.cache_info().misses == s_misses
-    assert partial_e.cache_info().misses == e_misses
 
 
 @pytest.mark.parametrize("n", [1601, 1603, 1605, 3481, 3569, 20001, 40001])

@@ -76,8 +76,16 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             from_edge_list("a b\n")
 
+    # int() reads each of these as a number: "1_0" as 10, Arabic-Indic
+    # and fullwidth digits as 3, 0 and 0.
+    @pytest.mark.parametrize("text", ["0 1_0\n", "\u0663 \u0660\n", "\uff10 1\n",
+                                      "+0 1\n", "0 --1\n"])
+    def test_only_ascii_decimal_labels(self, text):
+        with pytest.raises(ParseError, match="non-integer vertex label"):
+            from_edge_list(text)
+
     def test_negative_vertex(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="negative vertex label"):
             from_edge_list("-1 2\n")
 
     def test_self_loop(self):
