@@ -24,8 +24,13 @@ Exact signs of S_n and of both split factors at a rational p/q need no
 coefficients: q^k U_k(p/q) is a Lucas sequence in 2p and q^2, and index
 doubling gives the pair (q^m U_m, q^(m-1) U_{m-1})(p/q) with two integers
 of state and O(log m) multiplications of numbers up to the final size
-(``u_pair_at``).  ``split_signs`` turns one such pair into all three signs;
-its formulas are the only ones, and ``CompanionSign`` and ``EvenPartSign``
+(``u_pair_at``), about m log2(q) bits.  Where that is large,
+``split_signs`` first runs the same doubling on integer enclosures of
+(U_m, U_{m-1})(p/q) with a few hundred fractional bits, outward-rounded
+so that they hold the exact values; an enclosure that excludes 0 is a
+proof of the sign, and one that holds 0 is retried with more bits and
+then handed to the exact pair, which alone returns a sign 0.  Its
+formulas are the only ones, and ``CompanionSign`` and ``EvenPartSign``
 read the S_n and even-factor parts of it.
 
 Floating-point values of S_n (``s_value``) are only proposals for the
@@ -334,20 +339,144 @@ def _sign(value: int) -> int:
     return (value > 0) - (value < 0)
 
 
+def _mul(a_lo: int, a_hi: int, b_lo: int, b_hi: int, bits: int) -> tuple[int, int]:
+    """Enclosure of a product of two enclosures held at 2^bits, at 2^bits.
+
+    ab is bilinear, so over the box [a_lo, a_hi] x [b_lo, b_hi] it lies
+    between the least and the greatest product of two ends; those carry
+    2^(2 bits), and the shift back floors the least and ceils the greatest.
+    """
+    ends = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return min(ends) >> bits, -(-max(ends) >> bits)
+
+
+def _point(p: int, q: int, bits: int) -> tuple[int, int]:
+    """[floor(p 2^bits / q), ceil(p 2^bits / q)], which holds p/q times 2^bits.
+
+    Both ends are p 2^bits / q when q is a power of two up to 2^bits.
+    """
+    return (p << bits) // q, -(-(p << bits) // q)
+
+
+def _u_pair_enclosure(m: int, p: int, q: int, bits: int) -> tuple[int, ...]:
+    """Integers (lo_m, hi_m, lo_m1, hi_m1) enclosing 2^bits (U_m, U_{m-1})(p/q).
+
+    Each value v is held as integers lo <= v 2^bits <= hi, x as _point
+    gives it.  The walk over the bits of m is u_pair_at's divided by q^k:
+
+        U_{2k}   = (U_k - U_{k-1}) (U_k + U_{k-1})
+        U_{2k-1} = U_{k-1} (2 U_k - 2x U_{k-1})
+        U_{k+1}  = 2x U_k - U_{k-1}
+
+    from U_0 = 1, U_{-1} = 0, which are held exactly.  Sums, differences
+    and products by the integer 2 of enclosures are exact on the integer
+    ends (lo + lo', hi + hi' and so on), and _mul encloses every product of
+    two values.  So each step takes enclosures of the exact pair at k to
+    enclosures of the exact pair at 2k or 2k + 1, and by induction the
+    result holds (U_m, U_{m-1})(p/q) times 2^bits.  No float and no
+    Fraction enters.
+    """
+    x_lo, x_hi = _point(p, q, bits)
+    cur_lo = cur_hi = 1 << bits
+    prev_lo = prev_hi = 0
+    for bit in range(m.bit_length() - 1, -1, -1):
+        sq_lo, sq_hi = _mul(cur_lo - prev_hi, cur_hi - prev_lo,
+                            cur_lo + prev_lo, cur_hi + prev_hi, bits)
+        xp_lo, xp_hi = _mul(x_lo, x_hi, prev_lo, prev_hi, bits)
+        prev_lo, prev_hi = _mul(prev_lo, prev_hi, 2 * (cur_lo - xp_hi),
+                                2 * (cur_hi - xp_lo), bits)
+        cur_lo, cur_hi = sq_lo, sq_hi
+        if m >> bit & 1:
+            xc_lo, xc_hi = _mul(x_lo, x_hi, cur_lo, cur_hi, bits)
+            cur_lo, cur_hi, prev_lo, prev_hi = (2 * xc_lo - prev_hi, 2 * xc_hi - prev_lo,
+                                                cur_lo, cur_hi)
+    return cur_lo, cur_hi, prev_lo, prev_hi
+
+
+def _poly_enclosure(coeffs: tuple[int, ...], x_lo: int, x_hi: int,
+                    bits: int) -> tuple[int, int]:
+    """Enclosure at 2^bits of the integer polynomial coeffs (ascending) at x."""
+    lo = hi = coeffs[-1] << bits
+    for c in reversed(coeffs[:-1]):
+        lo, hi = _mul(lo, hi, x_lo, x_hi, bits)
+        lo, hi = lo + (c << bits), hi + (c << bits)
+    return lo, hi
+
+
+def _enclosed_sign(lo: int, hi: int) -> int | None:
+    """The sign of every value in [lo, hi], or None if 0 is in it."""
+    return 1 if lo > 0 else -1 if hi < 0 else None
+
+
+def _enclosed_signs(n: int, p: int, q: int, bits: int) -> tuple[int, int, int] | None:
+    """split_signs(n, p/q) from enclosures at 2^bits, or None if one holds 0.
+
+    The formulas are split_signs', on U_m and U_{m-1} rather than V: S_n =
+    head U_m - tail U_{m-1}; for odd n partial_e = U_m and partial_o =
+    2 (x U_m - U_{m-1}), for even n U_m + U_{m-1} and U_m - U_{m-1}.
+    """
+    m, head, tail = _s_factors(n)
+    um_lo, um_hi, um1_lo, um1_hi = _u_pair_enclosure(m, p, q, bits)
+    x_lo, x_hi = _point(p, q, bits)
+    h_lo, h_hi = _mul(*_poly_enclosure(head, x_lo, x_hi, bits), um_lo, um_hi, bits)
+    t_lo, t_hi = _mul(*_poly_enclosure(tail, x_lo, x_hi, bits), um1_lo, um1_hi, bits)
+    if n % 2:
+        xu_lo, xu_hi = _mul(x_lo, x_hi, um_lo, um_hi, bits)
+        e_lo, e_hi, o_lo, o_hi = um_lo, um_hi, xu_lo - um1_hi, xu_hi - um1_lo
+    else:
+        e_lo, e_hi = um_lo + um1_lo, um_hi + um1_hi
+        o_lo, o_hi = um_lo - um1_hi, um_hi - um1_lo
+    signs = (_enclosed_sign(h_lo - t_hi, h_hi - t_lo),
+             _enclosed_sign(e_lo, e_hi), _enclosed_sign(o_lo, o_hi))
+    return None if None in signs else signs
+
+
+# The exact pair at a point p/q has about m (bit length of q - 1) bits; above
+# _ENCLOSE_ABOVE of them split_signs tries enclosures first, from
+# _ENCLOSE_BITS fractional bits up.  Measured for one query on a 2-core VM
+# (Python 3.11), 128-bit enclosure against the exact path: 58 us against
+# 12 us at n = 41 and q = 2^20 (a 400-bit pair), 88 against 151 us at
+# n = 401 and q = 2^53 (10.6 kbit), 106 against 1251 us at n = 1611
+# (42.7 kbit).  verify --max-n 50 --roots-max-n 400 took 5.2 s with a
+# 2048-bit crossover, which sent 64k of its queries to the enclosure, and
+# 2.7 s with 16384, which sends none, as fast as the exact path alone.
+_ENCLOSE_ABOVE = 16384
+_ENCLOSE_BITS = 128
+
+
 def split_signs(n: int, x: Fraction | int) -> tuple[int, int, int]:
     """Exact signs of (s_poly(n), partial_e(n), partial_o(n)) at x = p/q.
 
-    All three come from (V_m, V_{m-1}) = u_pair_at(m, p, q), each value
-    times a positive power of q, which keeps its sign.  With S_n =
-    head U_m - tail U_{m-1} (_s_factors), d the head degree and e = d -
-    tail degree + 1, q^(m+d) S_n = head(p, q) V_m - tail(p, q) q^e V_{m-1}.
-    For n = 2m+1, partial_e = U_m and partial_o = U_{m+1} - U_{m-1}, so
-    q^m partial_e = V_m and q^(m+1) partial_o = 2 (p V_m - q^2 V_{m-1}); for
-    n = 2m they are U_m + U_{m-1} and U_m - U_{m-1}, so q^m times them is
-    V_m + q V_{m-1} and V_m - q V_{m-1}.
+    Where the exact pair is large (more than _ENCLOSE_ABOVE bits), the
+    signs are first read from integer enclosures of U_m and U_{m-1} at
+    bits = 128, 256, ... fractional bits (_enclosed_signs; Moore, Kearfott
+    and Cloud, Introduction to Interval Analysis, 2009, ch. 2-3).  An
+    enclosure holds the exact value, so one that excludes 0 gives its exact
+    sign; one that holds 0 decides nothing, and the bits are doubled while
+    they are below the exact pair's size.  Otherwise, and at last, all
+    three come from (V_m, V_{m-1}) = u_pair_at(m, p, q), which alone can
+    return 0.  Both paths give the same signs, and no float enters either.
+
+    From the exact pair, each value times a positive power of q, which
+    keeps its sign: with S_n = head U_m - tail U_{m-1} (_s_factors), d the
+    head degree and e = d - tail degree + 1, q^(m+d) S_n = head(p, q) V_m
+    - tail(p, q) q^e V_{m-1}.  For n = 2m+1, partial_e = U_m and partial_o
+    = U_{m+1} - U_{m-1}, so q^m partial_e = V_m and q^(m+1) partial_o =
+    2 (p V_m - q^2 V_{m-1}); for n = 2m they are U_m + U_{m-1} and U_m -
+    U_{m-1}, so q^m times them is V_m + q V_{m-1} and V_m - q V_{m-1}.
     """
     p, q = x.numerator, x.denominator
     m, head, tail = _s_factors(n)
+    exact_bits = m * (q.bit_length() - 1)
+    if exact_bits > _ENCLOSE_ABOVE:
+        bits = _ENCLOSE_BITS
+        while True:
+            signs = _enclosed_signs(n, p, q, bits)
+            if signs is not None:
+                return signs
+            if bits >= exact_bits:
+                break
+            bits *= 2
     vm, vm1 = u_pair_at(m, p, q)
     q_e = q ** (len(head) - len(tail) + 1)
     s = _sign(_homogenised(head, p, q) * vm

@@ -9,9 +9,10 @@ midpoint queries.  Floating point is used only to propose endpoints, never
 to accept them.
 
 The signs come from q^k U_k(p/q) by index doubling (``CompanionSign``,
-``EvenPartSign`` and ``split_signs``), not from coefficient vectors, so no
-S_n or U_k coefficients are built here and memory stays linear in the bit
-size of one value.  Every helper only calls ``sign_at``, so a ``Poly`` works
+``EvenPartSign`` and ``split_signs``), on integer enclosures first and on
+the exact pair where those hold 0, not from coefficient vectors, so no S_n
+or U_k coefficients are built here and memory stays linear in the bit size
+of one value.  Every helper only calls ``sign_at``, so a ``Poly`` works
 in their place.
 
 ``zero_structure`` proves the zero localization of S_n by counting exact

@@ -87,6 +87,14 @@ _GOLDEN = {
         "91ad6b868a82343f913c34564070e3ec389d39dea79f621a9018df0616b583f0",
     "table fan 1 201 --format json":
         "27b3430cfc3c2bddc54ac6a08bf797a8416cc20e5f8802fbaa05cc538b447caf",
+    # Recorded at commit 69266a7, where every sign came from the exact
+    # kernel: large fans on both root routes.
+    "qec fan 4011":
+        "36fb6cfae7e8ca7936cbecf79f40c4a617ecbc0809487fe9c8c7ee0ebf67a142",
+    "qec fan 20001 --format json":
+        "a9ad1e400d931ebaf6fc53b856b2a9dd03f0df9d378e62a335e8b69841aca798",
+    "qec fan 100000 --method root":
+        "de4ea0c0b582215fd28dd92ce8a3bfc6a2be4b4c7dc2604cf0343339bcd5f49d",
 }
 
 

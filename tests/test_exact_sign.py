@@ -1,5 +1,7 @@
-"""Coefficient-free exact signs: the two-term integer kernel, its agreement
-with coefficient Horner signs, and the odd root route that relies on it."""
+"""Coefficient-free exact signs: the two-term integer kernel, the integer
+enclosures split_signs tries before it, their agreement with coefficient
+Horner signs and with the kernel at large n, and the odd root route that
+relies on them."""
 
 import math
 import random
@@ -183,6 +185,137 @@ def test_report_signs_match_coefficient_horner(monkeypatch):
                 mismatches.append((n, x))
     assert sum(map(len, seen.values())) > 7000
     assert not mismatches, mismatches[:5]
+
+
+# -- integer enclosures ahead of the exact pair --------------------------------
+
+
+@pytest.fixture
+def enclosures(monkeypatch):
+    """Records the working bits of every enclosure split_signs tries, and
+    whether it decided the signs."""
+    tried: list[tuple[int, bool]] = []
+    real = chebyshev._enclosed_signs
+
+    def recording(n, p, q, bits):
+        signs = real(n, p, q, bits)
+        tried.append((bits, signs is not None))
+        return signs
+
+    monkeypatch.setattr(chebyshev, "_enclosed_signs", recording)
+    return tried
+
+
+@pytest.fixture
+def enclose_all(monkeypatch, enclosures):
+    """Crossover 0: every query at a point that is not an integer tries the
+    enclosure first."""
+    monkeypatch.setattr(chebyshev, "_ENCLOSE_ABOVE", 0)
+    return enclosures
+
+
+def test_enclosure_signs_match_coefficient_horner(enclose_all, monkeypatch):
+    # Below the crossover the gates above never reach the enclosure.
+    test_signs_match_coefficient_horner(monkeypatch)
+    assert sum(decided for _, decided in enclose_all) > 30000
+
+
+def test_enclosure_report_signs_match_coefficient_horner(enclose_all, monkeypatch):
+    test_report_signs_match_coefficient_horner(monkeypatch)
+    assert sum(decided for _, decided in enclose_all) > 38000
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+def test_enclosure_holds_the_exact_pair(bits):
+    # U_m(p/q) = V_m / q^m and U_{m-1}(p/q) = q V_{m-1} / q^m, so both
+    # enclosures, times q^m, must hold 2^bits times the kernel's integers.
+    rng = random.Random(bits)
+    for i in range(60):
+        m = rng.randint(0, 5000)
+        q = 2 ** rng.randint(0, 80) if i % 2 else rng.randint(1, 10 ** 12)
+        reach = 3 * q if i % 3 else q
+        p = rng.randint(-reach, reach)
+        lo, hi, lo1, hi1 = chebyshev._u_pair_enclosure(m, p, q, bits)
+        vm, vm1 = u_pair_at(m, p, q)
+        scale = q ** m
+        assert lo * scale <= vm << bits <= hi * scale, (m, p, q)
+        assert lo1 * scale <= q * vm1 << bits <= hi1 * scale, (m, p, q)
+
+
+def exact_signs(n: int, x: Fraction) -> tuple[int, int, int]:
+    """Signs of (S_n, partial_e(n), partial_o(n)) at x from u_pair_at alone,
+    by the formulas of s_poly, partial_e and partial_o in U_m, U_{m-1}."""
+    q = x.denominator
+    m, odd = divmod(n, 2)
+    vm, vm1 = u_pair_at(m, x.numerator, q)
+    um, um1 = vm, q * vm1  # q^m U_m(x) and q^m U_{m-1}(x)
+    if odd:
+        s = (2 * ((2 * m + 2) * x * x + (2 * m - 1) * x - 1) * um
+             - 2 * ((2 * m + 3) * x + 2 * m + 1) * um1)
+        e, o = um, x * um - um1
+    else:
+        s = ((2 * m + 1) * x + 2 * m - 1) * um - ((2 * m + 3) * x + 2 * m + 1) * um1
+        e, o = um + um1, um - um1
+    return tuple((v > 0) - (v < 0) for v in (s, e, o))
+
+
+def test_exact_reference_matches_coefficient_horner():
+    for n in range(0, 61):
+        polys = (s_poly(n), partial_e(n), partial_o(n))
+        for x in FIXED_POINTS + tuple(random_points(n, 10)):
+            assert exact_signs(n, x) == tuple(p.sign_at(x) for p in polys), (n, x)
+
+
+ODD_LARGE = [n for lo, hi in ((1601, 1621), (2801, 2821), (4001, 4021))
+             for n in range(lo, hi + 1, 2)]
+
+
+def test_large_n_signs_at_root_finder_points(monkeypatch, enclosures):
+    # Every point gamma and beta query for the fan sizes of the odd_large
+    # benchmark and at 20001, above the crossover, against the exact pair.
+    queried = _recorded_root_queries(monkeypatch, [*ODD_LARGE, 20001], [])
+    checked = 0
+    for (_, n), points in queried.items():
+        for x in points:
+            checked += 1
+            enclosures.clear()
+            assert split_signs(n, x) == exact_signs(n, x), (n, x)
+            # Only the exact point -1 is below the crossover.
+            assert x == -1 or enclosures[-1][1], (n, x)
+    assert checked > 4 * len(ODD_LARGE)
+
+
+@pytest.mark.parametrize("n", [4011, 8001])
+def test_large_n_signs_next_to_a_zero(enclosures, n):
+    # bisect narrows gamma's bracket to 2^-200; points 2^-60 to 2^-200
+    # beyond its ends need more working bits than the first try has.
+    s = CompanionSign(n)
+    cert = roots.gamma(n)
+    bracket = roots.Bracket(cert.lo, cert.hi, s.sign_at(cert.lo), s.sign_at(cert.hi))
+    narrow = roots.bisect(s, bracket, tol=2.0 ** -200)
+    assert 0 < narrow.hi - narrow.lo <= Fraction(1, 2 ** 200)
+    for k in range(60, 201, 35):
+        for x in (narrow.lo - Fraction(1, 2 ** k), narrow.hi + Fraction(1, 2 ** k)):
+            assert split_signs(n, x) == exact_signs(n, x), (n, k)
+    assert max(bits for bits, decided in enclosures if decided) >= 512
+
+
+def test_exact_zeros_come_from_the_kernel(monkeypatch, enclosures):
+    # U_50000(-1/2) = 0 because 3 divides 50001, so partial_e(100001) is 0
+    # there: every enclosure holds 0, and only the exact pair decides.
+    kernel_calls = []
+    kernel = chebyshev.u_pair_at
+    monkeypatch.setattr(chebyshev, "u_pair_at",
+                        lambda *args: kernel_calls.append(args) or kernel(*args))
+    half = Fraction(-1, 2)
+    assert split_signs(100001, half) == exact_signs(100001, half)
+    assert split_signs(100001, half)[1] == 0
+    assert enclosures and not any(decided for _, decided in enclosures)
+    assert kernel_calls
+    assert split_signs(100001, 1)[0] == 0
+    monkeypatch.setattr(chebyshev, "_ENCLOSE_ABOVE", 0)
+    for n in (1, 2):
+        assert split_signs(n, half)[0] == 0
 
 
 def test_degree_from_factors():
