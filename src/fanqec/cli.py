@@ -1,20 +1,30 @@
 """Command-line front end: polynomial dumps, verification reports, QEC tables.
 
+The command line is read against one table, `_COMMANDS`, that gives each
+command's handler, help, positionals and options; usage and help text are
+rendered from the same table.  Options may come before, between or after the
+positionals, spelled `--opt value`, `--opt=value` or as a unique prefix
+(`verify --max 3`).  A repeated option keeps its last value, `--` ends the
+options, and `-1` or `-2.5` is a value, never an option.  `-h` or `--help`,
+at the root or after any command, prints help to stdout.
+
 Floats are printed with repr (shortest round-trip form), so parsing CSV or
 JSON output reproduces the in-memory values bit-exactly.  Data goes to
-stdout, diagnostics to stderr.  Exit codes: 0 success, 1 verification
-failure, 2 bad arguments, 3 disconnected input graph.  `main` maps the
-library's exceptions onto them in one place and never prints a traceback.
+stdout, diagnostics to stderr.  Exit codes: 0 success or help, 1
+verification failure, 2 bad arguments, 3 disconnected input graph.  A bad
+command line prints nothing to stdout, and a usage line and `fanqec <cmd>:
+error: argument <name>: <message>` to stderr.  `main` maps the library's
+exceptions onto the codes in one place and never prints a traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from . import roots
@@ -89,7 +99,7 @@ def _cert_text(certificate: dict[str, float] | None) -> str:
 # -- poly --------------------------------------------------------------------
 
 
-def _cmd_poly(args: argparse.Namespace) -> int:
+def _cmd_poly(args: SimpleNamespace) -> int:
     builder, min_n = _FAMILIES[args.family]
     if args.n < min_n:
         return _fail(f"family {args.family!r} needs n >= {min_n}", 2)
@@ -105,7 +115,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
 # -- verify ------------------------------------------------------------------
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     roots_cap = args.roots_max_n
     if roots_cap is None:
         roots_cap = min(args.max_n, 60)
@@ -147,7 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- qec ---------------------------------------------------------------------
 
 
-def _cmd_qec(args: argparse.Namespace) -> int:
+def _cmd_qec(args: SimpleNamespace) -> int:
     method = _METHODS[args.method]
     if args.target == "fan":
         try:
@@ -185,7 +195,7 @@ def _odd_bounds(n: int) -> tuple[float, float] | None:
     return closed_form(n), closed_form(n + 1)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     if not 1 <= args.start <= args.stop:
         return _fail(f"need 1 <= from <= to, got {args.start}..{args.stop}", 2)
     entries = [(n, qec_fan(n, tol=args.tol), _odd_bounds(n))
@@ -208,80 +218,226 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- parser ------------------------------------------------------------------
+# -- command line ------------------------------------------------------------
+#
+# One table, _COMMANDS, drives parsing, usage and help.  The standard
+# library's option parser is not used: building it cost several times more
+# than a whole `qec fan N` request, and each call of the program builds it.
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("plain", "csv", "json"),
-                   default="plain", help="output format (default plain)")
+class _BadValue(ValueError):
+    """A converter's refusal, carrying the whole message to print."""
+
+
+class _BadCommandLine(Exception):
+    """args: the command whose usage to print (None for the root), message."""
 
 
 def _positive_tol(text: str) -> float:
     try:
         tol = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise _BadValue(f"not a number: {text!r}") from None
     if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text!r}")
+        raise _BadValue(f"must be a positive finite number, got {text!r}")
     return tol
 
 
-def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_positive_tol, default=1e-12,
-                   help="bisection tolerance, > 0 (default 1e-12)")
+class _Arg:
+    """A positional (name as shown) or an option (name is its --flag).
+
+    attr is the namespace attribute: dest, or else the name without its
+    dashes.  A plain class: a dataclass costs more to create at import than
+    parsing a whole command line does.
+    """
+
+    def __init__(self, name: str, convert: Callable[[str], object] = str,
+                 choices: tuple[str, ...] = (), default: object = None,
+                 help: str = "", dest: str = ""):
+        self.name, self.convert, self.choices = name, convert, choices
+        self.default, self.help = default, help
+        self.attr = dest or name.lstrip("-").replace("-", "_")
+        if choices:
+            self.metavar = "{" + ",".join(choices) + "}"
+        else:
+            self.metavar = self.attr.upper() if name.startswith("-") else name
+
+    def parse(self, text: str) -> object:
+        """text converted and checked against choices, or _BadValue."""
+        try:
+            value = self.convert(text)
+        except _BadValue as exc:
+            raise _BadValue(f"argument {self.name}: {exc}") from None
+        except ValueError:
+            raise _BadValue(f"argument {self.name}: invalid "
+                            f"{self.convert.__name__} value: {text!r}") from None
+        if self.choices and value not in self.choices:
+            raise _BadValue(f"argument {self.name}: invalid choice: {value!r} "
+                            f"(choose from {', '.join(map(repr, self.choices))})")
+        return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fanqec",
-        description="Chebyshev-type polynomial identities and quadratic "
-                    "embedding constants of fan graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Command:
+    def __init__(self, run: Callable[[SimpleNamespace], int], help: str,
+                 positionals: tuple[_Arg, ...], options: tuple[_Arg, ...]):
+        self.run, self.help = run, help
+        self.positionals, self.options = positionals, options
 
-    p_poly = sub.add_parser("poly", help="print a family member's coefficients")
-    p_poly.add_argument("family", choices=sorted(_FAMILIES))
-    p_poly.add_argument("n", type=int)
-    _add_format(p_poly)
-    p_poly.set_defaults(func=_cmd_poly)
 
-    p_verify = sub.add_parser("verify", help="run the exact identity battery "
-                                             "and root-structure checks")
-    p_verify.add_argument("--max-n", type=int, default=50, dest="max_n")
-    p_verify.add_argument("--roots-max-n", type=int, default=None,
-                          dest="roots_max_n",
-                          help="cap for the root-structure report "
-                               "(default min(max-n, 60))")
-    _add_format(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
+_HELP = _Arg("--help", help="show this help message and exit")
+_FORMAT = _Arg("--format", choices=("plain", "csv", "json"), default="plain",
+               help="output format (default plain)")
+_TOL = _Arg("--tol", _positive_tol, default=1e-12,
+            help="bisection tolerance, > 0 (default 1e-12)")
 
-    p_qec = sub.add_parser("qec", help="compute one quadratic embedding constant")
-    p_qec.add_argument("target", choices=("fan", "graph"))
-    p_qec.add_argument("value", help="fan size or edge-list file path")
-    p_qec.add_argument("--method", choices=sorted(_METHODS), default="auto")
-    _add_tol(p_qec)
-    _add_format(p_qec)
-    p_qec.set_defaults(func=_cmd_qec)
+_COMMANDS = {
+    "poly": _Command(
+        _cmd_poly, "print a family member's coefficients",
+        (_Arg("family", choices=tuple(sorted(_FAMILIES))), _Arg("n", int)),
+        (_FORMAT,)),
+    "verify": _Command(
+        _cmd_verify, "run the exact identity battery and root-structure checks",
+        (),
+        (_Arg("--max-n", int, default=50),
+         _Arg("--roots-max-n", int, help="cap for the root-structure report "
+                                         "(default min(max-n, 60))"),
+         _FORMAT)),
+    "qec": _Command(
+        _cmd_qec, "compute one quadratic embedding constant",
+        (_Arg("target", choices=("fan", "graph")),
+         _Arg("value", help="fan size or edge-list file path")),
+        (_Arg("--method", choices=tuple(sorted(_METHODS)), default="auto"),
+         _TOL, _FORMAT)),
+    "table": _Command(
+        _cmd_table, "tabulate fan constants over a range",
+        (_Arg("kind", choices=("fan",)), _Arg("from", int, dest="start"),
+         _Arg("to", int, dest="stop")),
+        (_TOL, _FORMAT)),
+}
 
-    p_table = sub.add_parser("table", help="tabulate fan constants over a range")
-    p_table.add_argument("kind", choices=("fan",))
-    p_table.add_argument("start", type=int, metavar="from")
-    p_table.add_argument("stop", type=int, metavar="to")
-    _add_tol(p_table)
-    _add_format(p_table)
-    p_table.set_defaults(func=_cmd_table)
 
-    return parser
+def _is_option(token: str) -> bool:
+    """A token starting with - names an option, unless it is - alone or a
+    negative number such as -1, -2.5 or -.5, which is a value."""
+    if token[:1] != "-" or token == "-":
+        return False
+    digits, dot, fraction = token[1:].partition(".")
+    return not ((digits + fraction).isdecimal() and (fraction or not dot))
+
+
+def _option(name: str | None, token: str) -> tuple[_Arg | None, str | None]:
+    """The option token names (None if unknown) and its =value, if any."""
+    if token == "-h":
+        return _HELP, None
+    flag, eq, value = token.partition("=")
+    options = (_HELP, *_COMMANDS[name].options) if name else (_HELP,)
+    hits = [o for o in options if o.name == flag] or \
+        [o for o in options if flag.startswith("--") and o.name.startswith(flag)]
+    if len(hits) > 1:
+        raise _BadCommandLine(name, f"ambiguous option: {token} could match "
+                                    f"{', '.join(o.name for o in hits)}")
+    return (hits[0] if hits else None), (value if eq else None)
+
+
+def _parse(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """The command argv names and its arguments, or None for help, by the
+    rules in the module docstring.  Tokens are read left to right, so a help
+    flag after a refused token comes too late.  Raises _BadCommandLine."""
+    if not argv:
+        raise _BadCommandLine(None, "the following arguments are required: command")
+    name, tokens = argv[0], iter(argv[1:])
+    if name != "--" and _option(None, name)[0] is _HELP:
+        return None, None
+    if name not in _COMMANDS:
+        raise _BadCommandLine(None, f"argument command: invalid choice: {name!r} "
+                                    f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    command = _COMMANDS[name]
+    values = {o.attr: o.default for o in command.options}
+    given, extras, options_done = 0, [], False
+    try:
+        for token in tokens:
+            if token == "--" and not options_done:
+                options_done = True
+            elif options_done or not _is_option(token):
+                if given < len(command.positionals):
+                    arg = command.positionals[given]
+                    values[arg.attr] = arg.parse(token)
+                    given += 1
+                else:
+                    extras.append(token)
+            else:
+                option, value = _option(name, token)
+                if option is _HELP:
+                    if value is not None:
+                        raise _BadValue("argument -h/--help: ignored explicit "
+                                        f"argument {value!r}")
+                    return name, None
+                if option is None:
+                    extras.append(token)
+                    continue
+                if value is None:
+                    value = next(tokens, None)
+                    if value is None or _is_option(value):
+                        raise _BadValue(f"argument {option.name}: "
+                                        "expected one argument")
+                values[option.attr] = option.parse(value)
+    except _BadValue as exc:
+        raise _BadCommandLine(name, str(exc)) from None
+    if given < len(command.positionals):
+        missing = ", ".join(a.name for a in command.positionals[given:])
+        raise _BadCommandLine(name, f"the following arguments are required: {missing}")
+    if extras:
+        raise _BadCommandLine(None, f"unrecognized arguments: {' '.join(extras)}")
+    return name, SimpleNamespace(**values)
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return f"usage: fanqec [-h] {{{','.join(_COMMANDS)}}} ..."
+    command = _COMMANDS[name]
+    return " ".join(["usage: fanqec", name, "[-h]",
+                     *(f"[{o.name} {o.metavar}]" for o in command.options),
+                     *(a.metavar for a in command.positionals)])
+
+
+def _help(name: str | None) -> str:
+    """Usage, description and one row per command, positional and option."""
+
+    def row(left: str, text: str) -> str:
+        left = "  " + left
+        if not text:
+            return left
+        return (f"{left:<24}" if len(left) <= 22 else left + "\n" + " " * 24) + text
+
+    help_row = row("-h, --help", _HELP.help)
+    if name is None:
+        return "\n".join([
+            _usage(None), "", "Chebyshev-type polynomial identities and "
+            "quadratic embedding constants of fan graphs.", "", "commands:",
+            *(row(n, c.help) for n, c in _COMMANDS.items()),
+            "", "options:", help_row, "",
+            "Run `fanqec <command> -h` for a command's arguments."])
+    command = _COMMANDS[name]
+    positionals = (["", "positional arguments:",
+                    *(row(a.metavar, a.help) for a in command.positionals)]
+                   if command.positionals else [])
+    return "\n".join([
+        _usage(name), "", command.help, *positionals, "", "options:", help_row,
+        *(row(f"{o.name} {o.metavar}", o.help) for o in command.options)])
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+        name, args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _BadCommandLine as exc:
+        name, message = exc.args
+        print(_usage(name), file=sys.stderr)
+        return _fail(f"fanqec{' ' + name if name else ''}: error: {message}", 2)
+    if args is None:
+        sys.stdout.write(_help(name) + "\n")
+        return 0
     try:
-        return args.func(args)
+        return _COMMANDS[name].run(args)
     except Disconnected as exc:
         return _fail(f"graph is disconnected: {exc}", 3)
     except roots.BadBracket as exc:

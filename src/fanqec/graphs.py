@@ -9,7 +9,6 @@ eigenvalues 2cos(k*pi/(n+1)).
 from __future__ import annotations
 
 import math
-import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -100,7 +99,7 @@ def from_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected two vertex labels, got {raw!r}")
         # int() would also take "1_0", "+1" and non-ASCII digits.
-        if not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
+        if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
             raise ParseError(f"line {lineno}: non-integer vertex label in {raw!r}")
         u, v = int(parts[0]), int(parts[1])
         if u < 0 or v < 0:

@@ -105,6 +105,157 @@ def test_golden_stdout_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN[command]
 
 
+# Exit code, then the SHA-256 of stdout on exit 0 or else the last line of
+# stderr, recorded at commit 0bf1374 under the argparse front end: spellings,
+# option positions, negative values, and one bad command line per error kind.
+_ARGV = [
+    ("poly s 5 --format json", 0,
+     "62eadf8c7c910315ef7d2417b39db94eaf875cf5f0a0c06b04e2311b201f9550"),
+    ("poly u -1", 0,
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("poly --format=csv s 4", 0,
+     "93f8ac621189f4ef6c4aa372c503bde4f0f5ed98de63e433122c5d9873514848"),
+    ("poly s --format csv 4", 0,
+     "93f8ac621189f4ef6c4aa372c503bde4f0f5ed98de63e433122c5d9873514848"),
+    ("poly s 4 --format csv --format json", 0,
+     "fef1975767bd0100a70321a1c9be3a949875a6ed16bfa929911728790d2697bd"),
+    ("poly s 4 --form json", 0,
+     "fef1975767bd0100a70321a1c9be3a949875a6ed16bfa929911728790d2697bd"),
+    ("verify --max 3", 0,
+     "d04cea31666b63beaebd4afc1bb506a074463097fbb2a1fc96eb2cc33bdeb997"),
+    ("verify --max-n=3 --roots-max-n 2", 0,
+     "cd40121248c065afed60dca7e8bf9a8fb16d62b4f3405c8430c4093f011643ce"),
+    ("verify --roots 2 --max-n 4 --format=csv", 0,
+     "499e64d4a678a404e6b33555a59777a7bedd323ee47c3bdef1e4569bbf9cef2a"),
+    ("qec --tol 1e-9 fan 5", 0,
+     "21e6de4c8506fd496ff7253216434ecfcdb7d4fc5b724fd04acc7940f964d1d6"),
+    ("qec fan -- 5", 0,
+     "8ff2f15bc7e28c3fe3c8b41c361947781400bb4a9f38b5590d858d9485d9e0ae"),
+    ("qec -- fan 5", 0,
+     "8ff2f15bc7e28c3fe3c8b41c361947781400bb4a9f38b5590d858d9485d9e0ae"),
+    ("qec fan 5 --method=numeric --format=json", 0,
+     "be4b3f2b834b4906cb3d04aa9ec15c8f570b97c5d53d4fb93cf2c9e5752ffa19"),
+    ("qec fan 7 --me root --t 1e-6", 0,
+     "735b07b35ceb8022200054b08ee44f794ae3f9e82a59d4de8a329197df0d3f57"),
+    ("qec --method root fan 9 --format json", 0,
+     "913f8fa2541b9305f3cc0c4b6e785bd2d75a8144ec626a671b03b72317043cd4"),
+    ("qec fan 4 --method closed --tol 1e-3", 0,
+     "058cfbbccc5836f38556d5870d66a491da7c0d310e67db7b78dedc3f1ffacdc4"),
+    ("table fan 3 7 --tol=1e-6 --format json", 0,
+     "ba65a92a59d403f14e221cc7ae43b04bc214c77a97b48812bfd7fc91118bc8e9"),
+    ("table --format csv fan 1 4", 0,
+     "e6ddf32efeb661b96f242af067fda62593aa171fd92abea1dc8a15b6395cc621"),
+    ("table fan 2 --tol 1e-9 6", 0,
+     "974d9ae11aa71fc8d8b48be6ea559dce01e1a978ad0b8889b8dac6142a679f50"),
+    ("", 2,
+     "fanqec: error: the following arguments are required: command"),
+    ("frobnicate", 2,
+     "fanqec: error: argument command: invalid choice: 'frobnicate' (choose from 'poly', 'verify', 'qec', 'table')"),
+    ("-- qec fan 5", 2,
+     "fanqec: error: argument command: invalid choice: '--' (choose from 'poly', 'verify', 'qec', 'table')"),
+    ("qec fan", 2,
+     "fanqec qec: error: the following arguments are required: value"),
+    ("table fan 1", 2,
+     "fanqec table: error: the following arguments are required: to"),
+    ("poly s 4 5", 2,
+     "fanqec: error: unrecognized arguments: 5"),
+    ("verify --grid 512", 2,
+     "fanqec: error: unrecognized arguments: --grid 512"),
+    ("qec fan -- 5 --format json", 2,
+     "fanqec: error: unrecognized arguments: --format json"),
+    ("qec fan 5 -x", 2,
+     "fanqec: error: unrecognized arguments: -x"),
+    ("qec fan 5 --tol", 2,
+     "fanqec qec: error: argument --tol: expected one argument"),
+    ("qec fan 5 --tol -1e-9", 2,
+     "fanqec qec: error: argument --tol: expected one argument"),
+    ("qec fan -1e5", 2,
+     "fanqec qec: error: the following arguments are required: value"),
+    ("poly u x", 2,
+     "fanqec poly: error: argument n: invalid int value: 'x'"),
+    ("poly u 2.5", 2,
+     "fanqec poly: error: argument n: invalid int value: '2.5'"),
+    ("poly u 1 --format xml", 2,
+     "fanqec poly: error: argument --format: invalid choice: 'xml' (choose from 'plain', 'csv', 'json')"),
+    ("verify --format=", 2,
+     "fanqec verify: error: argument --format: invalid choice: '' (choose from 'plain', 'csv', 'json')"),
+    ("poly nope 3", 2,
+     "fanqec poly: error: argument family: invalid choice: 'nope' (choose from 'phi', 's', 't', 'u', 'ucomp', 'ue', 'uecomp', 'uo', 'uocomp', 'v', 'w')"),
+    ("qec fan 5 --method fast", 2,
+     "fanqec qec: error: argument --method: invalid choice: 'fast' (choose from 'auto', 'closed', 'numeric', 'root')"),
+    ("poly --=3 s 4", 2,
+     "fanqec poly: error: ambiguous option: --=3 could match --help, --format"),
+    ("qec fan 5 --tol 0", 2,
+     "fanqec qec: error: argument --tol: must be a positive finite number, got '0'"),
+    ("qec fan 5 --tol nan", 2,
+     "fanqec qec: error: argument --tol: must be a positive finite number, got 'nan'"),
+    ("qec fan 5 --tol inf", 2,
+     "fanqec qec: error: argument --tol: must be a positive finite number, got 'inf'"),
+    ("qec fan 5 --tol -1", 2,
+     "fanqec qec: error: argument --tol: must be a positive finite number, got '-1'"),
+    ("qec fan 5 --tol x", 2,
+     "fanqec qec: error: argument --tol: not a number: 'x'"),
+    ("verify --max-n -1", 2,
+     "max_n must be >= 0"),
+    ("qec fan -2.5", 2,
+     "fan size must be an integer, got '-2.5'"),
+    ("table fan -1 2", 2,
+     "need 1 <= from <= to, got -1..2"),
+]
+
+
+@pytest.mark.parametrize("command, code, expected", _ARGV,
+                         ids=[c[0] or "<none>" for c in _ARGV])
+def test_recorded_argv_behaviour(capsys, command, code, expected):
+    got, out, err = run(capsys, *shlex.split(command))
+    assert got == code
+    assert "Traceback" not in err
+    if code == 0:
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+        return
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[-1] == expected
+    if ": error: " in expected:  # a bad command line, not a library error
+        assert lines[0].startswith("usage: fanqec")
+
+
+_FORMAT_HELP = ["--format", "plain", "csv", "json", "output format (default plain)"]
+_TOL_HELP = ["--tol", "bisection tolerance, > 0 (default 1e-12)"]
+
+# What each help page names: every command at the root, and every positional
+# (by name, or by its choices), option, choice and help string of a command.
+_HELP = {
+    (): ["poly", "verify", "qec", "table",
+         "Chebyshev-type polynomial identities and quadratic embedding "
+         "constants of fan graphs.",
+         "print a family member's coefficients",
+         "run the exact identity battery and root-structure checks",
+         "compute one quadratic embedding constant",
+         "tabulate fan constants over a range"],
+    ("poly",): ["phi", "s", "t", "u", "ucomp", "ue", "uecomp", "uo", "uocomp",
+                "v", "w", "n", *_FORMAT_HELP],
+    ("verify",): ["--max-n", "--roots-max-n",
+                  "cap for the root-structure report (default min(max-n, 60))",
+                  *_FORMAT_HELP],
+    ("qec",): ["fan", "graph", "value", "fan size or edge-list file path",
+               "--method", "auto", "closed", "numeric", "root",
+               *_TOL_HELP, *_FORMAT_HELP],
+    ("table",): ["fan", "from", "to", *_TOL_HELP, *_FORMAT_HELP],
+}
+
+
+@pytest.mark.parametrize("spelling", ["-h", "--help", "--he"])
+@pytest.mark.parametrize("command", _HELP, ids=lambda c: " ".join(c) or "root")
+def test_help_names_everything(capsys, command, spelling):
+    code, out, err = run(capsys, *command, spelling)
+    assert code == 0
+    assert err == ""
+    text = " ".join(out.split())  # help text may be wrapped anywhere
+    for name in _HELP[command]:
+        assert name in text
+
+
 class TestEntry:
     """The console-script target `entry`, in a fresh interpreter."""
 

@@ -76,10 +76,13 @@ class TestEdgeList:
         with pytest.raises(ParseError):
             from_edge_list("a b\n")
 
-    # int() reads each of these as a number: "1_0" as 10, Arabic-Indic
-    # and fullwidth digits as 3, 0 and 0.
+    # int() reads each of the first three as a number: "1_0" as 10,
+    # Arabic-Indic and fullwidth digits as 3, 0 and 0.  A line is split on
+    # whitespace, so no label is empty; "-" is the empty label once its sign
+    # is stripped.
     @pytest.mark.parametrize("text", ["0 1_0\n", "\u0663 \u0660\n", "\uff10 1\n",
-                                      "+0 1\n", "0 --1\n"])
+                                      "+0 1\n", "0 --1\n", "--1 0\n", "- 1\n",
+                                      "0 -\n", "1- 0\n", "0 1-\n"])
     def test_only_ascii_decimal_labels(self, text):
         with pytest.raises(ParseError, match="non-integer vertex label"):
             from_edge_list(text)
