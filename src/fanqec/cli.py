@@ -11,10 +11,12 @@ at the root or after any command, prints help to stdout.
 Floats are printed with repr (shortest round-trip form), so parsing CSV or
 JSON output reproduces the in-memory values bit-exactly.  Data goes to
 stdout, diagnostics to stderr.  Exit codes: 0 success or help, 1
-verification failure, 2 bad arguments, 3 disconnected input graph.  A bad
-command line prints nothing to stdout, and a usage line and `fanqec <cmd>:
-error: argument <name>: <message>` to stderr.  `main` maps the library's
-exceptions onto the codes in one place and never prints a traceback.
+verification failure, 2 bad arguments, 3 disconnected input graph, 141
+(128 + SIGPIPE) stdout closed before all output was written, with nothing
+on stderr.  A bad command line prints nothing to stdout, and a usage line
+and `fanqec <cmd>: error: argument <name>: <message>` to stderr.  `main`
+maps the library's exceptions onto the codes in one place and never prints
+a traceback.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import sys
 from itertools import chain
 from types import SimpleNamespace
@@ -427,6 +430,20 @@ def _help(name: str | None) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (`| head`).  Point it at the null device,
+        # so that the interpreter's last flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         name, args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _BadCommandLine as exc:

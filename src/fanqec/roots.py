@@ -87,10 +87,6 @@ class ZeroCert:
     simple: bool
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
     def is_exact(self) -> bool:
         return self.lo == self.hi
 

@@ -137,36 +137,33 @@ _FRESH_SEEDS = {
 }
 
 
-def _held(store) -> int:
-    return sum(len(chain.held) for chains in store._chains.values()
-               for chain in chains)
+_BASE_BUILDERS = {"u": cheb_u, "t": cheb_t, "v": cheb_v, "w": cheb_w}
 
 
 class TestFamilyStore:
-    @pytest.fixture
-    def store(self):
-        return chebyshev._ChainStore()
-
     @pytest.mark.parametrize("family", sorted(_FRESH_SEEDS))
-    def test_any_read_order_equals_a_fresh_recurrence(self, store, family):
-        ref = _fresh_family(*_FRESH_SEEDS[family], 160)
-        interleaved = [k for n in range(2, 81) for k in (n // 2, n, 2 * n)]
-        # Six regions, more than a family's chains, so early ones are evicted
-        # and read again.
-        evicting = [k for _ in range(2) for start in (10, 40, 70, 100, 130, 155)
-                    for k in range(start, start + 3)]
-        for order in (range(160, -1, -1), interleaved, evicting):
+    def test_any_read_order_equals_a_fresh_recurrence(self, family):
+        builder, top = _BASE_BUILDERS[family], 400
+        ref = _fresh_family(*_FRESH_SEEDS[family], top)
+        interleaved = [k for n in range(top // 2 + 1) for k in (n // 2, n, 2 * n)]
+        shuffled = random.Random(11).sample(range(top + 1), top + 1)
+        for order in (range(top + 1), range(top, -1, -1), interleaved, shuffled):
+            builder.cache_clear()
             for k in order:
-                assert store.member(family, k) == ref[k], (family, k)
-            assert len(store._chains[family]) <= chebyshev._CHAINS
-        assert _held(store) <= chebyshev._CHAINS * chebyshev._CHAIN_KEEP
+                assert builder(k) == ref[k], (family, k)
 
     def test_public_builders_in_descending_order(self):
-        for family, builder in (("u", cheb_u), ("t", cheb_t), ("v", cheb_v),
-                                ("w", cheb_w)):
+        # Down to the first index, where U keeps U_{-1} = 0 and U_{-2} = -1,
+        # and one below it, which is refused.
+        for family, builder in _BASE_BUILDERS.items():
             ref = _fresh_family(*_FRESH_SEEDS[family], 90)
-            for k in range(90, -1, -1):
-                assert builder(k) == ref[k], (family, k)
+            if family == "u":
+                ref = [Poly((-1,)), Poly(())] + ref
+            first = 90 - len(ref) + 1
+            for k in range(90, first - 1, -1):
+                assert builder(k) == ref[k - first], (family, k)
+            with pytest.raises(ValueError):
+                builder(first - 1)
 
     def test_concurrent_readers_agree(self):
         ref = _fresh_family(*_FRESH_SEEDS["u"], 120)
@@ -195,11 +192,13 @@ class TestFamilyStore:
         assert not wrong, wrong[:5]
 
     def test_battery_holds_a_bounded_number_of_members(self):
-        # The bound is fixed by the module constants, not by max_n: the
-        # battery reads U_k up to 2 * max_n + 1.
-        assert identity_suite(300).ok
-        assert _held(chebyshev._FAMILY_STORE) <= (
-            len(chebyshev._SEEDS) * chebyshev._CHAINS * chebyshev._CHAIN_KEEP)
+        # The bound is the cache size, not max_n: the battery reads U_k up
+        # to 2 * max_n + 1.
+        assert identity_suite(600).ok
+        for builder in _BASE_BUILDERS.values():
+            info = builder.cache_info()
+            assert info.maxsize == chebyshev._KEEP
+            assert info.currsize <= chebyshev._KEEP
 
     def test_derived_members_follow_a_builder_swap(self, monkeypatch):
         # No derived member outlives the builders it was made from.
@@ -686,6 +685,28 @@ class TestModularBattery:
         report = identity_suite(40)
         assert len(report.failures) == failing
         assert _digest(report) == digest
+
+    # One wrong coefficient in member 7 of the first, third or fourth kind
+    # fails its tie, and the one cross-kind identity that reads it.
+    @pytest.mark.parametrize("family, failing", [
+        ("t", ("odd-part-is-doubled-first-kind", 13)),
+        ("v", ("odd-part-is-third-kind", 14)),
+        ("w", ("even-part-is-fourth-kind", 14)),
+    ])
+    def test_corrupted_other_kind_is_caught(self, monkeypatch, family, failing):
+        real = getattr(chebyshev, f"cheb_{family}")
+
+        def corrupted(n):
+            p = real(n)
+            if n == 7:
+                return Poly((p.coeffs[0] + 1,) + p.coeffs[1:])
+            return p
+
+        monkeypatch.setattr(chebyshev, f"cheb_{family}", corrupted)
+        report = identity_suite(40)
+        assert [(c.identity, c.n) for c in report.failures] == [failing]
+        lhs, rhs = report.failures[0].lhs, report.failures[0].rhs
+        assert lhs[0] != rhs[0] and lhs[1:] == rhs[1:]
 
     def test_corrupted_split_factors_match_poly_battery(self, monkeypatch):
         # The two corruptions of TestIdentitySuite, compared in full.

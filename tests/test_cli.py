@@ -105,6 +105,38 @@ def test_golden_stdout_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN[command]
 
 
+# SHA-256 of the stdout of `poly <family> <n> --format <f>` for every valid n
+# in _POLY_INDICES and f in plain, csv, json, concatenated in that order.
+# Recorded at commit 43098b0, where U, T, V and W were walked up their
+# recurrences.
+_POLY_INDICES = (-2, -1, 0, 1, 2, 7, 60, 301, 1000)
+_POLY_GOLDEN = {
+    "phi": "070ec6691d3e31434e972e00719bf1d7a64fbef00cd3ee9f44ca159c8be08d0a",
+    "s": "ed4f7525572b9469bcf46623d29c9c24ce84053924cfbd61853e2a5d7c6de391",
+    "t": "c4ec99940eb9691b5d8d2ef5df42deff488c0fbaea00c8feff90124e41646ad0",
+    "u": "c6630587fb33279ab539c6185a832a5a3902189abb21022e99e2e8a135de767b",
+    "ucomp": "4b22060b4f4d6eb26aaf28c853730110ffe25274fcfa23da6446664857d684a2",
+    "ue": "420c9b77a9fe981b30602fbabbdc976fb1e8986ea1860fc22f1fa0974fcdb7b1",
+    "uecomp": "c13dbedd75caa84a88e1e4edcd10b4b08f23425ea0d379fea8d0995648d985fc",
+    "uo": "7669ebb16ff80ce8dc4680b940226a141ccacecf24884d10c8cb513e5861d233",
+    "uocomp": "abccef8572763c57db0efd87ce68cac60c3372af0415c8826fbf047cfe817c14",
+    "v": "a5417a1b02f2b3a85d26dba956539737cb70e1e0cc8a4cdf7329914eef5c6165",
+    "w": "1f2cd395c3019378302fd6c5c938482bfbf7d8cab1ecafe1e7ed9fed61867a92",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_POLY_GOLDEN))
+def test_poly_bytes_of_every_family(capsys, family):
+    first = -2 if family in ("u", "ucomp") else 0
+    digest = hashlib.sha256()
+    for n in _POLY_INDICES[_POLY_INDICES.index(first):]:
+        for fmt in ("plain", "csv", "json"):
+            code, out, _ = run(capsys, "poly", family, str(n), "--format", fmt)
+            assert code == 0, (n, fmt)
+            digest.update(out.encode())
+    assert digest.hexdigest() == _POLY_GOLDEN[family]
+
+
 # Exit code, then the SHA-256 of stdout on exit 0 or else the last line of
 # stderr, recorded at commit 0bf1374 under the argparse front end: spellings,
 # option positions, negative values, and one bad command line per error kind.
@@ -260,13 +292,29 @@ class TestEntry:
     """The console-script target `entry`, in a fresh interpreter."""
 
     @staticmethod
-    def entry(*argv):
+    def command(*argv):
+        """The interpreter command line and environment that run entry()."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         script = ("import sys; from fanqec.cli import entry; "
                   f"sys.argv = ['fanqec', *{list(argv)!r}]; entry()")
-        return subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        return [sys.executable, "-c", script], dict(os.environ, PYTHONPATH=path)
+
+    def entry(self, *argv):
+        command, env = self.command(*argv)
+        return subprocess.run(command, capture_output=True, env=env, timeout=120)
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # About 1.4 MB of CSV, far more than a pipe holds, so the command is
+        # still writing when the reader goes away.
+        command, env = self.command("poly", "u", "3000", "--format", "csv")
+        with subprocess.Popen(command, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(10) == b"family,n,c"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
 
     def test_readme_example(self):
         expected = next(p.values[1] for p in doc_examples()

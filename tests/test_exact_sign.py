@@ -327,7 +327,9 @@ def test_odd_route_builds_no_coefficients(monkeypatch):
     def no_coefficients(*args):
         raise AssertionError("coefficient vector built on the odd route")
 
-    monkeypatch.setattr(chebyshev._FAMILY_STORE, "member", no_coefficients)
+    for builder in ("cheb_u", "cheb_t", "cheb_v", "cheb_w", "_alternating",
+                    "_third_fourth"):
+        monkeypatch.setattr(chebyshev, builder, no_coefficients)
     for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__",
                "__rsub__"):
         monkeypatch.setattr(Poly, op, no_coefficients)
