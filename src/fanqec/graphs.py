@@ -2,14 +2,16 @@
 
 Vertices are labelled 0..n-1.  The fan on n+1 vertices puts the hub at 0 and
 the path on 1..n, which matches the block layout of its distance matrix
-(hub row/column first).  Path eigenpairs are the classical sine vectors with
-eigenvalues 2cos(k*pi/(n+1)).
+(hub row/column first).  Distance matrices come from one level-synchronous
+breadth-first search that runs every source at once, in numpy, over an
+adjacency in compressed sparse row form.  Path eigenpairs are the classical
+sine vectors with eigenvalues 2cos(k*pi/(n+1)).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +48,6 @@ class Graph:
             normalized.add((min(u, v), max(u, v)))
         return cls(n_vertices, frozenset(normalized))
 
-    def neighbor_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
 
 def single() -> Graph:
     return Graph(1, frozenset())
@@ -62,17 +57,18 @@ def path(n: int) -> Graph:
     """Path on n >= 1 vertices, edges {i, i+1}."""
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Graph join: disjoint union plus every edge between the two parts."""
     off = g1.n_vertices
+    # Every edge below already has u < v, so Graph checks it once as it is.
     edges = set(g1.edges)
     edges.update((u + off, v + off) for u, v in g2.edges)
     edges.update((u, v + off) for u in range(g1.n_vertices)
                  for v in range(g2.n_vertices))
-    return Graph.from_edges(off + g2.n_vertices, edges)
+    return Graph(off + g2.n_vertices, frozenset(edges))
 
 
 def fan(n: int) -> Graph:
@@ -117,28 +113,66 @@ def from_edge_list(text: str) -> Graph:
     return Graph.from_edges(len(labels), edges)
 
 
+# Sources per block of the breadth-first search are chosen so that a block
+# expands at most about this many (source, vertex) pairs over all its levels.
+# It bounds the search's working set: without blocks, a dense graph of
+# diameter 2 would expand n * 2E pairs at once.
+_PAIRS_PER_BLOCK = 1 << 22
+
+
+def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compressed sparse rows: degrees, offset of each vertex's first
+    neighbour, and every neighbour list laid end to end."""
+    adj: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = np.fromiter(map(len, adj), dtype=np.int64, count=g.n_vertices)
+    nbr = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int64,
+                      count=2 * len(g.edges))
+    return deg, np.cumsum(deg) - deg, nbr
+
+
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs shortest-path lengths by BFS from every vertex.
+
+    The search runs a block of sources at once: its frontier is the set of
+    (source, vertex) pairs first reached at the current level, stored as
+    flat indices source * n + vertex into the result.
 
     Raises Disconnected if any pair is unreachable.
     """
     n = g.n_vertices
-    adj = g.neighbor_lists()
-    d = np.empty((n, n), dtype=np.int64)
-    for src in range(n):
-        # A plain list per source: numpy scalar indexing is 5x slower here.
-        dist = [-1] * n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if -1 in dist:
-            raise Disconnected(f"vertex {src} cannot reach every vertex")
-        d[src] = dist
+    deg, first, nbr = _adjacency(g)
+    d = np.full((n, n), -1, dtype=np.int64)
+    flat = d.reshape(-1)  # a view: writing it fills d
+    flat[::n + 1] = 0
+    block = max(1, _PAIRS_PER_BLOCK // max(1, len(nbr)))
+    for lo in range(0, n, block):
+        src = np.arange(lo, min(lo + block, n), dtype=np.int64)
+        key = src * (n + 1)
+        unreached = len(src) * (n - 1)
+        level = 0
+        while unreached:
+            if not len(key):
+                # Reachability is symmetric, so vertex 0 misses a vertex too.
+                raise Disconnected("vertex 0 cannot reach every vertex")
+            level += 1
+            cur = key % n
+            k = deg[cur]
+            ends = np.cumsum(k)
+            # Neighbour j of frontier entry i sits at nbr[first[cur[i]] + j];
+            # entry i's neighbours start at position ends[i] - k[i] here.
+            at = np.arange(ends[-1]) + np.repeat(first[cur] - ends + k, k)
+            key = np.repeat(key - cur, k) + nbr[at]
+            key = key[flat[key] < 0]
+            # Keep one entry per pair: each writes its position as a stamp,
+            # and the entry whose stamp survives is the one kept.
+            stamp = -2 - np.arange(len(key))
+            flat[key] = stamp
+            key = key[flat[key] == stamp]
+            flat[key] = level
+            unreached -= len(key)
     return d
 
 

@@ -63,9 +63,13 @@ def helmert_basis(m: int) -> np.ndarray:
     return q
 
 
-# Largest graph the numeric oracle accepts.  Its n x n float matrices
-# (distances, Helmert basis, the products) take about 40 n^2 bytes, 170 MB
-# here.
+# Largest graph the numeric oracle accepts.  At this size `qec fan 2047
+# --method numeric` peaks at about 262 MiB VmHWM, 234 MiB above the import
+# baseline (x86-64 Linux, numpy 2.4.6).  That is n x n arrays of 32 MiB each,
+# not all alive at once: the distance matrix d and its float copy, the
+# Helmert basis q, the two products, and eigh's eigenvectors and workspace.
+# The BFS behind d runs its sources in blocks, so its working set (at most
+# about 100 MiB besides d) stays below that peak.
 MAX_ORACLE_VERTICES = 2048
 
 

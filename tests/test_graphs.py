@@ -2,10 +2,12 @@
 
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 
+from fanqec import graphs
 from fanqec.graphs import (
     Disconnected,
     Graph,
@@ -32,6 +34,69 @@ def path_adjacency(n: int) -> np.ndarray:
 
 def complete(n: int) -> Graph:
     return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def star(n: int) -> Graph:
+    return Graph.from_edges(n, ((0, i) for i in range(1, n)))
+
+
+def complete_minus_matching(n: int) -> Graph:
+    """K_n for even n without the edges {2i, 2i+1}: diameter 2, dense."""
+    return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)
+                                if not (i % 2 == 0 and j == i + 1)))
+
+
+def random_connected(rng: random.Random, n: int) -> Graph:
+    """Random spanning tree on shuffled labels plus up to n random chords."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = {(labels[i], labels[rng.randrange(i)]) for i in range(1, n)}
+    for _ in range(rng.randrange(n + 1)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def reference_distances(g: Graph) -> list[list[int]]:
+    """Plain queue BFS from each source in turn; -1 marks an unreached vertex."""
+    adj = [[] for _ in range(g.n_vertices)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    rows = []
+    for src in range(g.n_vertices):
+        dist = [-1] * g.n_vertices
+        dist[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        rows.append(dist)
+    return rows
+
+
+def reference_graphs() -> list[Graph]:
+    rng = random.Random(20261019)
+    return ([random_connected(rng, rng.randint(1, 150)) for _ in range(40)]
+            + [complete(n) for n in (1, 2, 3, 17)]
+            + [star(n) for n in (2, 3, 40)]
+            + [path(n) for n in (1, 2, 3, 7, 64)]
+            + [fan(n) for n in (1, 2, 5, 90)]
+            + [complete_minus_matching(40)])
+
+
+DISCONNECTED = [
+    Graph(2, frozenset()),
+    Graph.from_edges(4, [(0, 1), (2, 3)]),
+    # A component without vertex 0, and vertex 0 alone.
+    Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+    Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)]),
+    Graph.from_edges(6, [(0, 5), (1, 2), (2, 3), (3, 4)]),
+]
 
 
 class TestConstruction:
@@ -118,10 +183,33 @@ class TestDistanceMatrix:
         off = d[~np.eye(d.shape[0], dtype=bool)]
         assert set(off.tolist()) == {1, 2}
 
+    def test_single_vertex(self):
+        d = distance_matrix(single())
+        assert d.dtype == np.int64 and d.tolist() == [[0]]
+
+    @pytest.mark.parametrize("g", reference_graphs(),
+                             ids=lambda g: f"n{g.n_vertices}-e{len(g.edges)}")
+    def test_matches_per_source_reference(self, g):
+        d = distance_matrix(g)
+        assert d.dtype == np.int64
+        assert d.shape == (g.n_vertices, g.n_vertices)
+        assert d.tolist() == reference_distances(g)
+
     def test_disconnected(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(Disconnected):
-            distance_matrix(g)
+        for g in DISCONNECTED:
+            assert any(-1 in row for row in reference_distances(g))
+            with pytest.raises(Disconnected) as info:
+                distance_matrix(g)
+            assert str(info.value) == "vertex 0 cannot reach every vertex"
+
+    @pytest.mark.parametrize("pairs", [1, 7, 64])
+    def test_small_blocks_give_the_same_matrix(self, monkeypatch, pairs):
+        monkeypatch.setattr(graphs, "_PAIRS_PER_BLOCK", pairs)
+        for g in reference_graphs():
+            assert distance_matrix(g).tolist() == reference_distances(g)
+        for g in DISCONNECTED:
+            with pytest.raises(Disconnected, match="^vertex 0 cannot reach every vertex$"):
+                distance_matrix(g)
 
     @pytest.mark.parametrize("n", range(1, 51))
     def test_fan_block_form(self, n):
