@@ -400,12 +400,12 @@ def _enclosed_signs(n: int, p: int, q: int, bits: int) -> tuple[int, int, int] |
 # The exact pair at a point p/q has about m (bit length of q - 1) bits; above
 # _ENCLOSE_ABOVE of them split_signs tries enclosures first, from
 # _ENCLOSE_BITS fractional bits up.  Measured for one query on a 2-core VM
-# (Python 3.11), 128-bit enclosure against the exact path: 58 us against
-# 12 us at n = 41 and q = 2^20 (a 400-bit pair), 88 against 151 us at
-# n = 401 and q = 2^53 (10.6 kbit), 106 against 1251 us at n = 1611
-# (42.7 kbit).  verify --max-n 50 --roots-max-n 400 took 5.2 s with a
-# 2048-bit crossover, which sent 64k of its queries to the enclosure, and
-# 2.7 s with 16384, which sends none, as fast as the exact path alone.
+# (Python 3.11.7), 128-bit enclosure against the exact path: 31 against
+# 6 us at n = 41 and q = 2^20 (a 380-bit pair), 43 against 73 us at n = 401
+# and q = 2^53 (10.4 kbit), 48 against 161 us at n = 619 (16.4 kbit) and 48
+# against 617 us at n = 1611 (42.7 kbit).  The break-even lies between 0.4
+# and 10 kbit; below the crossover a query costs at most about 0.16 ms on
+# the exact path, the only one that can return a sign 0.
 _ENCLOSE_ABOVE = 16384
 _ENCLOSE_BITS = 128
 
@@ -478,18 +478,6 @@ class EvenPartSign(_SplitSign):
     _part = 1
 
 
-def s_degree(n: int) -> int:
-    """Degree of s_poly(n) read off its factors, without coefficients.
-
-    S_n = head U_m - tail U_{m-1}: the first product has degree
-    deg(head) + m, with a nonzero leading coefficient, and the second at
-    most deg(tail) + m - 1, which is lower because deg(tail) <= deg(head).
-    """
-    _check_index(n)
-    m, head, _ = _s_factors(n)
-    return len(head) - 1 + m
-
-
 # -- floating-point evaluation in the angle variable -------------------------
 
 
@@ -554,8 +542,12 @@ class IdentityCheck:
 
 @dataclasses.dataclass
 class IdentityReport:
+    """Every check up to max_n; proven names, sorted, each identity proven
+    for every n on each parity class it is checked at."""
+
     max_n: int
     checked: list[IdentityCheck]
+    proven: tuple[str, ...]
 
     @property
     def failures(self) -> list[IdentityCheck]:

@@ -125,9 +125,11 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     elif roots_cap < 0:
         return _fail("roots_max_n must be >= 0", 2)
     report = identity_suite(args.max_n)
+    unproven = [name for name in roots.LOCALIZATION_IDENTITIES
+                if name not in report.proven]
     roots_failures = roots.root_report(roots_cap).failures
     inequality_ok = roots.check_elementary_inequality(_INEQUALITY_GRID)
-    ok = report.ok and not roots_failures and inequality_ok
+    ok = report.ok and not unproven and not roots_failures and inequality_ok
 
     _emit(args.format,
           lambda: {
@@ -135,6 +137,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
               "identity_checks": len(report.checked),
               "roots_max_n": roots_cap,
               "roots_failures": roots_failures,
+              "localization_unproven": unproven,
               "elementary_inequality": inequality_ok,
               "ok": ok,
           },
@@ -142,15 +145,19 @@ def _cmd_verify(args: SimpleNamespace) -> int:
           lambda: chain(
               (["identity", c.identity, c.n, c.passed] for c in report.checked),
               (["roots", msg, "", False] for msg in roots_failures),
-              [["inequality", "elementary-inequality", _INEQUALITY_GRID,
+              [["localization", "zero-localization-of-s", "", not unproven],
+               ["inequality", "elementary-inequality", _INEQUALITY_GRID,
                 inequality_ok]]),
           lambda: chain(
               [f"identities: {len(report.checked)} checks up to n={args.max_n}, "
                f"{len(report.failures)} failures"],
               (f"  FAIL {c.identity} at n={c.n}" for c in report.failures),
-              [f"zero structure and orderings up to n={roots_cap}: "
+              [f"minimal-zero orderings up to n={roots_cap}: "
                f"{len(roots_failures)} failures"],
               (f"  FAIL {msg}" for msg in roots_failures),
+              [f"zero localization of S_n: "
+               f"{'not proven' if unproven else 'proven'} for every n"],
+              (f"  FAIL {name} not proven for every n" for name in unproven),
               [f"elementary inequality on {_INEQUALITY_GRID} intervals: "
                f"{'ok' if inequality_ok else 'FAIL'}",
                "OK" if ok else "FAILED"]))
@@ -302,7 +309,7 @@ _COMMANDS = {
         _cmd_verify, "run the exact identity battery and root-structure checks",
         (),
         (_Arg("--max-n", int, default=50),
-         _Arg("--roots-max-n", int, help="cap for the root-structure report "
+         _Arg("--roots-max-n", int, help="cap for the minimal-zero orderings "
                                          "(default min(max-n, 60))"),
          _FORMAT)),
     "qec": _Command(

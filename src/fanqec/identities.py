@@ -1,6 +1,6 @@
 """The exact identity battery over the Chebyshev-type families.
 
-``identity_suite`` checks 27 identities at every index n up to a bound,
+``identity_suite`` checks 29 identities at every index n up to a bound,
 each coefficient-exactly over the integers.  Each identity is written once,
 as lhs and rhs over a family accessor, and runs on two backends: the stored
 Poly objects, and order bounds (``_Orders``) on an index object that stands
@@ -117,6 +117,12 @@ _IDENTITIES: tuple[tuple[str, int | None, Callable], ...] = (
     ("odd-part-is-third-kind", 0, lambda f, n: (f.po(n), f.v(n // 2))),
     ("phi-factorization", None, lambda f, n: (
         f.phi(n), (f.x - 1) * f.pe(n) * f.s(n))),
+    # S_n from its split factors, with 2(1 + x)^2 for odd n and 1 + x for
+    # even n: the zero localization in fanqec.roots rests on these two.
+    ("s-odd-index-from-split-factors", 1, lambda f, n: (
+        f.s(n), f.poly((n, n + 2)) * f.po(n) - f.poly((2, 4, 2)) * f.pe(n))),
+    ("s-even-index-from-split-factors", 0, lambda f, n: (
+        f.s(n), f.poly((n, n + 2)) * f.po(n) - f.poly((1, 1)) * f.pe(n))),
     ("even-part-even-index-recurrence", None, lambda f, k: (
         f.pe(2 * k + 4), 2 * f.x * f.pe(2 * k + 2) - f.pe(2 * k))),
     ("odd-part-even-index-recurrence", None, lambda f, k: (
@@ -342,7 +348,9 @@ def identity_suite(max_n: int) -> IdentityReport:
     with a bound (_order) whose base checks pass on the stored Poly objects,
     and only after _stored_pass has tied those objects to their
     definitions; everything else, and every failure, is decided on Poly.
-    Base checks above max_n are not reported.
+    Base checks above max_n are not reported, but they run whatever max_n
+    is, so the report's proven identities are the same at every max_n for
+    a sound build.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -356,12 +364,15 @@ def identity_suite(max_n: int) -> IdentityReport:
         for family, k in class_reads:
             reads[family] = max(reads.get(family, k.b), k.b, k.a * j + k.b)
     ties_hold, checked = _stored_pass(max_n, reads)
+    unproven = set()
     for name, r, fn, (order, _) in plan:
         indices = range(r, max_n + 1, 2)
         if ties_hold and order and all(_cmp(name, n, *fn(_STORED, n)).passed
                                        for n in range(r, r + 2 * order, 2)):
             checked.extend(IdentityCheck(name, n, True) for n in indices)
         else:
+            unproven.add(name)
             checked.extend(_cmp(name, n, *fn(_STORED, n)) for n in indices)
     checked.sort(key=lambda c: (c.identity, c.n))
-    return IdentityReport(max_n, checked)
+    proven = tuple(sorted({name for name, *_ in plan} - unproven))
+    return IdentityReport(max_n, checked, proven)

@@ -1,26 +1,42 @@
 """Certified minimal-zero extraction with exact sign arithmetic.
 
-The companion polynomials S_n have one zero at x = 1 and one simple zero in
-each open interval of a cosine grid; the even-zero factors of U_n have
-closed-form minimal zeros.  This module turns those statements into
-certificates: every bracket endpoint is a rational whose sign is verified by
-exact integer arithmetic, and bisection narrows brackets by exact-sign
-midpoint queries.  Floating point is used only to propose endpoints, never
-to accept them.
+Every bracket here rests on one theorem, the zero localization of S_n:
+with c = deg partial_o(n) (m + 1 for n = 2m + 1, m for n = 2m) and the
+grid g_j = cos(j pi/(n+1)), each gap (g_{j+2}, g_j), j = 1, 3, ..., 2c - 1,
+with g_{2c+1} read as -1, holds exactly one zero of S_n, a simple one, and
+S_n has no other zero but x = 1.  The identity battery proves it for every
+n at once, from the identities named in LOCALIZATION_IDENTITIES:
 
-The signs come from q^k U_k(p/q) by index doubling (``CompanionSign``,
-``EvenPartSign`` and ``split_signs``), on integer enclosures first and on
-the exact pair where those hold 0, not from coefficient vectors, so no S_n
-or U_k coefficients are built here and memory stays linear in the bit size
-of one value.  Every helper only calls ``sign_at``, so a ``Poly`` works
-in their place.
+    S_n = (n + (n+2) x) partial_o(n) - h(x) (1 + x) partial_e(n),
 
-``zero_structure`` proves the zero localization of S_n by counting exact
-sign changes at rationals around the cosine grid points; ``zeros_of_s``
-narrows its brackets, and ``root_report`` runs it up to a cap and decides
-the orderings of the minimal zeros by exact signs at one proposed
-separator each.  ``gamma`` keeps a bracket built from the theorem's grid
-points, a few sign queries where the whole structure costs about 2n.
+h = 2(1 + x) for odd n and 1 for even n, and partial_e(n), partial_o(n) =
+U_m, 2 T_{m+1} for n = 2m + 1 and W_m, V_m for n = 2m.  The zeros of these
+are simple and lie on the grid, at odd j <= 2c - 1 for partial_o and at
+even j, 2 <= j <= 2m, for partial_e (Mason and Handscomb, Chebyshev
+Polynomials, 2003, section 2.2), so the two strictly interlace.  Then:
+
+* at each zero g_j of partial_o, S_n(g_j) = -h (1 + g_j) partial_e(g_j)
+  with h (1 + g_j) > 0, so sign S_n(g_j) = -sign partial_e(g_j), which is
+  (-1)^((j+1)/2): partial_e has a positive leading coefficient and (j-1)/2
+  zeros above g_j;
+* so S_n changes sign across each of the c - 1 gaps between consecutive
+  zeros of partial_o, exactly one zero of partial_e lying between them;
+* S_n(-1) = -2 partial_o(-1), of sign (-1)^(c+1), opposite to its sign at
+  the lowest zero g_{2c-1}: a sign change in (-1, g_{2c-1}) as well;
+* S_n(1) = 2(n+1) partial_o(1) - 2 h(1) partial_e(1) = 0, with
+  partial_o(1), partial_e(1) = 2, m + 1 for odd n and 1, 2m + 1 for even
+  n; and the right-hand side has degree c + 1, with leading coefficient
+  (n+1) 2^(m+1) for odd n and (n+1) 2^m for even n.  So the c sign changes
+  and x = 1 are all deg S_n zeros, each simple.
+
+``_grid_brackets`` builds every bracket (``gamma``'s, ``beta``'s, one per
+gap for ``zeros_of_s``, and those ``root_report`` compares the minimal
+zeros in) from rationals next to grid points whose exact signs it
+verifies, and bisection narrows brackets by exact-sign midpoints.  A float
+only proposes a point, never accepts one.  The signs come from
+``CompanionSign`` and ``EvenPartSign`` (``chebyshev.split_signs``), which
+build no coefficient vector; every helper only calls ``sign_at``, so a
+``Poly`` works in their place.
 """
 
 from __future__ import annotations
@@ -30,12 +46,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol
 
-from .chebyshev import (
-    CompanionSign,
-    EvenPartSign,
-    s_degree,
-    s_value,
-    split_signs,
+from .chebyshev import CompanionSign, EvenPartSign, s_value
+
+# The identities of the battery that the zero localization rests on (see
+# above); verify holds it proven only when all are proven for every n.
+LOCALIZATION_IDENTITIES = (
+    "s-odd-index-from-split-factors", "s-even-index-from-split-factors",
+    "even-part-is-second-kind", "odd-part-is-doubled-first-kind",
+    "even-part-is-fourth-kind", "odd-part-is-third-kind",
 )
 
 _NUDGE_START = Fraction(1, 2 ** 52)
@@ -182,15 +200,66 @@ def _float_refined(p: ExactSign, feval, bracket: Bracket, tol: float) -> Bracket
     return Bracket(new_lo, new_hi, bracket.sign_lo, bracket.sign_hi)
 
 
+def _grid_point(j: int, den: int) -> float:
+    """cos(j*pi/den) on the zero grid of S_n."""
+    return math.cos(j * math.pi / den)
+
+
+def _grid_brackets(p: ExactSign, den: int, ends: tuple[tuple[int, int], ...],
+                   sign_lo: int) -> list[Bracket]:
+    """Brackets between consecutive verified points next to grid points.
+
+    ends gives (j, limit) for each point, in ascending order of the points:
+    the point is _verified_endpoint's, nudged from cos(j*pi/den) toward
+    cos(limit*pi/den) and never to it, with the exact sign sign_lo at the
+    first point and alternating from there.  j = den stands for -1, which
+    is tried exactly first.  Which zeros a bracket holds is the caller's
+    theorem; the signs only confirm which side of them each point lies on.
+    """
+    def at(j):
+        return Fraction(-1) if j == den else Fraction(_grid_point(j, den))
+
+    signs = [sign_lo * (-1) ** i for i in range(len(ends))]
+    points = [_verified_endpoint(p, at(j), at(limit), want, exact=j == den)
+              for (j, limit), want in zip(ends, signs)]
+    return [Bracket(lo, hi, want, -want)
+            for lo, hi, want in zip(points, points[1:], signs)]
+
+
+def _gamma_bracket(s: ExactSign, n: int) -> Bracket:
+    """The bracket gamma narrows, for odd n >= 3 and even n >= 4.
+
+    Below the zero S_n has the sign of S_n(-1), (-1)^(c+1), c = (n+1) // 2.
+    For odd n it is the lowest gap of the localization, (-1, cos(n pi/(n+1)));
+    for even n the part of it above the minimal even-factor zero, between
+    cos(n pi/(n+1)) nudged toward -1 and cos((n-1) pi/(n+1)).  Each
+    cosine end is nudged away from the zero inside, but never to the next
+    grid point, so no other zero joins it.
+    """
+    den = n + 1
+    ends = ((den, n), (n, n - 2)) if n % 2 else ((n, den), (n - 1, n - 3))
+    return _grid_brackets(s, den, ends, (-1) ** ((n + 3) // 2))[0]
+
+
+def _beta_bracket(e: ExactSign, n: int) -> Bracket:
+    """Bracket on the minimal zero cos(2m pi/(n+1)) of partial_e(n), n >= 2.
+
+    The factor has degree m, so its sign is (-1)^m below the zero; the ends
+    are nudged from the zero toward -1 and toward the grid point
+    cos((2m-1) pi/(n+1)), short of the next even-factor zero.  At n = 2 the
+    zero is -1/2 itself, and a nudge that lands on it is doubled past it.
+    """
+    m = n // 2
+    return _grid_brackets(e, n + 1, ((2 * m, n + 1), (2 * m, 2 * m - 1)),
+                          (-1) ** m)[0]
+
+
 def beta(n: int) -> float:
     """Minimal zero of the even-zero factor of U_n, n >= 2.
 
     Closed form cos(2m*pi/(2m+1)) for n = 2m and cos(2m*pi/(2m+2)) for
-    n = 2m+1, verified by an exact sign change (or exact evaluation when the
-    zero is rational).  The factor has degree m, so its sign is (-1)^m
-    below the zero.  _verified_endpoint nudges the closed form toward -1 and
-    toward the neighbouring grid point cos((2m-1)pi/(n+1)), so the sign
-    change it brackets is this zero's alone.
+    n = 2m+1, verified by an exact sign change across it (_beta_bracket),
+    or by exact evaluation where the zero is rational (n = 2, 3).
     """
     if n <= 1:
         raise ValueError(f"even-zero factor of index {n} is constant, no minimal zero")
@@ -203,18 +272,8 @@ def beta(n: int) -> float:
         if ue.sign_at(0) != 0:
             raise BadBracket("expected exact zero at 0")
         return 0.0
-    m = n // 2
-    den = n + 1  # 2m+1 for even n, 2m+2 for odd n
-    b = math.cos(2 * m * math.pi / den)
-    below = (-1) ** m
-    _verified_endpoint(ue, Fraction(b), Fraction(-1), below)
-    _verified_endpoint(ue, Fraction(b), Fraction(_grid_point(2 * m - 1, den)), -below)
-    return b
-
-
-def _grid_point(j: int, den: int) -> float:
-    """cos(j*pi/den) on the zero grid of S_n."""
-    return math.cos(j * math.pi / den)
+    _beta_bracket(ue, n)
+    return _grid_point(2 * (n // 2), n + 1)
 
 
 # Rational zeros that actually occur in the family (S_1, S_2, S_3); probing
@@ -239,14 +298,8 @@ def _zero_in(s: ExactSign, n: int, bracket: Bracket, tol: float) -> ZeroCert:
 def gamma(n: int, tol: float = 1e-12) -> ZeroCert:
     """Certified minimal zero of s_poly(n), n >= 1.
 
-    Indices 1 and 2 have the exact rational zero -1/2.  Otherwise the bracket
-    comes from the proven zero localization on the grid cos(j*pi/(n+1)):
-    for odd n the interval between -1 and the smallest grid point (j = n),
-    for even n the interval between the minimal even-factor zero (j = n)
-    and the grid point j = n - 1.  The endpoint -1 is exact and nudged
-    inward if its sign is wrong; cosine endpoints are nudged outward, so
-    the zero stays inside, but never to the next grid point, so no other
-    zero joins it.
+    Indices 1 and 2 have the exact rational zero -1/2; otherwise the zero is
+    narrowed inside _gamma_bracket.
     """
     if n < 1:
         raise ValueError(f"index {n} must be >= 1")
@@ -255,31 +308,28 @@ def gamma(n: int, tol: float = 1e-12) -> ZeroCert:
         if s.sign_at(-_HALF) == 0:
             return _exact_cert(s, -_HALF)
         raise BadBracket("expected exact minimal zero at -1/2")
-    m, odd = divmod(n, 2)
-    den, j_hi = n + 1, (n if odd else n - 1)
-    want_lo = (-1) ** m if odd else (-1) ** (m + 1)
-    hi_f = _grid_point(j_hi, den)
-    if odd:
-        lo = _verified_endpoint(s, Fraction(-1), Fraction(hi_f), want_lo,
-                                exact=True)
-    else:
-        lo = _verified_endpoint(s, Fraction(_grid_point(n, den)), Fraction(-1),
-                                want_lo)
-    hi = _verified_endpoint(s, Fraction(hi_f),
-                            Fraction(_grid_point(j_hi - 2, den)), -want_lo)
-    return _zero_in(s, n, Bracket(lo, hi, want_lo, -want_lo), tol)
+    return _zero_in(s, n, _gamma_bracket(s, n), tol)
 
 
-# -- exact root-structure report ---------------------------------------------
+def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
+    """All zeros of s_poly(n), ascending: one in each gap of the grid, then 1.
 
-# A sandwich around a grid point first reaches _SANDWICH_START / (n+1) of a
-# grid step to either side; a rejected one is shrunk by 2^-8, at most
-# _SANDWICH_TRIES times.  The zero of S_n nearest a grid point is typically
-# 0.6/(n+1) steps away, so most pairs pass at once; near -1 the zeros crowd
-# the grid points (4e-8 steps away at n = 401) and the lowest few shrink.
-_SANDWICH_START = 2.0 ** -4
-_SANDWICH_SHRINK = 2.0 ** -8
-_SANDWICH_TRIES = 6
+    The brackets run from -1 through a verified point just above each zero
+    cos(j pi/(n+1)) of partial_o(n), j = 2c-1, ..., 3, 1, the last nudged
+    toward 1.  By the zero localization each holds exactly one zero, and
+    with x = 1 they are all of them; each is narrowed to width <= tol.  The
+    zeros of S_n near -1 lie just below their grid points (2.4e-12 below at
+    j = n = 401), so a point nudged downward could pass one; one point above
+    each grid point ends one bracket and starts the next.
+    """
+    s = CompanionSign(n)
+    den, top = n + 1, 2 * ((n + 1) // 2) - 1
+    ends = ((den, top), *((j, max(j - 2, 0)) for j in range(top, 0, -2)))
+    brackets = _grid_brackets(s, den, ends, (-1) ** ((n + 3) // 2)) if n else []
+    return [*(_zero_in(s, n, b, tol) for b in brackets), _exact_cert(s, Fraction(1))]
+
+
+# -- minimal-zero orderings --------------------------------------------------
 
 
 def _bits_for(gap: float) -> int:
@@ -287,119 +337,22 @@ def _bits_for(gap: float) -> int:
     return max(1, 4 - math.frexp(gap)[1])
 
 
-def _cos_pi_dyadic(j: float, den: float, bits: int, shift: float = 0.0,
-                   up: bool = False) -> Fraction:
+def _cos_pi_dyadic(j: float, den: float, bits: int, shift: float = 0.0) -> Fraction:
     """A dyadic with the given fractional bits next to cos((j+shift)*pi/den).
 
     The float is 1 - 2 sin^2(t pi/(2 den)) with t = j + shift, or near -1
     it is -1 + 2 sin^2(t' pi/(2 den)) with t' = (den - j) - shift, so it is
     accurate relative to its distance from the nearer of 1 and -1 and a
-    shift far below one unit of j survives.  It is rounded up or down.  It
-    only proposes a point: which side of anything the point lies on is
-    settled by exact signs.
+    shift far below one unit of j survives.  It is rounded down.  It only
+    proposes a point: which side of anything the point lies on is settled
+    by exact signs.
     """
     if 2 * j <= den:
         base, t = 1, j + shift
     else:
         base, t = -1, (den - j) - shift
     scaled = math.ldexp(-base * 2.0 * math.sin(t * math.pi / (2 * den)) ** 2, bits)
-    k = math.ceil(scaled) if up else math.floor(scaled)
-    return Fraction((base << bits) + k, 1 << bits)
-
-
-def _sandwich(n: int, j: int, den: int) -> list[tuple[Fraction, tuple]]:
-    """Rationals a < b around cos(j*pi/den), each with its split_signs.
-
-    Accepted when partial_o(n) changes sign from a to b while S_n keeps a
-    nonzero sign and no sign is zero; a rejected pair is moved closer.
-    """
-    eps = _SANDWICH_START / den
-    for _ in range(_SANDWICH_TRIES):
-        bits = _bits_for(eps * math.pi / den * math.sin(j * math.pi / den))
-        a = _cos_pi_dyadic(j, den, bits, eps)
-        b = _cos_pi_dyadic(j, den, bits, -eps, up=True)
-        sa, sb = split_signs(n, a), split_signs(n, b)
-        if 0 not in sa and 0 not in sb and sa[2] != sb[2] and sa[0] == sb[0]:
-            return [(a, sa), (b, sb)]
-        eps *= _SANDWICH_SHRINK
-    raise BadBracket(f"no sign-verified rationals around cos({j}pi/{den})")
-
-
-@dataclass(frozen=True)
-class ZeroStructure:
-    """Exact zero localization of s_poly(n), as zero_structure proves it.
-
-    brackets ascend and each holds exactly one zero of S_n, a simple one;
-    with x = 1 they account for every zero.  The i-th lies inside the i-th
-    open interval of the cosine grid from the bottom, the first reaching
-    down to -1.  even_bracket holds the minimal zero of partial_e(n) and no
-    other zero of it (None when partial_e(n) is constant, n <= 1).
-    """
-
-    n: int
-    brackets: tuple[Bracket, ...]
-    even_bracket: Bracket | None
-
-
-def zero_structure(n: int) -> ZeroStructure:
-    """Certify the zero localization of S_n by counting exact sign changes.
-
-    The grid points cos(j*pi/(n+1)) with odd j are the zeros of
-    partial_o(n), whose degree is their number, c.  Around each, a pair of
-    rationals where partial_o changes sign puts that grid point between
-    them; c such disjoint pairs leave partial_o no other zero, so the pairs
-    isolate the grid points in order.  S_n keeps its sign across every pair
-    and changes it across each of the c gaps between them (the lowest from
-    -1); with S_n(1) = 0 that is c + 1 distinct zeros, which is its degree.
-    So each gap holds exactly one zero, a simple one, and S_n has no other.
-    The even part changes sign across the gaps its zeros fall in, the top
-    deg partial_e(n) of them, which isolates its minimal zero the same way.
-    Every sign comes from one split_signs query; a float only proposes the
-    rationals.  Raises BadBracket naming the first step that fails.
-    """
-    if n < 0:
-        raise ValueError(f"index {n} must be >= 0")
-    den = n + 1
-    m, odd = divmod(n, 2)
-    count = m + odd
-    if split_signs(n, 1)[0] != 0:
-        raise BadBracket("expected zero at x = 1")
-    degree = s_degree(n)
-    if degree != count + 1:
-        raise BadBracket(f"degree {degree} for {count} grid intervals")
-    points = [(Fraction(-1), split_signs(n, -1))]
-    for j in range(2 * count - 1, 0, -2):
-        points += _sandwich(n, j, den)
-    xs = [x for x, _ in points] + [Fraction(1)]
-    if any(x >= y for x, y in zip(xs, xs[1:])):
-        raise BadBracket("grid rationals out of order")
-    brackets, even = [], None
-    for i in range(count):
-        (lo, slo), (hi, shi) = points[2 * i], points[2 * i + 1]
-        if slo[0] * shi[0] >= 0:
-            raise BadBracket(f"no sign change in grid interval {i + 1} from -1")
-        brackets.append(Bracket(lo, hi, slo[0], shi[0]))
-        if i >= odd:
-            if slo[1] * shi[1] >= 0:
-                raise BadBracket(f"even part keeps its sign in grid interval "
-                                 f"{i + 1} from -1")
-            if i == odd:
-                even = Bracket(lo, hi, slo[1], shi[1])
-    return ZeroStructure(n, tuple(brackets), even)
-
-
-def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
-    """All zeros of s_poly(n), ascending: one per zero_structure bracket, then 1.
-
-    zero_structure proves that each of its brackets holds exactly one zero,
-    a simple one, and that with x = 1 they are all of them; each bracket is
-    narrowed to width <= tol here.  Raises BadBracket if the structure fails.
-    """
-    brackets = zero_structure(n).brackets
-    s = CompanionSign(n)
-    certs = [_zero_in(s, n, bracket, tol) for bracket in brackets]
-    certs.append(_exact_cert(s, Fraction(1)))
-    return certs
+    return Fraction((base << bits) + math.floor(scaled), 1 << bits)
 
 
 def _side(zero: tuple[ExactSign, Bracket], x: Fraction) -> int:
@@ -444,52 +397,51 @@ class RootReport:
 
 
 def root_report(max_n: int) -> RootReport:
-    """Zero structure of S_n and the minimal-zero orderings for n <= max_n.
+    """The orderings of the minimal zeros for n <= max_n, by exact signs.
 
-    Each n gets zero_structure.  The orderings compare the certified
-    minimal zeros gamma_n of S_n and beta_n of partial_e(n) at proposed
-    rational separators, accepted by exact signs (CompanionSign,
-    EvenPartSign) inside the brackets zero_structure isolated them in:
+    gamma_n of S_n and beta_n of partial_e(n) are held in the brackets of
+    gamma and beta (_gamma_bracket for n >= 3, _beta_bracket for even
+    n >= 2), and compared at proposed rational separators, accepted by
+    exact signs (CompanionSign, EvenPartSign):
 
-    * gamma_n < cos(n pi/(n+1)) < beta_n for odd n >= 3 holds once the
-      structure does, since the rationals around that grid point are the top
-      of gamma_n's bracket and the bottom of beta_n's;
-    * beta_n < gamma_n for even n >= 4, where both share the lowest bracket,
-      and gamma_n < cos((n-1)pi/(n+1)) by that bracket;
+    * beta_n < gamma_n for even n >= 4;
     * alpha strictly decreasing from n = 2, with alpha_1 = alpha_2 = -1/2
       (alpha_0 = 1 is S_0's only zero), where alpha_n is beta_n for even n
       and gamma_n for odd n; for odd n the interleaving
       beta_{n+1} < gamma_n < beta_{n-1} is the same pair of steps.
 
-    An ordering that needs an index whose structure failed is not decided;
-    that index's structure failure is reported instead.  No float accepts
-    anything.
+    gamma_n < cos(n pi/(n+1)) < beta_n for odd n and gamma_n <
+    cos((n-1) pi/(n+1)) for even n hold at every n by the zero
+    localization, which the identity battery proves.  A bracket whose
+    endpoint signs do not verify is reported, and the orderings that need
+    it are not decided.  No float accepts anything.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     failures: list[str] = []
-    gammas, betas = {}, {}
-    for n in range(max_n + 1):
+
+    def held(kind, n, sign, build):
         try:
-            structure = zero_structure(n)
+            return sign, build(sign, n)
         except BadBracket as exc:
-            failures.append(f"zero-structure n={n}: {exc}")
-            continue
-        if structure.brackets:
-            gammas[n] = (CompanionSign(n), structure.brackets[0])
-        if structure.even_bracket is not None:
-            betas[n] = (EvenPartSign(n), structure.even_bracket)
+            failures.append(f"{kind} bracket n={n}: {exc}")
+            return None
+
+    gammas = {n: held("gamma", n, CompanionSign(n), _gamma_bracket)
+              for n in range(3, max_n + 1)}
+    betas = {n: held("beta", n, EvenPartSign(n), _beta_bracket)
+             for n in range(2, max_n + 1, 2)}
 
     for n in range(4, max_n + 1, 2):
         # beta_n = cos(n pi/(n+1)); the proposal lies a quarter step above.
-        if n in gammas and n in betas:
+        if gammas[n] and betas[n]:
             den = n + 1
             between = _cos_pi_dyadic(n, den, _bits_for(
                 math.pi / (4 * den) * math.sin(math.pi / den)), -0.25)
             if not _separated(betas[n], gammas[n], between):
                 failures.append(f"comparison n={n}: even ordering violated")
 
-    alphas = {n: (gammas if n % 2 else betas).get(n) for n in range(2, max_n + 1)}
+    alphas = {n: (gammas if n % 2 else betas)[n] for n in range(2, max_n + 1)}
     decreasing = {n: _separated(alphas[n + 1], alphas[n], _alpha_separator(n))
                   for n in range(2, max_n) if alphas[n] and alphas[n + 1]}
     for n in range(3, max_n, 2):
@@ -497,8 +449,8 @@ def root_report(max_n: int) -> RootReport:
             failures.append(f"interleaving n={n}: not between adjacent "
                             "even-factor zeros")
     half = Fraction(-1, 2)
-    if (max_n >= 2 and 1 in gammas and 2 in betas
-            and not _side(gammas[1], half) == _side(betas[2], half) == 0):
+    if (max_n >= 2 and betas[2] and not
+            CompanionSign(1).sign_at(half) == _side(betas[2], half) == 0):
         failures.append("alpha-monotone: wrong initial values")
     failures += [f"alpha-monotone: not strictly decreasing at {n + 1}"
                  for n, ok in decreasing.items() if not ok]

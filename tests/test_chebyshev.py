@@ -24,7 +24,7 @@ from fanqec.chebyshev import (
     s_poly,
     s_value,
 )
-from fanqec import chebyshev, identities
+from fanqec import chebyshev, identities, roots
 from fanqec.polynomial import ONE, Poly
 
 
@@ -470,8 +470,10 @@ _BATTERY_NAMES = {
     "odd-part-even-index-recurrence", "even-part-odd-index-recurrence",
     "odd-part-odd-index-recurrence",
 }
-_ODD_N_NAMES = {"even-part-is-second-kind", "odd-part-is-doubled-first-kind"}
-_EVEN_N_NAMES = {"even-part-is-fourth-kind", "odd-part-is-third-kind"}
+_ODD_N_NAMES = {"even-part-is-second-kind", "odd-part-is-doubled-first-kind",
+                "s-odd-index-from-split-factors"}
+_EVEN_N_NAMES = {"even-part-is-fourth-kind", "odd-part-is-third-kind",
+                 "s-even-index-from-split-factors"}
 
 
 def _falling(d: int) -> tuple[int, ...]:
@@ -537,13 +539,22 @@ def _rank(rows: list[list[int]]) -> int:
 class TestModularBattery:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
     def test_shape(self, n):
-        # 27 checks per index; verify --max-n 300 counts 8127 of them.
+        # 28 checks per index; verify --max-n 300 counts 8428 of them.
         report = identity_suite(n)
-        assert len(report.checked) == 27 * (n + 1)
+        assert len(report.checked) == 28 * (n + 1)
         names = {c.identity for c in report.checked}
         expected = _BATTERY_NAMES | _EVEN_N_NAMES | (_ODD_N_NAMES if n else set())
         assert names == expected
         assert report.ok
+        # The zero localization of S_n rests on these; their base checks run
+        # at n <= 7 whatever max_n is.
+        assert set(roots.LOCALIZATION_IDENTITIES) <= set(report.proven)
+
+    def test_split_factor_forms_of_s_have_order_bound_four(self):
+        bounds = {name: identities._order(fn, parity)[0]
+                  for name, parity, fn in identities._IDENTITIES}
+        assert bounds["s-odd-index-from-split-factors"] == 4
+        assert bounds["s-even-index-from-split-factors"] == 4
 
     def test_passes_are_proven_without_poly_above_n_11(self, monkeypatch):
         # Every passing identity is decided on Poly only at its base checks,
@@ -605,7 +616,8 @@ class TestModularBattery:
 
     def test_companion_flipped_at_one_index_falls_back(self, monkeypatch):
         # _s_factors that tests its index cannot run on a*j + b, so no
-        # identity reading S_n is proven, and the flip at 31 is found.
+        # identity reading S_n is proven, and the flip at 31 is found by
+        # each of those checked at odd n.
         real = chebyshev._s_factors
 
         def flipped(n):
@@ -615,7 +627,8 @@ class TestModularBattery:
         monkeypatch.setattr(chebyshev, "_s_factors", flipped)
         report = identity_suite(40)
         assert [(c.identity, c.n) for c in report.failures] == [
-            ("phi-factorization", 31), ("s-divisible-by-x-minus-one", 31)]
+            ("phi-factorization", 31), ("s-divisible-by-x-minus-one", 31),
+            ("s-odd-index-from-split-factors", 31)]
         assert report.checked == _on_poly_only(monkeypatch, 40).checked
 
     @pytest.mark.parametrize("coeffs", [
@@ -630,7 +643,9 @@ class TestModularBattery:
             ("near-miss", coeffs, ())]
 
     def test_agrees_with_poly_battery(self, monkeypatch):
-        assert identity_suite(30).checked == _on_poly_only(monkeypatch, 30).checked
+        on_poly = _on_poly_only(monkeypatch, 30)
+        assert identity_suite(30).checked == on_poly.checked
+        assert on_poly.proven == ()
 
     # A sign flipped in one term of one right-hand side.  Failure sets and
     # digests of the JSON report were recorded from the all-Poly battery,
@@ -709,7 +724,10 @@ class TestModularBattery:
         assert lhs[0] != rhs[0] and lhs[1:] == rhs[1:]
 
     def test_corrupted_split_factors_match_poly_battery(self, monkeypatch):
-        # The two corruptions of TestIdentitySuite, compared in full.
+        # The two corruptions of TestIdentitySuite, compared in full.  The
+        # digests were re-recorded from the all-Poly battery when the two
+        # s-*-index-from-split-factors identities, which read both factors,
+        # joined the battery.
         real = partial_e
 
         def corrupted(n):
@@ -721,7 +739,7 @@ class TestModularBattery:
         with monkeypatch.context() as m:
             m.setattr(chebyshev, "partial_e", corrupted)
             assert _digest(identity_suite(6)) == (
-                "3dae26396dc675341b8cf917963e43d8e49429477a972b8b8f7e79211c9b6e23")
+                "255820dc416cd68655562702f0c553350c6669803777716a468827e602202476")
         monkeypatch.setattr(chebyshev, "partial_o", lambda n: Poly([5]))
         assert _digest(identity_suite(2)) == (
-            "ab3db33cb8097f36176f3cb7a63f47f3810cccb277f8c15f4063ff474ee30ab8")
+            "2284f693f6144e8dc5339bb1297450edd69e1956c9056e8c100771998f16ca54")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fanqec import chebyshev, qec
+from fanqec import chebyshev, qec, roots
 from fanqec.cli import main
 from fanqec.graphs import path
 from fanqec.polynomial import Poly
@@ -52,15 +52,19 @@ def test_doc_example_output_is_exact(capsys, argv, expected):
 
 
 # SHA-256 of stdout, recorded at commit 0a2f280: any byte of these outputs
-# that changes must change here too, on purpose.
+# that changes must change here too, on purpose.  The verify digests here
+# and in _ARGV were re-recorded at the commit that proved the zero
+# localization for every n: the parent's bytes plus two identities' checks,
+# the counts, the reworded roots line, the localization line or row and the
+# localization_unproven JSON key.
 _GOLDEN = {
     "table fan 1 401 --format csv":
         "c02d3ca519bf00d8933d132d8988c1b71bf6222c906e39c133b39868af7a12e8",
     "verify --max-n 60 --format json":
-        "aa5a5e4af30f8e694a1089be7bbeeaf6955de4a185f3e9dcefd3e2b35a11ecaa",
-    # Every one of the 8127 identity checks, one row each.
+        "f6720c171f7f37da46f261a2eae843dfde81379890c9014b72fe783780738eb4",
+    # Every one of the 8428 identity checks, one row each.
     "verify --max-n 300 --format csv":
-        "763cdb8b85923737c09727315f1ab09458ec222e21a757d85fbb49bd512faa8a",
+        "85b8ad8f81dd057d6d5b8fac177968ee4bbd071ccc6edab2073079cba813c80b",
     "poly s 300 --format json":
         "24f730776e488d1a1b89baad75eabdab6a0c3025a69c762b34a91c5648d5f8c7",
     "qec fan 4001 --format json":
@@ -72,9 +76,9 @@ _GOLDEN = {
     "poly s 40 --format csv":
         "53d825fe5385a1452a71721ccdc1cc51b6ffe1a289684d94c64ba368ed60a155",
     "verify --max-n 300":
-        "32bdae6657e9e8dd6c978c27f10a31f1c5e644705f86d6370b46caf27d3ad59f",
+        "541fa91ec8a3430716fac9a6995e2c28719862cddf8336928365b682a5b7fb68",
     "verify --max-n 300 --format json":
-        "5a8e0e9ba8b5ee8fb96eb61b9dcd40d7e65d51508d806f1af6542e0f6c43dcad",
+        "cecd415ba6a3963a2461abfb8d67d236f9663aa81df48f800b8eaee256bac9d7",
     "qec fan 101":
         "8ea3b3c48c78d3ef33b0300cb7a54016e99ee5661cdfe924fc82116e15de04bd",
     "qec fan 101 --format csv":
@@ -154,11 +158,11 @@ _ARGV = [
     ("poly s 4 --form json", 0,
      "fef1975767bd0100a70321a1c9be3a949875a6ed16bfa929911728790d2697bd"),
     ("verify --max 3", 0,
-     "d04cea31666b63beaebd4afc1bb506a074463097fbb2a1fc96eb2cc33bdeb997"),
+     "c8fd239d2fa1b52930086d83148515ebbfdab32867b9e727e48c631c2c286053"),
     ("verify --max-n=3 --roots-max-n 2", 0,
-     "cd40121248c065afed60dca7e8bf9a8fb16d62b4f3405c8430c4093f011643ce"),
+     "6e2c17f43ce83fbbb49824a4a8b72fc672fa56abcc37c6e74da62c628d6128bd"),
     ("verify --roots 2 --max-n 4 --format=csv", 0,
-     "499e64d4a678a404e6b33555a59777a7bedd323ee47c3bdef1e4569bbf9cef2a"),
+     "8720fd41e9b9aa8a2e64b40dd10f320005015e3383d79fa5bb6cb9ae45a49ee7"),
     ("qec --tol 1e-9 fan 5", 0,
      "21e6de4c8506fd496ff7253216434ecfcdb7d4fc5b724fd04acc7940f964d1d6"),
     ("qec fan -- 5", 0,
@@ -268,7 +272,7 @@ _HELP = {
     ("poly",): ["phi", "s", "t", "u", "ucomp", "ue", "uecomp", "uo", "uocomp",
                 "v", "w", "n", *_FORMAT_HELP],
     ("verify",): ["--max-n", "--roots-max-n",
-                  "cap for the root-structure report (default min(max-n, 60))",
+                  "cap for the minimal-zero orderings (default min(max-n, 60))",
                   *_FORMAT_HELP],
     ("qec",): ["fan", "graph", "value", "fan size or edge-list file path",
                "--method", "auto", "closed", "numeric", "root",
@@ -382,8 +386,10 @@ class TestVerify:
         assert out.strip().endswith("OK")
 
     def test_trivial_run_passes(self, capsys):
-        code, _, _ = run(capsys, "verify", "--max-n", "0")
+        code, out, _ = run(capsys, "verify", "--max-n", "0")
         assert code == 0
+        # The localization is proven for every n whatever --max-n is.
+        assert out.splitlines()[2] == "zero localization of S_n: proven for every n"
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "5", "--format", "json")
@@ -414,27 +420,47 @@ class TestVerify:
         monkeypatch.setattr(chebyshev, "_s_factors", flipped)
         code, out, _ = run(capsys, "verify", "--max-n", "2", "--roots-max-n", "9")
         assert code == 1
-        assert out.splitlines()[1:3] == [
-            "zero structure and orderings up to n=9: 1 failures",
-            "  FAIL zero-structure n=7: expected zero at x = 1",
+        assert out.splitlines()[1:6] == [
+            "minimal-zero orderings up to n=9: 1 failures",
+            "  FAIL gamma bracket n=7: no verified endpoint near -1.0 (sign -1)",
+            "zero localization of S_n: not proven for every n",
+            "  FAIL s-odd-index-from-split-factors not proven for every n",
+            "  FAIL s-even-index-from-split-factors not proven for every n",
         ]
         assert out.strip().endswith("FAILED")
 
-    def test_corrupted_build_fails_with_name(self, capsys, monkeypatch):
-        real = chebyshev.partial_e
+    @pytest.mark.parametrize("builder", ["partial_e", "partial_o"])
+    def test_corrupted_split_factor_leaves_the_localization_unproven(
+            self, capsys, monkeypatch, builder):
+        # No check reported at --max-n 2 reads index 11, but the ties behind
+        # the base checks do: one fails, no identity is proven, and verify
+        # says so.
+        real = getattr(chebyshev, builder)
 
         def corrupted(n):
             p = real(n)
-            if n == 4:
-                coeffs = list(p.coeffs)
-                coeffs[0] += 1
-                return Poly(coeffs)
-            return p
+            return Poly((p.coeffs[0] + 1,) + p.coeffs[1:]) if n == 11 else p
 
-        monkeypatch.setattr(chebyshev, "partial_e", corrupted)
-        code, out, _ = run(capsys, "verify", "--max-n", "6", "--roots-max-n", "0")
+        monkeypatch.setattr(chebyshev, builder, corrupted)
+        code, out, _ = run(capsys, "verify", "--max-n", "2", "--format", "json")
         assert code == 1
-        assert "u-split-product" in out
+        data = json.loads(out)
+        assert data["identities"]["failures"] == [] and data["roots_failures"] == []
+        assert data["localization_unproven"] == list(roots.LOCALIZATION_IDENTITIES)
+
+    def test_shifted_grid_fails_the_orderings(self, capsys, monkeypatch):
+        real = roots._grid_point
+        monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j + 1, den))
+        code, out, _ = run(capsys, "verify", "--max-n", "2", "--roots-max-n", "4")
+        assert code == 1
+        assert out.splitlines()[1:6] == [
+            "minimal-zero orderings up to n=4: 4 failures",
+            "  FAIL gamma bracket n=3: no verified endpoint near -1.0 (sign -1)",
+            "  FAIL gamma bracket n=4: no verified endpoint near -1.0 (sign -1)",
+            "  FAIL beta bracket n=2: no verified endpoint near -1.0 (sign -1)",
+            "  FAIL beta bracket n=4: no verified endpoint near -1.0 (sign 1)",
+        ]
+        assert "zero localization of S_n: proven for every n" in out
         assert out.strip().endswith("FAILED")
 
 

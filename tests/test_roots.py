@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fanqec import chebyshev, roots
-from fanqec.chebyshev import CompanionSign, s_poly
+from fanqec.chebyshev import CompanionSign, EvenPartSign, identity_suite, s_poly
 from fanqec.polynomial import Poly
 from fanqec.roots import (
     BadBracket,
@@ -17,7 +17,6 @@ from fanqec.roots import (
     check_elementary_inequality,
     gamma,
     root_report,
-    zero_structure,
     zeros_of_s,
 )
 
@@ -319,35 +318,44 @@ class TestRootReport:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_small_structures(self, n):
-        # S_0 = x - 1 has no bracket; S_1..S_3 have the rational zeros -1/2
-        # and -3/4 inside theirs.
-        structure = zero_structure(n)
-        assert len(structure.brackets) == s_poly(n).degree - 1
+        # S_0 = x - 1 has no grid bracket; S_1..S_3 have the rational zeros
+        # -1/2 and -3/4 inside theirs, and partial_e(n) has a minimal zero
+        # from n = 2.
+        certs = zeros_of_s(n)
+        assert len(certs) == s_poly(n).degree
         zeros = {1: [-0.5], 2: [-0.5], 3: [-0.75, -0.5]}.get(n, [])
-        for bracket, z in zip(structure.brackets, zeros):
-            assert bracket.lo < Fraction(z) < bracket.hi
-        assert (structure.even_bracket is None) == (n <= 1)
+        for cert, z in zip(certs, zeros):
+            assert cert.lo <= Fraction(z) <= cert.hi and cert.is_exact
+        if n >= 2:
+            bracket = roots._beta_bracket(EvenPartSign(n), n)
+            assert bracket.lo < Fraction(beta(n)) < bracket.hi
 
     @pytest.mark.parametrize("n", [3, 10, 11, 60])
     def test_zeros_of_s_raises_the_structure_failure(self, monkeypatch, n):
-        # zeros_of_s narrows zero_structure's brackets, so a structure that
-        # fails stops it with the structure's own message.
+        # An S_n off the localization's sign pattern leaves a grid endpoint
+        # with no verified sign: zeros_of_s stops with BadBracket.
         _mutated_tail(monkeypatch, n, lambda t: (-t[0], t[1] + 2 * t[0]))
-        with pytest.raises(BadBracket) as raised:
+        with pytest.raises(BadBracket, match="^no verified endpoint near "):
             zeros_of_s(n, 1e-9)
-        assert str(raised.value) == "no sign change in grid interval 1 from -1"
 
     def test_even_bracket_holds_beta(self):
         for n in range(2, 61):
-            bracket = zero_structure(n).even_bracket
+            bracket = roots._beta_bracket(EvenPartSign(n), n)
             assert bracket.lo < Fraction(beta(n)) < bracket.hi, f"n={n}"
 
     @pytest.mark.parametrize("n", [2, 3, 10, 11, 60])
     def test_flipped_tail_sign_fails_at_that_index(self, monkeypatch, n):
+        # A flip that tests its index leaves no identity reading S_n with an
+        # order bound, so the battery no longer proves the localization;
+        # from n = 3, where the report builds gamma_n's bracket, that fails.
         _mutated_tail(monkeypatch, n, lambda t: (-t[0],) + t[1:])
-        report = root_report(n + 1)
-        assert not report.ok
-        assert report.failures == (f"zero-structure n={n}: expected zero at x = 1",)
+        proven = set(identity_suite(0).proven)
+        assert {"s-odd-index-from-split-factors",
+                "s-even-index-from-split-factors"}.isdisjoint(proven)
+        failures = root_report(n + 1).failures
+        assert len(failures) == (n >= 3)
+        assert all(f.startswith(f"gamma bracket n={n}: no verified endpoint near ")
+                   for f in failures)
 
     @pytest.mark.parametrize("n", [3, 10, 11, 60])
     def test_flip_that_keeps_the_zero_at_one_is_caught(self, monkeypatch, n):
@@ -356,16 +364,15 @@ class TestRootReport:
         report = root_report(n + 1)
         assert len(report.failures) == 1
         assert report.failures[0].startswith(
-            f"zero-structure n={n}: no sign change in grid interval")
+            f"gamma bracket n={n}: no verified endpoint near ")
 
     def test_grid_shifted_by_one_index_is_caught(self, monkeypatch):
-        real = roots._cos_pi_dyadic
-        monkeypatch.setattr(roots, "_cos_pi_dyadic",
-                            lambda j, *rest, **kw: real(j + 1, *rest, **kw))
+        real = roots._grid_point
+        monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j + 1, den))
         report = root_report(12)
-        assert report.failures == tuple(
-            f"zero-structure n={n}: no sign-verified rationals around "
-            f"cos({2 * ((n + 1) // 2) - 1}pi/{n + 1})" for n in range(1, 13))
+        assert [f.split(":")[0] for f in report.failures] == [
+            *(f"gamma bracket n={n}" for n in range(3, 13)),
+            *(f"beta bracket n={n}" for n in range(2, 13, 2))]
 
     def test_separator_orders_zeros_exactly(self):
         third = (Poly([-1, 3]), Bracket(Fraction(0), Fraction(1), -1, 1))
