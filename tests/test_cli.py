@@ -429,6 +429,23 @@ class TestVerify:
         ]
         assert out.strip().endswith("FAILED")
 
+    def test_corrupted_build_fails_with_name(self, capsys, monkeypatch):
+        real = chebyshev.partial_e
+
+        def corrupted(n):
+            p = real(n)
+            if n == 4:
+                coeffs = list(p.coeffs)
+                coeffs[0] += 1
+                return Poly(coeffs)
+            return p
+
+        monkeypatch.setattr(chebyshev, "partial_e", corrupted)
+        code, out, _ = run(capsys, "verify", "--max-n", "6", "--roots-max-n", "0")
+        assert code == 1
+        assert "u-split-product" in out
+        assert out.strip().endswith("FAILED")
+
     @pytest.mark.parametrize("builder", ["partial_e", "partial_o"])
     def test_corrupted_split_factor_leaves_the_localization_unproven(
             self, capsys, monkeypatch, builder):
