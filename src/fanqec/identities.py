@@ -34,13 +34,14 @@ checks.
 
 from __future__ import annotations
 
+import collections
+import functools
 import operator
-from typing import Callable
+from typing import Callable, Sequence
 
 from .chebyshev import (
     _SEEDS,
     _STORED,
-    _TWO_X,
     IdentityCheck,
     IdentityReport,
     NotIntegral,
@@ -274,71 +275,90 @@ def _order(fn: Callable, parity: int) -> tuple[int | None, list[tuple[str, _Inde
         return None, []
 
 
-def _tie(family: str, k: int, member: Poly, below: list[Poly]) -> bool:
+def _tie(family: str, k: int, member: Poly, below: Sequence[Poly]) -> bool:
     """Whether member k of a family, as stored, equals its definition.
 
     u, t, v and w start from their seeds and follow their recurrence from
-    `below`, the stored members k-2 and k-1; the derived families equal
-    their defining formulas in u.  Linear in the degree.
+    `below`, the stored members k-2 and k-1: member k must have the
+    coefficients of 2 (0, *below[1]) - below[0], all three padded with
+    zeros to one length and compared in one map pass.  The derived families
+    equal their defining formulas in u.  Linear in the degree.
     """
     if family not in _SEEDS:
         return member == _STORED.defined(family, k)
     k0, first, second = _SEEDS[family]
     if k < k0 + 2:
-        return member == Poly(first if k == k0 else second)
-    return member == _TWO_X * below[1] - below[0]
+        return member.coeffs == (first if k == k0 else second)
+    tuples = (member.coeffs, below[0].coeffs, (0, *below[1].coeffs))
+    size = max(map(len, tuples))
+    coeffs, lower, upper = (c + (0,) * (size - len(c)) for c in tuples)
+    return coeffs == tuple(map(operator.sub, map(operator.add, upper, upper), lower))
+
+
+def _compressed_monic(name: str, n: int, poly: Poly) -> IdentityCheck:
+    """poly compresses (compress) to a monic polynomial."""
+    try:
+        c = compress(poly)
+    except NotIntegral:
+        return IdentityCheck(name, n, False, poly.coeffs, ())
+    if c.leading == 1:
+        return IdentityCheck(name, n, True)
+    expected = c.coeffs[:-1] + (1,) if c.coeffs else (1,)
+    return IdentityCheck(name, n, False, c.coeffs, expected)
+
+
+def _divisible_by_x_minus_one(name: str, n: int, s: Poly) -> IdentityCheck:
+    """x - 1 divides s: it is monic, so it does over the integers iff s(1) = 0."""
+    at_one = sum(s.coeffs)
+    if at_one:
+        return IdentityCheck(name, n, False, s.coeffs, (at_one,))
+    return IdentityCheck(name, n, True)
+
+
+# The coefficient-property check of each family that has one, run on every
+# member n <= max_n as the walk fetches it.
+_COEFFICIENT_CHECKS = {
+    "u": functools.partial(_compressed_monic, "compressed-u-monic"),
+    "pe": functools.partial(_compressed_monic, "compressed-even-part-monic"),
+    "po": functools.partial(_compressed_monic, "compressed-odd-part-monic"),
+    "s": functools.partial(_divisible_by_x_minus_one, "s-divisible-by-x-minus-one"),
+}
 
 
 def _stored_pass(max_n: int, reads: dict[str, int]) -> tuple[bool, list[IdentityCheck]]:
-    """All work on the stored Poly objects, in one upward walk of the index.
+    """All work on the stored Poly objects, in one upward walk by steps k.
 
-    Fetches each member the battery reads (`reads` maps a family to its
+    Step k fetches members 2k and 2k + 1 of pe, po and s and member k of
+    every other family, each that `reads` asks for (it maps a family to its
     highest index; u, pe, po and s reach max_n at least) once from its
-    builder, ties it to its definition until a tie fails, and hands it to
-    the coefficient-property checks for n <= max_n.  The first element is
-    whether every tie held: only then are the stored Poly objects the
-    families whose order bounds _order computes.
+    builder, family by family in the order of `reads`.  Each member is tied
+    to its definition until a tie fails, and for n <= max_n handed to its
+    family's coefficient check.  The first element is whether every tie
+    held: only then are the stored Poly objects the families whose order
+    bounds _order computes.
     """
-    first = {family: _SEEDS[family][0] if family in _SEEDS else 0 for family in reads}
-    ties, checks, held = True, [], {family: [] for family in reads}
-    for k in range(min(first.values()), max(reads.values()) + 1):
-        for family, top in reads.items():
-            if first[family] <= k <= top:
-                member = getattr(_STORED, family)(k)
-                ties = ties and _tie(family, k, member, held[family])
-                held[family] = [*held[family][-1:], member]
-        if 0 <= k <= max_n:
-            checks.extend(_coefficient_checks(
-                k, *(held[family][-1] for family in ("u", "pe", "po", "s"))))
+    walks = []
+    for family, top in reads.items():
+        # Member n of pe, po and s reads U near n/2, member k of u and phi U
+        # near k.  So step k reads only U_{k-1}, U_k and U_{k+1}, and each U
+        # member is built once, while cheb_u's cache holds it.
+        pace = 2 if family in ("pe", "po", "s") else 1
+        first = _SEEDS[family][0] if family in _SEEDS else 0
+        below = collections.deque(maxlen=2)  # the members n-2 and n-1
+        walks.append((family, pace, first, top, getattr(_STORED, family),
+                      _COEFFICIENT_CHECKS.get(family), below))
+    ties, checks = True, []
+    for k in range(min(first // pace for _, pace, first, *_ in walks),
+                   max(top // pace for _, pace, _, top, *_ in walks) + 1):
+        for family, pace, first, top, fetch, check, below in walks:
+            for n in range(pace * k, pace * (k + 1)):
+                if first <= n <= top:
+                    member = fetch(n)
+                    ties = ties and _tie(family, n, member, below)
+                    below.append(member)
+                    if check and 0 <= n <= max_n:
+                        checks.append(check(n, member))
     return ties, checks
-
-
-def _coefficient_checks(n: int, u: Poly, pe: Poly, po: Poly,
-                        s: Poly) -> list[IdentityCheck]:
-    """U_n, partial_e(n) and partial_o(n) compress to monic polynomials, and
-    x - 1 divides S_n: it is monic, so it does over the integers iff S_n(1) = 0."""
-    out = []
-    for name, poly in (
-        ("compressed-u-monic", u),
-        ("compressed-even-part-monic", pe),
-        ("compressed-odd-part-monic", po),
-    ):
-        try:
-            c = compress(poly)
-        except NotIntegral:
-            out.append(IdentityCheck(name, n, False, poly.coeffs, ()))
-            continue
-        if c.leading == 1:
-            out.append(IdentityCheck(name, n, True))
-        else:
-            expected = c.coeffs[:-1] + (1,) if c.coeffs else (1,)
-            out.append(IdentityCheck(name, n, False, c.coeffs, expected))
-    name, at_one = "s-divisible-by-x-minus-one", sum(s.coeffs)
-    if at_one:
-        out.append(IdentityCheck(name, n, False, s.coeffs, (at_one,)))
-    else:
-        out.append(IdentityCheck(name, n, True))
-    return out
 
 
 def identity_suite(max_n: int) -> IdentityReport:

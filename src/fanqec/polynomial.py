@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable
 
 
@@ -31,10 +32,13 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # A tuple is kept as it is, up to its trailing zeros; the ring
+        # operations build theirs with map and hand them over here.
+        cs = tuple(coeffs)
+        end = len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", cs[:end])
 
     # -- basic queries ------------------------------------------------------
 
@@ -64,29 +68,21 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return Poly((*map(add, a, b), *a[len(b):]))
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):
             other = Poly((other,))
         a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return Poly(out)
+        return Poly((*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])))
 
     def __rsub__(self, other: int) -> Poly:
-        out = [-c for c in self.coeffs] or [0]
-        out[0] += other
-        return Poly(out)
+        return -self + other
 
     def __mul__(self, other: Poly | int) -> Poly:
         if isinstance(other, int):

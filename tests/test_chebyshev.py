@@ -200,6 +200,31 @@ class TestFamilyStore:
             assert info.maxsize == chebyshev._KEEP
             assert info.currsize <= chebyshev._KEEP
 
+    def test_battery_builds_each_second_kind_member_once(self, monkeypatch):
+        # The stored pass reads U_k for u and near n/2 for pe, po and s in
+        # one step, so no U member leaves the cache before its last read.
+        built, walking = [], []
+        real_alternating, real_pass = chebyshev._alternating, identities._stored_pass
+
+        def alternating(n, lead, offset):
+            if walking and offset == 0:  # offset 0 builds U, offset 1 T
+                built.append(n)
+            return real_alternating(n, lead, offset)
+
+        def stored_pass(*args):
+            walking.append(True)
+            try:
+                return real_pass(*args)
+            finally:
+                walking.pop()
+
+        monkeypatch.setattr(chebyshev, "_alternating", alternating)
+        monkeypatch.setattr(identities, "_stored_pass", stored_pass)
+        for builder in _BASE_BUILDERS.values():
+            builder.cache_clear()
+        assert identity_suite(300).ok
+        assert sorted(built) == list(range(602))
+
     def test_derived_members_follow_a_builder_swap(self, monkeypatch):
         # No derived member outlives the builders it was made from.
         even_part, companion = partial_e(10), s_poly(10)
@@ -306,6 +331,36 @@ class TestCompress:
     def test_rejects_non_integral(self):
         with pytest.raises(NotIntegral):
             compress(Poly([1, 1]))
+
+    @staticmethod
+    def _halvable(rng: random.Random, degree: int) -> list[int]:
+        # Coefficient k a signed multiple of 2^k, zero about one time in five.
+        coeffs = [rng.choice((0, 1, 1, 1, 1)) * rng.randint(-2**70, 2**70) << k
+                  for k in range(degree + 1)]
+        if coeffs and not coeffs[-1]:
+            coeffs[-1] = -1 << degree
+        return coeffs
+
+    def test_matches_per_coefficient_reference(self):
+        rng = random.Random(2024)
+        for degree in [-1, 0, 1, 2, 300, *rng.sample(range(3, 300), 25)]:
+            coeffs = self._halvable(rng, degree)
+            assert compress(Poly(coeffs)) == Poly(
+                [c // 2**k for k, c in enumerate(coeffs)]), degree
+
+    def test_names_the_lowest_coefficient_that_breaks(self):
+        rng = random.Random(4048)
+        for degree in [1, 2, 300, *rng.sample(range(3, 300), 25)]:
+            coeffs = self._halvable(rng, degree)
+            k = rng.randint(1, degree)
+            coeffs[k] += rng.choice((-1, 1)) << rng.randrange(k)
+            # A second, higher break that must not be the one named.
+            if k < degree:
+                coeffs[degree] += 1
+            with pytest.raises(NotIntegral) as caught:
+                compress(Poly(coeffs))
+            assert str(caught.value) == (
+                f"coefficient {coeffs[k]} of degree {k} not divisible by 2^{k}")
 
 
 class TestCompanionPolynomials:
@@ -534,6 +589,44 @@ def _rank(rows: list[list[int]]) -> int:
         rows = [[v // g for v in row] for row in rows if (g := math.gcd(*row))]
         rank += 1
     return rank
+
+
+def _corruptions(member: Poly) -> list[Poly]:
+    """member with a constant, middle or leading coefficient off by one, an
+    extra leading coefficient, its leading coefficient dropped, and zero."""
+    coeffs, out = member.coeffs, []
+    for i in sorted({0, len(coeffs) // 2, max(len(coeffs) - 1, 0)}):
+        for step in (-1, 1):
+            changed = list(coeffs) or [0]
+            changed[i] += step
+            out.append(Poly(changed))
+    return out + [Poly((*coeffs, 1)), Poly(coeffs[:-1]), Poly()]
+
+
+class TestRecurrenceTie:
+    @pytest.mark.parametrize("family", sorted(_FRESH_SEEDS))
+    def test_agrees_with_poly_recurrence(self, family):
+        builder, first = _BASE_BUILDERS[family], -2 if family == "u" else 0
+        below = [builder(first), builder(first + 1)]
+        for k in range(first + 2, 61):
+            member = builder(k)
+            for candidate in (member, *_corruptions(member)):
+                for pair in (below, below[::-1]):
+                    want = candidate == Poly((0, 2)) * pair[1] - pair[0]
+                    assert identities._tie(family, k, candidate, pair) == want, (
+                        family, k, candidate, pair)
+            assert identities._tie(family, k, member, below)
+            below = [below[1], member]
+
+    @pytest.mark.parametrize("family", sorted(_FRESH_SEEDS))
+    def test_seeds_are_tied_to_themselves(self, family):
+        first = -2 if family == "u" else 0
+        for k in (first, first + 1):
+            member = _BASE_BUILDERS[family](k)
+            assert identities._tie(family, k, member, [])
+            for wrong in _corruptions(member):
+                if wrong != member:
+                    assert not identities._tie(family, k, wrong, []), (family, k, wrong)
 
 
 class TestModularBattery:
