@@ -43,11 +43,13 @@ reach 2**50 and beyond, or from an O(n) walk of the recurrence.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
 import math
 import operator
+import threading
 from fractions import Fraction
 
 from .polynomial import X, Poly
@@ -70,10 +72,10 @@ class NotIntegral(ArithmeticError):
 
 # Members each builder keeps (functools.lru_cache).  One step of the
 # battery's walk reads U_{k-1}, U_k and U_{k+1}, for u itself, for the split
-# factors and S_n at 2k and 2k + 1 and for phi at k, whose ties read the
-# same members again.  identity_suite(300) builds 1233 members with the
-# cache (each U member once in its walk) and 8586, in 1.5 to 1.9 times the
-# time, without it.
+# factors and S_n at 2k and 2k + 1 and for phi at k; the ties of those
+# derived members reuse their builders' evaluations and read no U.
+# identity_suite(300) builds 1209 members with the cache (each U member once
+# in its walk) and 5189, in 1.4 to 1.5 times the time, without it.
 _KEEP = 8
 
 
@@ -198,15 +200,42 @@ class _Stored(_Families):
     """Poly backend: the families exactly as this module builds them.
 
     member() looks the builder up by name when it is called, so a builder
-    replaced in this module is what runs; the inherited defined() is the
-    formula the derived builders use and the battery ties them to.
+    replaced in this module is what runs; defined() is the formula the
+    derived builders use and the battery ties them to.
+
+    While recording() is open in a thread, defined() keeps there, for each
+    derived family, its last result and the index it was evaluated at, and
+    a request for that same (family, n) gets the kept result instead of a
+    second evaluation.  Only defined() writes the record, so every entry is
+    a genuine formula result; other threads never see it.
     """
 
     x = X
     poly = Poly
 
+    def __init__(self):
+        self._thread = threading.local()
+
     def member(self, family: str, k: int) -> Poly:
         return globals()[_BUILDERS[family]](k)
+
+    @contextlib.contextmanager
+    def recording(self):
+        self._thread.last = {}
+        try:
+            yield
+        finally:
+            del self._thread.last
+
+    def defined(self, family: str, n: int) -> Poly:
+        last = getattr(self._thread, "last", None)
+        if last is None:
+            return super().defined(family, n)
+        k, value = last.get(family, (None, None))
+        if k != n:
+            value = super().defined(family, n)
+            last[family] = n, value
+        return value
 
 
 _STORED = _Stored()
@@ -405,14 +434,17 @@ def _enclosed_signs(n: int, p: int, q: int, bits: int) -> tuple[int, int, int] |
 
 # The exact pair at a point p/q has about m (bit length of q - 1) bits; above
 # _ENCLOSE_ABOVE of them split_signs tries enclosures first, from
-# _ENCLOSE_BITS fractional bits up.  Measured for one query on a 2-core VM
-# (Python 3.11.7), 128-bit enclosure against the exact path: 31 against
-# 6 us at n = 41 and q = 2^20 (a 380-bit pair), 43 against 73 us at n = 401
-# and q = 2^53 (10.4 kbit), 48 against 161 us at n = 619 (16.4 kbit) and 48
-# against 617 us at n = 1611 (42.7 kbit).  The break-even lies between 0.4
-# and 10 kbit; below the crossover a query costs at most about 0.16 ms on
-# the exact path, the only one that can return a sign 0.
-_ENCLOSE_ABOVE = 16384
+# _ENCLOSE_BITS fractional bits up.  Measured for one query at double-
+# precision grid points on a 2-core VM (Python 3.11.7), exact path against
+# 128-bit enclosure: 9 against 32 us at 1.1 kbit (n = 41), 36 against 56 us
+# at 5.3 kbit, 42 against 42 us at 6.5 kbit, 64 against 51 us at 7.9 kbit and
+# 97 against 49 us at 10.9 kbit (n = 401).  The enclosure's cost barely grows
+# with n, and the crossover lies near 6.5 kbit.  With 6144, table fan 1 2001
+# took 0.23 s in-process against 0.26 s with 16384, with the same bytes.
+# Odd fans from about n = 235 on start on enclosures; verify's default root
+# report (at most 1.6 kbit) stays on the exact path, the only one that can
+# return a sign 0.
+_ENCLOSE_ABOVE = 6144
 _ENCLOSE_BITS = 128
 
 

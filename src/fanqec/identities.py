@@ -29,7 +29,10 @@ checks are coefficient properties and always run on Poly.
 
 Every stored family is read through ``chebyshev._STORED``, which looks its
 builder up when it is used, so a builder replaced there is what the battery
-checks.
+checks.  While the walk that ties the members runs, ``_STORED`` records in
+the walking thread the last formula result of each derived family, so the
+tie of a derived member reads the evaluation its builder already made
+rather than evaluating the formula a second time.
 """
 
 from __future__ import annotations
@@ -283,6 +286,13 @@ def _tie(family: str, k: int, member: Poly, below: Sequence[Poly]) -> bool:
     coefficients of 2 (0, *below[1]) - below[0], all three padded with
     zeros to one length and compared in one map pass.  The derived families
     equal their defining formulas in u.  Linear in the degree.
+
+    The formula's value comes from _STORED.defined.  While the pass
+    records, that returns the value it computed when the builder asked for
+    this same (family, k), rather than computing it again.  The record
+    holds only genuine evaluations, so a builder that changed the value it
+    got still fails, and one that never evaluated the formula at k, or only
+    at another index, misses the record and meets a fresh evaluation.
     """
     if family not in _SEEDS:
         return member == _STORED.defined(family, k)
@@ -348,16 +358,17 @@ def _stored_pass(max_n: int, reads: dict[str, int]) -> tuple[bool, list[Identity
         walks.append((family, pace, first, top, getattr(_STORED, family),
                       _COEFFICIENT_CHECKS.get(family), below))
     ties, checks = True, []
-    for k in range(min(first // pace for _, pace, first, *_ in walks),
-                   max(top // pace for _, pace, _, top, *_ in walks) + 1):
-        for family, pace, first, top, fetch, check, below in walks:
-            for n in range(pace * k, pace * (k + 1)):
-                if first <= n <= top:
-                    member = fetch(n)
-                    ties = ties and _tie(family, n, member, below)
-                    below.append(member)
-                    if check and 0 <= n <= max_n:
-                        checks.append(check(n, member))
+    with _STORED.recording():
+        for k in range(min(first // pace for _, pace, first, *_ in walks),
+                       max(top // pace for _, pace, _, top, *_ in walks) + 1):
+            for family, pace, first, top, fetch, check, below in walks:
+                for n in range(pace * k, pace * (k + 1)):
+                    if first <= n <= top:
+                        member = fetch(n)
+                        ties = ties and _tie(family, n, member, below)
+                        below.append(member)
+                        if check and 0 <= n <= max_n:
+                            checks.append(check(n, member))
     return ties, checks
 
 

@@ -1,5 +1,6 @@
 """Polynomial families: frozen small members, identities, float oracles."""
 
+import collections
 import hashlib
 import json
 import math
@@ -237,6 +238,153 @@ class TestFamilyStore:
         # partial_e(10) = U_5 + U_4 and S_10 = (9 + 11x) U_5 - (11 + 13x) U_4.
         assert partial_e(10) == even_part + 1
         assert s_poly(10) == companion + Poly((9, 11))
+
+    def test_battery_evaluates_each_derived_formula_once(self, monkeypatch):
+        # The tie of a derived member reads the formula result its builder
+        # left in the record, so a sound pass evaluates each formula once
+        # per member it reads.
+        evaluated, walking, tops = collections.Counter(), [], {}
+        real_defined, real_pass = chebyshev._Families.defined, identities._stored_pass
+
+        def defined(self, family, n):
+            if walking and self is chebyshev._STORED:
+                evaluated[family, n] += 1
+            return real_defined(self, family, n)
+
+        def stored_pass(max_n, reads):
+            tops.update(reads)
+            walking.append(True)
+            try:
+                return real_pass(max_n, reads)
+            finally:
+                walking.pop()
+
+        monkeypatch.setattr(chebyshev._Families, "defined", defined)
+        monkeypatch.setattr(identities, "_stored_pass", stored_pass)
+        assert identity_suite(300).ok
+        derived = ("pe", "po", "s", "phi")
+        assert all(tops[family] >= 300 for family in derived)
+        assert evaluated == collections.Counter(
+            {(family, n): 1 for family in derived for n in range(tops[family] + 1)})
+
+    @pytest.mark.parametrize("pass_raises", [False, True])
+    def test_no_derived_member_outlives_a_pass(self, monkeypatch, pass_raises):
+        # The builders' evaluations kept for the ties live only while the
+        # stored pass runs, also when a builder raises inside it.  A record
+        # left behind would answer for the last member of each family the
+        # pass evaluated, so that member is the first read after U changes.
+        before = {n: (s_poly(n), phi(n)) for n in range(24)}
+        last, real_defined, real_s = {}, chebyshev._Families.defined, s_poly
+
+        def defined(self, family, n):
+            if self is chebyshev._STORED:
+                last[family] = n
+            return real_defined(self, family, n)
+
+        def failing(n):
+            value = real_s(n)
+            if n == 10:
+                raise RuntimeError("builder failed at 10")
+            return value
+
+        with monkeypatch.context() as m:
+            m.setattr(chebyshev._Families, "defined", defined)
+            if pass_raises:
+                m.setattr(chebyshev, "s_poly", failing)
+                with pytest.raises(RuntimeError, match="builder failed at 10"):
+                    identity_suite(10)
+                assert last["s"] == 10
+            else:
+                assert identity_suite(10).ok
+        real_u = cheb_u
+        monkeypatch.setattr(chebyshev, "cheb_u", lambda n: real_u(n) + 1)
+        # U + 1 changes S_n by head - tail and phi_n by (1 - n, -2, n + 1).
+        assert s_poly(last["s"]) != before[last["s"]][0]
+        assert phi(last["phi"]) != before[last["phi"]][1]
+
+    def test_derived_readers_beside_a_pass(self):
+        # While one thread runs the pass, four more threads, more than the
+        # cores, read the derived families at scattered indices: each gets
+        # the formulas' values, and the pass its usual report.
+        top = 120
+        u = [Poly((-1,)), Poly(())] + _fresh_family(*_FRESH_SEEDS["u"], top + 1)
+
+        def u_at(k):
+            return u[k + 2]
+
+        def even_part(n):
+            m, odd = divmod(n, 2)
+            return u_at(m) if odd else u_at(m) + u_at(m - 1)
+
+        def odd_part(n):
+            m, odd = divmod(n, 2)
+            return u_at(m + 1) - u_at(m - 1) if odd else u_at(m) - u_at(m - 1)
+
+        def companion(n):
+            m, odd = divmod(n, 2)
+            if odd:
+                head, tail = Poly((-2, 4 * m - 2, 4 * m + 4)), Poly((4 * m + 2, 4 * m + 6))
+            else:
+                head, tail = Poly((2 * m - 1, 2 * m + 1)), Poly((2 * m + 1, 2 * m + 3))
+            return head * u_at(m) - tail * u_at(m - 1)
+
+        def stationary(n):
+            return (Poly((-n, -3, n + 1)) * u_at(n)
+                    + Poly((1, 1)) * (u_at(n - 1) + 1))
+
+        builders = ((partial_e, even_part), (partial_o, odd_part),
+                    (s_poly, companion), (phi, stationary))
+        expected = _digest(identity_suite(top))
+        indices = random.Random(23).sample(range(top + 1), top + 1)
+        digests, wrong = [], []
+
+        def battery():
+            digests.append(_digest(identity_suite(top)))
+
+        def read(ks):
+            for k in ks:
+                for builder, reference in builders:
+                    if builder(k) != reference(k):
+                        wrong.append((builder.__name__, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=battery)] + [
+                threading.Thread(target=read, args=(indices[i::4],)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == [expected]
+        assert not wrong, wrong[:5]
+
+    def test_record_belongs_to_the_pass_thread(self, monkeypatch):
+        # While the pass holds S_30 as its builder evaluated it, a reader in
+        # another thread asks for S_30: it must evaluate the formula itself.
+        evaluated_in, real_defined, real_s = [], chebyshev._Families.defined, s_poly
+
+        def defined(self, family, n):
+            if self is chebyshev._STORED and (family, n) == ("s", 30):
+                evaluated_in.append(threading.current_thread().name)
+            return real_defined(self, family, n)
+
+        def builder(n):
+            value = real_s(n)
+            if n == 30:
+                reader = threading.Thread(target=real_s, args=(30,), name="reader")
+                reader.start()
+                reader.join(timeout=60)
+                assert not reader.is_alive()
+            return value
+
+        monkeypatch.setattr(chebyshev._Families, "defined", defined)
+        monkeypatch.setattr(chebyshev, "s_poly", builder)
+        assert identity_suite(30).ok
+        assert sorted(evaluated_in) == sorted([threading.current_thread().name, "reader"])
 
 
 # Hand-expanded from the second-kind differences (exact integer arithmetic).

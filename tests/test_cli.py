@@ -465,6 +465,34 @@ class TestVerify:
         assert data["identities"]["failures"] == [] and data["roots_failures"] == []
         assert data["localization_unproven"] == list(roots.LOCALIZATION_IDENTITIES)
 
+    @pytest.mark.parametrize("builder, named", [
+        ("s_poly", ("phi-factorization", "s-even-index-from-split-factors")),
+        ("phi", ("phi-factorization",)),
+    ])
+    @pytest.mark.parametrize("corruption", ["coefficient", "index"])
+    def test_corrupted_derived_member_fails_its_tie(
+            self, capsys, monkeypatch, builder, named, corruption):
+        # Member 30 lies above every base index.  Its tie compares the build
+        # with the formula's own value at 30: the evaluation the builder made
+        # there, or a fresh one when the builder made none.  Either way the
+        # tie fails, no identity is proven, and Poly finds the bad member.
+        real = getattr(chebyshev, builder)
+
+        def corrupted(n):
+            if n != 30:
+                return real(n)
+            if corruption == "index":
+                return real(n - 2)
+            p = real(n)
+            return Poly((p.coeffs[0] + 1,) + p.coeffs[1:])
+
+        monkeypatch.setattr(chebyshev, builder, corrupted)
+        code, out, _ = run(capsys, "verify", "--max-n", "40")
+        assert code == 1
+        for identity in named:
+            assert f"  FAIL {identity} at n=30" in out.splitlines()
+        assert out.strip().endswith("FAILED")
+
     def test_shifted_grid_fails_the_orderings(self, capsys, monkeypatch):
         real = roots._grid_point
         monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j + 1, den))
