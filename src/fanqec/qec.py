@@ -158,7 +158,14 @@ def tau(n: int) -> float | None:
 def sigma(n: int, tol: float = 1e-12) -> float:
     """Minimal non-eigenvalue stationary branch, equal to twice the minimal
     companion-polynomial zero; asserts its proven position relative to the
-    path spectrum."""
+    path spectrum.
+
+    The position is proven for every n (fanqec.roots).  For odd n the zero
+    localization puts the value below the smallest path eigenvalue
+    2 cos(n pi/(n+1)).  For even n the even case of the minimal-zero
+    orderings (cos(n pi/(n+1)) = beta_n < gamma_n) puts it above that
+    eigenvalue, and the localization below the next, 2 cos((n-1) pi/(n+1)).
+    """
     if n < 3:
         raise ValueError("defined for n >= 3")
     value = 2.0 * roots.gamma(n, tol).value

@@ -29,11 +29,47 @@ Polynomials, 2003, section 2.2), so the two strictly interlace.  Then:
   (n+1) 2^(m+1) for odd n and (n+1) 2^m for even n.  So the c sign changes
   and x = 1 are all deg S_n zeros, each simple.
 
-``_grid_brackets`` builds every bracket (``gamma``'s, ``beta``'s, one per
-gap for ``zeros_of_s``, and those ``root_report`` compares the minimal
-zeros in) from rationals next to grid points whose exact signs it
-verifies, and bisection narrows brackets by exact-sign midpoints.  A float
-only proposes a point, never accepts one.  The signs come from
+The minimal zeros are ordered for every n by the same theorem.  Write
+gamma_n and beta_n for the minimal zeros of S_n and partial_e(n), and
+alpha_n for beta_n at even n and gamma_n at odd n.  In the two cases with
+a point x below, N >= 5, s = sin(pi/(2N)) and x = -cos(pi/N), so
+1 + x = 2 s^2, and x lies in the lowest gap (-1, g_{2c-1}), which ends at
+g_n for odd n and at g_{n-1} for even n.  S_n has
+exactly one zero there, gamma_n, and the sign of S_n(-1) below it, so a
+point where S_n has the sign of S_n(-1) lies below gamma_n.
+
+* Even n = 2m >= 4, N = n + 1, x = g_n = beta_n: partial_e = W_m
+  (even-part-is-fourth-kind) vanishes at x, so by
+  s-even-index-from-split-factors and odd-part-is-third-kind S_n(x) =
+  (n + (n+2) x) V_m(x) = 2((N+1) s^2 - 1) V_m(x).  Every zero of V_m lies
+  above x and its leading coefficient is positive, so V_m(x) has the sign
+  (-1)^m of V_m(-1), and S_n(-1) = -2 V_m(-1) (the localization's third
+  step).  So beta_n < gamma_n exactly when (N+1) s^2 < 1.
+* Odd n = 2m + 1 >= 3, N = n + 2, x = cos((n+1) pi/(n+2)) = beta_{n+1}.
+  T_k(cos t) = cos(k t) and U_k(cos t) = sin((k+1) t)/sin t (Mason and
+  Handscomb, chapter 1) at t = pi - pi/N give T_{m+1}(x) = (-1)^(m+1) s and
+  U_m(x) = (-1)^m/(2s).  With partial_o = 2 T_{m+1} and partial_e = U_m
+  (odd-part-is-doubled-first-kind, even-part-is-second-kind),
+  s-odd-index-from-split-factors gives S_n(x) = (-1)^m 4 s (1 - (N+1) s^2),
+  while S_n(-1) = -4 T_{m+1}(-1) = 4 (-1)^m.  So beta_{n+1} < gamma_n
+  exactly when (N+1) s^2 < 1.
+* Even n >= 2: the localization of S_{n+1} alone gives gamma_{n+1} <
+  cos((n+1) pi/(n+2)) < cos(n pi/(n+1)) = beta_n.
+* The inequality: sin t < t for t > 0 and pi^2 < 10 give (N+1) s^2 <
+  10 (N+1)/(4 N^2), which is below 1 when 4 N^2 > 10 (N+1).  That holds
+  at N = 4, and 4 N^2 - 10 (N+1) grows with N from there.
+
+So beta_n < gamma_n for even n >= 4, and alpha strictly decreases from
+n = 2: the second case is its step at odd n, the third its step at even
+n, and together they are the interleaving beta_{n+1} < gamma_n <
+beta_{n-1} for odd n >= 3.  The exact initial values alpha_1 = alpha_2 =
+-1/2 (S_1 and partial_e(2) = 2x + 1 vanish there) complete the orderings;
+``root_report`` checks those values, and the brackets, up to a cap.
+
+``_grid_brackets`` builds every bracket (``gamma``'s, ``beta``'s and one
+per gap for ``zeros_of_s``) from rationals next to grid points whose exact
+signs it verifies, and bisection narrows brackets by exact-sign midpoints.
+A float only proposes a point, never accepts one.  The signs come from
 ``CompanionSign`` and ``EvenPartSign`` (``chebyshev.split_signs``), which
 build no coefficient vector; every helper only calls ``sign_at``, so a
 ``Poly`` works in their place.
@@ -329,59 +365,7 @@ def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
     return [*(_zero_in(s, n, b, tol) for b in brackets), _exact_cert(s, Fraction(1))]
 
 
-# -- minimal-zero orderings --------------------------------------------------
-
-
-def _bits_for(gap: float) -> int:
-    """Fractional bits of a dyadic grid whose step is at most gap / 8."""
-    return max(1, 4 - math.frexp(gap)[1])
-
-
-def _cos_pi_dyadic(j: float, den: float, bits: int, shift: float = 0.0) -> Fraction:
-    """A dyadic with the given fractional bits next to cos((j+shift)*pi/den).
-
-    The float is 1 - 2 sin^2(t pi/(2 den)) with t = j + shift, or near -1
-    it is -1 + 2 sin^2(t' pi/(2 den)) with t' = (den - j) - shift, so it is
-    accurate relative to its distance from the nearer of 1 and -1 and a
-    shift far below one unit of j survives.  It is rounded down.  It only
-    proposes a point: which side of anything the point lies on is settled
-    by exact signs.
-    """
-    if 2 * j <= den:
-        base, t = 1, j + shift
-    else:
-        base, t = -1, (den - j) - shift
-    scaled = math.ldexp(-base * 2.0 * math.sin(t * math.pi / (2 * den)) ** 2, bits)
-    return Fraction((base << bits) + math.floor(scaled), 1 << bits)
-
-
-def _side(zero: tuple[ExactSign, Bracket], x: Fraction) -> int:
-    """-1, 0 or 1 as x lies below, at or above the one zero in the bracket."""
-    sign, bracket = zero
-    if x <= bracket.lo:
-        return -1
-    if x >= bracket.hi:
-        return 1
-    s = sign.sign_at(x)
-    return 0 if s == 0 else (-1 if s == bracket.sign_lo else 1)
-
-
-def _separated(low, high, x: Fraction) -> bool:
-    """Whether x certifies that zero low lies strictly below zero high."""
-    a, b = _side(low, x), _side(high, x)
-    return a >= 0 >= b and (a, b) != (0, 0)
-
-
-def _alpha_separator(n: int) -> Fraction:
-    """Rational proposed between alpha_{n+1} and alpha_n, n >= 2.
-
-    alpha_n, the minimal zero of phi(n), is -cos(pi/(n+1)) for even n and
-    just below it for odd n, above -cos(pi/(n+2)); the proposal is
-    -cos(pi/(n+3/2)).
-    """
-    gap = 2 * (math.sin(math.pi / (2 * n + 2)) ** 2
-               - math.sin(math.pi / (2 * n + 4)) ** 2)
-    return _cos_pi_dyadic(n + 0.5, n + 1.5, _bits_for(gap))
+# -- the report --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -397,63 +381,29 @@ class RootReport:
 
 
 def root_report(max_n: int) -> RootReport:
-    """The orderings of the minimal zeros for n <= max_n, by exact signs.
+    """The brackets gamma and beta narrow, and the initial values, to max_n.
 
-    gamma_n of S_n and beta_n of partial_e(n) are held in the brackets of
-    gamma and beta (_gamma_bracket for n >= 3, _beta_bracket for even
-    n >= 2), and compared at proposed rational separators, accepted by
-    exact signs (CompanionSign, EvenPartSign):
-
-    * beta_n < gamma_n for even n >= 4;
-    * alpha strictly decreasing from n = 2, with alpha_1 = alpha_2 = -1/2
-      (alpha_0 = 1 is S_0's only zero), where alpha_n is beta_n for even n
-      and gamma_n for odd n; for odd n the interleaving
-      beta_{n+1} < gamma_n < beta_{n-1} is the same pair of steps.
-
-    gamma_n < cos(n pi/(n+1)) < beta_n for odd n and gamma_n <
-    cos((n-1) pi/(n+1)) for even n hold at every n by the zero
-    localization, which the identity battery proves.  A bracket whose
-    endpoint signs do not verify is reported, and the orderings that need
-    it are not decided.  No float accepts anything.
+    It builds _gamma_bracket for 3 <= n <= max_n and _beta_bracket for even
+    2 <= n <= max_n by exact signs (CompanionSign, EvenPartSign), and from
+    max_n = 2 checks alpha_1 = alpha_2 = -1/2 exactly: S_1 and partial_e(2)
+    vanish at -1/2.  A bracket whose endpoint signs do not verify is
+    reported.  The minimal-zero orderings need no per-n check: the module
+    docstring proves them for every n.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     failures: list[str] = []
-
-    def held(kind, n, sign, build):
-        try:
-            return sign, build(sign, n)
-        except BadBracket as exc:
-            failures.append(f"{kind} bracket n={n}: {exc}")
-            return None
-
-    gammas = {n: held("gamma", n, CompanionSign(n), _gamma_bracket)
-              for n in range(3, max_n + 1)}
-    betas = {n: held("beta", n, EvenPartSign(n), _beta_bracket)
-             for n in range(2, max_n + 1, 2)}
-
-    for n in range(4, max_n + 1, 2):
-        # beta_n = cos(n pi/(n+1)); the proposal lies a quarter step above.
-        if gammas[n] and betas[n]:
-            den = n + 1
-            between = _cos_pi_dyadic(n, den, _bits_for(
-                math.pi / (4 * den) * math.sin(math.pi / den)), -0.25)
-            if not _separated(betas[n], gammas[n], between):
-                failures.append(f"comparison n={n}: even ordering violated")
-
-    alphas = {n: (gammas if n % 2 else betas)[n] for n in range(2, max_n + 1)}
-    decreasing = {n: _separated(alphas[n + 1], alphas[n], _alpha_separator(n))
-                  for n in range(2, max_n) if alphas[n] and alphas[n + 1]}
-    for n in range(3, max_n, 2):
-        if not (decreasing.get(n - 1, True) and decreasing.get(n, True)):
-            failures.append(f"interleaving n={n}: not between adjacent "
-                            "even-factor zeros")
-    half = Fraction(-1, 2)
-    if (max_n >= 2 and betas[2] and not
-            CompanionSign(1).sign_at(half) == _side(betas[2], half) == 0):
+    for kind, sign, build, indices in (
+            ("gamma", CompanionSign, _gamma_bracket, range(3, max_n + 1)),
+            ("beta", EvenPartSign, _beta_bracket, range(2, max_n + 1, 2))):
+        for n in indices:
+            try:
+                build(sign(n), n)
+            except BadBracket as exc:
+                failures.append(f"{kind} bracket n={n}: {exc}")
+    if max_n >= 2 and not (CompanionSign(1).sign_at(-_HALF)
+                           == EvenPartSign(2).sign_at(-_HALF) == 0):
         failures.append("alpha-monotone: wrong initial values")
-    failures += [f"alpha-monotone: not strictly decreasing at {n + 1}"
-                 for n, ok in decreasing.items() if not ok]
     return RootReport(max_n, tuple(failures))
 
 

@@ -3,6 +3,7 @@ enclosures split_signs tries before it, their agreement with coefficient
 Horner signs and with the kernel at large n, and the odd root route that
 relies on them."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -118,37 +119,42 @@ def _recorded_root_queries(monkeypatch, indices, zero_indices):
     return seen
 
 
-def test_signs_match_coefficient_horner(monkeypatch):
-    # Gate for the kernel: for every n <= 300 the recurrence signs equal
-    # Poly.sign_at at the points the root finders query, at fixed points and
-    # at seeded random rationals.  zeros_of_s asks CompanionSign at ~70k
-    # points over all n <= 300 (grid bracket ends, float-refined ends and
-    # bisection midpoints); its points are taken exhaustively up to the
-    # verify default cap (60) and at five larger indices to keep the run
-    # short.
+def _root_query_signs_match(monkeypatch) -> set[tuple[int, Fraction]]:
+    """Compares the recurrence signs with Poly.sign_at where the root finders
+    ask them; returns every (n, x) compared."""
+    # zeros_of_s asks CompanionSign at ~70k points over all n <= 300 (grid
+    # bracket ends, float-refined ends and bisection midpoints); its points
+    # are taken exhaustively up to the verify default cap (60) and at five
+    # larger indices to keep the run short.
     indices = range(0, 301)
     queried = _recorded_root_queries(
         monkeypatch, indices, [*range(0, 61), 101, 150, 201, 250, 300])
     shared = FIXED_POINTS + tuple(random_points(2024, 30))
     mismatches = []
-    checked = 0
+    checked = set()
     for n in indices:
         for kind, poly, fast in (("s", s_poly(n), CompanionSign(n)),
                                  ("e", partial_e(n), EvenPartSign(n))):
             points = queried.get((kind, n), set()) | set(shared)
             for x in points:
-                checked += 1
+                checked.add((n, x))
                 if poly.sign_at(x) != fast.sign_at(x):
                     mismatches.append((kind, n, x))
-    assert checked > 301 * 2 * len(shared)
     assert not mismatches, mismatches[:5]
+    return checked
 
 
-def test_report_signs_match_coefficient_horner(monkeypatch):
-    # Gate for split_signs and for the brackets and separators of the root
-    # report: for every n <= 120 each point root_report asks a sign at, and
-    # the fixed and seeded points, give the signs of the coefficient vectors
-    # of S_n and of both split factors.
+def test_signs_match_coefficient_horner(monkeypatch):
+    # Gate for the kernel: for every n <= 300 the recurrence signs equal
+    # Poly.sign_at at the points the root finders query, at fixed points and
+    # at seeded random rationals.
+    checked = _root_query_signs_match(monkeypatch)
+    assert len(checked) > 301 * (len(FIXED_POINTS) + 30)
+
+
+def _report_query_signs_match(monkeypatch) -> set[tuple[int, Fraction]]:
+    """Compares split_signs with the coefficient vectors where root_report
+    asks a sign; returns every (n, x) compared."""
     seen: dict[int, set[Fraction]] = {}
 
     def recording(cls):
@@ -166,18 +172,33 @@ def test_report_signs_match_coefficient_horner(monkeypatch):
     monkeypatch.setattr(roots, "CompanionSign", recording(CompanionSign))
     monkeypatch.setattr(roots, "EvenPartSign", recording(EvenPartSign))
     assert roots.root_report(120).ok
+    # Both ends of gamma's bracket for every n in 3..120, and of beta's for
+    # every even n, must be among the points compared below.
+    ends = [(n, roots._gamma_bracket(CompanionSign(n), n)) for n in range(3, 121)]
+    ends += [(n, roots._beta_bracket(EvenPartSign(n), n)) for n in range(2, 121, 2)]
+    assert all({b.lo, b.hi} <= seen.get(n, set()) for n, b in ends)
     shared = set(FIXED_POINTS) | set(random_points(2025, 20))
     mismatches = []
+    checked = set()
     for n in range(121):
         polys = (s_poly(n), partial_e(n), partial_o(n))
         for x in seen.get(n, set()) | shared:
+            checked.add((n, x))
             want = tuple(poly.sign_at(x) for poly in polys)
             got = (split_signs(n, x), CompanionSign(n).sign_at(x),
                    EvenPartSign(n).sign_at(x))
             if got != (want, want[0], want[1]):
                 mismatches.append((n, x))
-    assert sum(map(len, seen.values())) > 350  # 417: 3 or 4 points per n
     assert not mismatches, mismatches[:5]
+    return checked
+
+
+def test_report_signs_match_coefficient_horner(monkeypatch):
+    # Gate for split_signs and for the brackets of the root report: for
+    # every n <= 120 each point root_report asks a sign at, and the fixed
+    # and seeded points, give the signs of the coefficient vectors of S_n
+    # and of both split factors.
+    _report_query_signs_match(monkeypatch)
 
 
 # -- integer enclosures ahead of the exact pair --------------------------------
@@ -200,22 +221,43 @@ def enclosures(monkeypatch):
 
 
 @pytest.fixture
-def enclose_all(monkeypatch, enclosures):
+def enclose_all(monkeypatch):
     """Crossover 0: every query at a point that is not an integer tries the
-    enclosure first."""
+    enclosure first.  Holds each (n, x) whose signs an enclosure decided."""
+    decided: set[tuple[int, Fraction]] = set()
+    real = chebyshev._enclosed_signs
+
+    def recording(n, p, q, bits):
+        signs = real(n, p, q, bits)
+        if signs is not None:
+            decided.add((n, Fraction(p, q)))
+        return signs
+
+    monkeypatch.setattr(chebyshev, "_enclosed_signs", recording)
     monkeypatch.setattr(chebyshev, "_ENCLOSE_ABOVE", 0)
-    return enclosures
+    return decided
+
+
+def _assert_decided_on_enclosures(decided, checked):
+    # Every compared query that tries an enclosure (x not an integer, so
+    # that the exact pair has bits, and m >= 1) and has no exact sign 0 must
+    # have been decided on one; a 0 only the exact pair can return.
+    tried = [(n, x) for n, x in checked if x.denominator > 1 and n >= 2]
+    undecided = ((n, x) for n, x in tried
+                 if (n, x) not in decided and 0 not in exact_signs(n, x))
+    missed = list(itertools.islice(undecided, 5))
+    assert tried and not missed, missed
 
 
 def test_enclosure_signs_match_coefficient_horner(enclose_all, monkeypatch):
     # Below the crossover the gates above never reach the enclosure.
-    test_signs_match_coefficient_horner(monkeypatch)
-    assert sum(decided for _, decided in enclose_all) > 30000
+    checked = _root_query_signs_match(monkeypatch)
+    _assert_decided_on_enclosures(enclose_all, checked)
 
 
 def test_enclosure_report_signs_match_coefficient_horner(enclose_all, monkeypatch):
-    test_report_signs_match_coefficient_horner(monkeypatch)
-    assert sum(decided for _, decided in enclose_all) > 8000
+    checked = _report_query_signs_match(monkeypatch)
+    _assert_decided_on_enclosures(enclose_all, checked)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 512])

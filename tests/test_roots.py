@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from fanqec import chebyshev, roots
-from fanqec.chebyshev import CompanionSign, EvenPartSign, identity_suite, s_poly
+from fanqec.chebyshev import (
+    CompanionSign,
+    EvenPartSign,
+    identity_suite,
+    s_poly,
+    s_value,
+)
 from fanqec.polynomial import Poly
 from fanqec.roots import (
     BadBracket,
@@ -294,6 +300,54 @@ class TestOrderings:
             assert beta(n + 1) < gamma(n).value < beta(n - 1)
 
 
+def _ordering_point(n: int) -> tuple[int, float, float]:
+    """(N, s, x) of the orderings proof in the roots docstring: N = n + 1 for
+    even n and n + 2 for odd n, s = sin(pi/(2N)), x = -cos(pi/N)."""
+    big_n = n + 1 if n % 2 == 0 else n + 2
+    return big_n, math.sin(math.pi / (2 * big_n)), -math.cos(math.pi / big_n)
+
+
+class TestOrderingsProof:
+    # The every-n argument of the roots docstring, checked in floats and
+    # integers where a double still resolves it.  Near n = 6e5 the distance
+    # from beta_{n+1} to gamma_n falls below one ulp of a double next to -1,
+    # so from there on only the proof orders them.
+
+    def test_point_has_the_sign_at_minus_one(self):
+        # The ordering point lies below gamma_n: S_n has the sign of S_n(-1)
+        # there, for even n >= 4 (x = beta_n) and odd n >= 3 (x = beta_{n+1}).
+        for n in range(3, 4002):
+            _, _, x = _ordering_point(n)
+            value = s_value(n, x)
+            assert (value > 0) - (value < 0) == CompanionSign(n).sign_at(-1), n
+
+    def test_odd_closed_form(self):
+        # S_n(x) = (-1)^m 4 s (1 - (N+1) s^2): x is a float next to a point
+        # where S_n is steep, so agreement is to a relative 1e-6 (the worst
+        # gap up to 2001 is 1.2e-7).
+        for n in range(3, 2002, 2):
+            big_n, s, x = _ordering_point(n)
+            closed = (-1) ** (n // 2) * 4 * s * (1 - (big_n + 1) * s * s)
+            assert s_value(n, x) == pytest.approx(closed, rel=1e-6), n
+
+    def test_even_linear_factor(self):
+        # n + (n+2) x = 2((N+1) s^2 - 1) < 0; the left side loses about n
+        # ulps to cancellation next to x = -1.
+        for n in range(4, 4002, 2):
+            big_n, s, x = _ordering_point(n)
+            factor = 2 * ((big_n + 1) * s * s - 1)
+            assert factor < 0
+            assert n + (n + 2) * x == pytest.approx(factor, rel=0, abs=n * 1e-15)
+
+    def test_inequality_threshold(self):
+        # 4 N^2 > 10 (N+1), the step after sin t < t and pi^2 < 10, holds
+        # from N = 4 on (4 N^2 - 10 (N+1) grows with N from there) and fails
+        # at N = 3.
+        assert not 4 * 3 ** 2 > 10 * (3 + 1)
+        assert all(4 * big_n ** 2 > 10 * (big_n + 1) for big_n in range(4, 10 ** 5 + 1))
+        assert math.pi ** 2 < 10
+
+
 def _mutated_tail(monkeypatch, target: int, change) -> None:
     """Give S_target the tail factor change(tail); every other S_n keeps its own."""
     real = chebyshev._s_factors
@@ -374,14 +428,34 @@ class TestRootReport:
             *(f"gamma bracket n={n}" for n in range(3, 13)),
             *(f"beta bracket n={n}" for n in range(2, 13, 2))]
 
-    def test_separator_orders_zeros_exactly(self):
-        third = (Poly([-1, 3]), Bracket(Fraction(0), Fraction(1), -1, 1))
-        two_thirds = (Poly([-2, 3]), Bracket(Fraction(0), Fraction(1), -1, 1))
-        half = Fraction(1, 2)
-        assert roots._separated(third, two_thirds, half)
-        assert not roots._separated(two_thirds, third, half)
-        assert roots._separated(third, two_thirds, Fraction(1, 3))
-        assert not roots._separated(third, third, Fraction(1, 3))
+    def test_asks_only_bracket_points_and_the_initial_values(self, monkeypatch):
+        # The orderings are proven for every n, so the report asks a sign
+        # only where gamma's and beta's brackets do, and at -1/2 for
+        # alpha_1 = alpha_2.
+        def recording(kind, cls, seen):
+            def make(n):
+                inner = cls(n)
+
+                class Recorder:
+                    def sign_at(self, x):
+                        seen.setdefault((kind, n), set()).add(Fraction(x))
+                        return inner.sign_at(x)
+
+                return Recorder()
+            return make
+
+        asked: dict[tuple[str, int], set[Fraction]] = {}
+        monkeypatch.setattr(roots, "CompanionSign", recording("s", CompanionSign, asked))
+        monkeypatch.setattr(roots, "EvenPartSign", recording("e", EvenPartSign, asked))
+        assert root_report(120).ok
+        alone: dict[tuple[str, int], set[Fraction]] = {}
+        for n in range(3, 121):
+            roots._gamma_bracket(recording("s", CompanionSign, alone)(n), n)
+        for n in range(2, 121, 2):
+            roots._beta_bracket(recording("e", EvenPartSign, alone)(n), n)
+        for key in (("s", 1), ("e", 2)):
+            alone.setdefault(key, set()).add(Fraction(-1, 2))
+        assert asked == alone
 
 
 class TestElementaryInequality:
