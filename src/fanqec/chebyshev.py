@@ -492,7 +492,8 @@ def split_signs(n: int, x: Fraction | int) -> tuple[int, int, int]:
 
 @dataclasses.dataclass(frozen=True)
 class _SplitSign:
-    """Sign of one part of split_signs(n, x); Poly's sign_at contract."""
+    """Sign of one part of split_signs(n, x), Poly's sign_at contract, and
+    the whole triple (signs_at)."""
 
     n: int
 
@@ -500,8 +501,11 @@ class _SplitSign:
         if self.n < 0:
             raise ValueError(f"index {self.n} must be >= 0")
 
+    def signs_at(self, x: Fraction | int) -> tuple[int, int, int]:
+        return split_signs(self.n, Fraction(x))
+
     def sign_at(self, x: Fraction | int) -> int:
-        return split_signs(self.n, Fraction(x))[self._part]
+        return self.signs_at(x)[self._part]
 
 
 class CompanionSign(_SplitSign):

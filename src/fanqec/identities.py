@@ -1,10 +1,11 @@
 """The exact identity battery over the Chebyshev-type families.
 
-``identity_suite`` checks 29 identities at every index n up to a bound,
-each coefficient-exactly over the integers.  Each identity is written once,
-as lhs and rhs over a family accessor, and runs on two backends: the stored
-Poly objects, and order bounds (``_Orders``) on an index object that stands
-for every n of one parity class n = 2j + r at once.
+``identity_suite`` runs 31 named checks: 27 identities and 4 coefficient
+properties, at every index n up to a bound, each coefficient-exactly over
+the integers.  Each identity is written once, as lhs and rhs over a family
+accessor, and runs on two backends: the stored Poly objects, and order
+bounds (``_Orders``) on an index object that stands for every n of one
+parity class n = 2j + r at once.
 
 On such a class every member an identity reads sits at an index a*j + b,
 and with lambda + 1/lambda = 2x each member of U, T, V and W is

@@ -27,10 +27,6 @@ class NearSingular(ValueError):
     """Shift parameter too close to a path eigenvalue or to +/-2."""
 
 
-class OrderingViolation(AssertionError):
-    """A proven strict ordering failed numerically."""
-
-
 class Method(str, enum.Enum):
     KNOWN_SMALL = "known-small"
     CLOSED_FORM_EVEN = "closed-form-even"
@@ -157,10 +153,10 @@ def tau(n: int) -> float | None:
 
 def sigma(n: int, tol: float = 1e-12) -> float:
     """Minimal non-eigenvalue stationary branch, equal to twice the minimal
-    companion-polynomial zero; asserts its proven position relative to the
-    path spectrum.
+    companion-polynomial zero.
 
-    The position is proven for every n (fanqec.roots).  For odd n the zero
+    Its position relative to the path spectrum is proven for every n
+    (fanqec.roots), so it is not re-checked in floats.  For odd n the zero
     localization puts the value below the smallest path eigenvalue
     2 cos(n pi/(n+1)).  For even n the even case of the minimal-zero
     orderings (cos(n pi/(n+1)) = beta_n < gamma_n) puts it above that
@@ -168,17 +164,7 @@ def sigma(n: int, tol: float = 1e-12) -> float:
     """
     if n < 3:
         raise ValueError("defined for n >= 3")
-    value = 2.0 * roots.gamma(n, tol).value
-    spectrum = path_spectrum(n)
-    if n % 2:
-        if not value < spectrum[n - 1]:
-            raise OrderingViolation(
-                f"sigma({n}) = {value} not below the smallest path eigenvalue")
-    else:
-        if not spectrum[n - 1] < value < spectrum[n - 2]:
-            raise OrderingViolation(
-                f"sigma({n}) = {value} not between the two smallest path eigenvalues")
-    return value
+    return 2.0 * roots.gamma(n, tol).value
 
 
 def key_identity_check(n: int, alpha: Fraction | int) -> float:

@@ -67,12 +67,17 @@ beta_{n-1} for odd n >= 3.  The exact initial values alpha_1 = alpha_2 =
 ``root_report`` checks those values, and the brackets, up to a cap.
 
 ``_grid_brackets`` builds every bracket (``gamma``'s, ``beta``'s and one
-per gap for ``zeros_of_s``) from rationals next to grid points whose exact
-signs it verifies, and bisection narrows brackets by exact-sign midpoints.
-A float only proposes a point, never accepts one.  The signs come from
-``CompanionSign`` and ``EvenPartSign`` (``chebyshev.split_signs``), which
-build no coefficient vector; every helper only calls ``sign_at``, so a
-``Poly`` works in their place.
+per gap for ``zeros_of_s``) from rationals next to grid points, and
+bisection narrows brackets by exact-sign midpoints.  Gap i = (g_{i+1}, g_i),
+0 <= i <= n, has i of g_1, ..., g_n above it (g_{n+1} = -1).  Each g_j is a
+simple zero of one split factor (partial_o at odd j, partial_e at even j),
+both with positive leading coefficients, so on gap i partial_e has the sign
+(-1)^floor(i/2) and partial_o (-1)^ceil(i/2).  A bracket end is accepted
+when these are its exact signs and its sign of S_n (of partial_e for
+``beta``) is the one wanted: a float only proposes a point.  All three
+signs come in one query from ``CompanionSign`` or ``EvenPartSign``
+(``chebyshev.split_signs``), which build no coefficient vector; bisection
+only calls ``sign_at``, so a ``Poly`` works in its place.
 """
 
 from __future__ import annotations
@@ -94,6 +99,8 @@ LOCALIZATION_IDENTITIES = (
 
 _NUDGE_START = Fraction(1, 2 ** 52)
 _NUDGE_LIMIT = Fraction(1, 2 ** 20)
+_ABOVE, _BELOW = 1, -1
+_Signs = CompanionSign | EvenPartSign  # the sources of signs_at's triple
 _SIMPLE_PROBE = Fraction(1, 2 ** 40)
 _HALF = Fraction(1, 2)
 
@@ -177,28 +184,32 @@ def bisect(p: ExactSign, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
     return ZeroCert(float((lo + hi) / 2), lo, hi, True)
 
 
-def _verified_endpoint(p: ExactSign, base: Fraction, toward: Fraction,
-                       want: int, exact: bool = False) -> Fraction:
-    """Rational point near base, on the side of toward, with the required exact sign.
+def _verified_endpoint(p: _Signs, den: int, j: int, side: int, part: int,
+                       want: int) -> Fraction:
+    """Rational point of gap j - 1 (side 1, above g_j) or gap j (side -1).
 
-    An exact base is tried as is first.  A base rounded from an irrational
-    grid point is not: it may sit on either side of that point, so its first
-    candidate lies 2^-52 away, about one unit in the last place of a double
-    near 1, which covers the rounding.  Every grid endpoint then costs one
-    sign query, whichever way its rounding fell, and stays that close to the
-    grid point.  The nudge doubles on a failed sign check up to 2^-20, but a
-    candidate never reaches toward, the neighbouring point of the zero
-    localization: past it the bracket could hold three zeros.
+    A candidate is accepted when its signs of partial_e and partial_o are
+    the gap's and its sign of part (0 for S_n, 1 for partial_e) is want.
+    j = den stands for -1, exact and tried first.  A base rounded from g_j
+    may lie on either side of it: the first candidate is 2^-52 away, and
+    one still on the wrong side has the other gap's signs.  The nudge
+    doubles while at most 2^-20, which bounds the cost and keeps a wrong S_n
+    from finding its sign far from g_j, and 2/den^2, below every gap: g_j -
+    g_{j+1} >= 1 - cos(pi/den) = 2 sin^2(pi/(2 den)) >= 2/den^2, as sin u >=
+    2u/pi.  The gap signs repeat every four gaps, so the one float fact left
+    is that the rounded base lies within one gap of g_j: 2/den^2 = 3.5e-13
+    at n = 2.4e6 is over 300 times the rounding, as j pi/den in doubles is
+    within 8.2e-16 of the angle and cos adds at most one unit in the last place.
     """
-    direction = 1 if toward > base else -1
-    nudge = Fraction(0) if exact else _NUDGE_START
-    while nudge <= _NUDGE_LIMIT:
-        cand = base + direction * nudge
-        if direction * (toward - cand) <= 0:
-            break
-        if p.sign_at(cand) == want:
-            return cand
-        nudge = nudge * 2 if nudge else _NUDGE_START
+    base = Fraction(-1) if j == den else Fraction(_grid_point(j, den))
+    i = j - 1 if side == _ABOVE else j
+    gap = (-1) ** (i // 2), (-1) ** ((i + 1) // 2)
+    nudge = Fraction(0) if j == den else _NUDGE_START
+    while nudge <= min(_NUDGE_LIMIT, Fraction(2, den * den)):
+        signs = p.signs_at(base + side * nudge)
+        if signs[1:] == gap and signs[part] == want:
+            return base + side * nudge
+        nudge = nudge * 2 or _NUDGE_START
     raise BadBracket(f"no verified endpoint near {float(base)} (sign {want})")
 
 
@@ -241,53 +252,46 @@ def _grid_point(j: int, den: int) -> float:
     return math.cos(j * math.pi / den)
 
 
-def _grid_brackets(p: ExactSign, den: int, ends: tuple[tuple[int, int], ...],
-                   sign_lo: int) -> list[Bracket]:
+def _grid_brackets(p: _Signs, den: int, ends: tuple[tuple[int, int], ...],
+                   part: int, sign_lo: int) -> list[Bracket]:
     """Brackets between consecutive verified points next to grid points.
 
-    ends gives (j, limit) for each point, in ascending order of the points:
-    the point is _verified_endpoint's, nudged from cos(j*pi/den) toward
-    cos(limit*pi/den) and never to it, with the exact sign sign_lo at the
-    first point and alternating from there.  j = den stands for -1, which
-    is tried exactly first.  Which zeros a bracket holds is the caller's
-    theorem; the signs only confirm which side of them each point lies on.
+    ends gives (j, side) for each point, in ascending order of the points:
+    the point is _verified_endpoint's, just above or below cos(j*pi/den),
+    with the sign sign_lo of part at the first point and alternating from
+    there.  Which zeros a bracket holds is the caller's theorem; the signs
+    place each point in its gap and on its side of them.
     """
-    def at(j):
-        return Fraction(-1) if j == den else Fraction(_grid_point(j, den))
-
     signs = [sign_lo * (-1) ** i for i in range(len(ends))]
-    points = [_verified_endpoint(p, at(j), at(limit), want, exact=j == den)
-              for (j, limit), want in zip(ends, signs)]
+    points = [_verified_endpoint(p, den, j, side, part, want)
+              for (j, side), want in zip(ends, signs)]
     return [Bracket(lo, hi, want, -want)
             for lo, hi, want in zip(points, points[1:], signs)]
 
 
-def _gamma_bracket(s: ExactSign, n: int) -> Bracket:
+def _gamma_bracket(s: _Signs, n: int) -> Bracket:
     """The bracket gamma narrows, for odd n >= 3 and even n >= 4.
 
     Below the zero S_n has the sign of S_n(-1), (-1)^(c+1), c = (n+1) // 2.
-    For odd n it is the lowest gap of the localization, (-1, cos(n pi/(n+1)));
-    for even n the part of it above the minimal even-factor zero, between
-    cos(n pi/(n+1)) nudged toward -1 and cos((n-1) pi/(n+1)).  Each
-    cosine end is nudged away from the zero inside, but never to the next
-    grid point, so no other zero joins it.
+    For odd n it runs from -1 to gap n - 1, just above cos(n pi/(n+1)) and
+    short of the next zero; for even n from gap n, just below that point,
+    the minimal even-factor zero, to gap n - 2, above cos((n-1) pi/(n+1)).
     """
     den = n + 1
-    ends = ((den, n), (n, n - 2)) if n % 2 else ((n, den), (n - 1, n - 3))
-    return _grid_brackets(s, den, ends, (-1) ** ((n + 3) // 2))[0]
+    ends = ((den, _ABOVE), (n, _ABOVE)) if n % 2 else ((n, _BELOW), (n - 1, _ABOVE))
+    return _grid_brackets(s, den, ends, 0, (-1) ** ((n + 3) // 2))[0]
 
 
-def _beta_bracket(e: ExactSign, n: int) -> Bracket:
+def _beta_bracket(e: _Signs, n: int) -> Bracket:
     """Bracket on the minimal zero cos(2m pi/(n+1)) of partial_e(n), n >= 2.
 
-    The factor has degree m, so its sign is (-1)^m below the zero; the ends
-    are nudged from the zero toward -1 and toward the grid point
-    cos((2m-1) pi/(n+1)), short of the next even-factor zero.  At n = 2 the
-    zero is -1/2 itself, and a nudge that lands on it is doubled past it.
+    Its ends lie in gaps 2m and 2m - 1, just below and just above the zero,
+    where the factor has the signs (-1)^m and (-1)^(m-1); no sign of S_n
+    enters.  At n = 2 the zero is -1/2 itself, and a nudge that lands on it
+    is doubled past it.
     """
     m = n // 2
-    return _grid_brackets(e, n + 1, ((2 * m, n + 1), (2 * m, 2 * m - 1)),
-                          (-1) ** m)[0]
+    return _grid_brackets(e, n + 1, ((2 * m, _BELOW), (2 * m, _ABOVE)), 1, (-1) ** m)[0]
 
 
 def beta(n: int) -> float:
@@ -300,14 +304,11 @@ def beta(n: int) -> float:
     if n <= 1:
         raise ValueError(f"even-zero factor of index {n} is constant, no minimal zero")
     ue = EvenPartSign(n)
-    if n == 2:
-        if ue.sign_at(-_HALF) != 0:
-            raise BadBracket("expected exact zero at -1/2")
-        return -0.5
-    if n == 3:
-        if ue.sign_at(0) != 0:
-            raise BadBracket("expected exact zero at 0")
-        return 0.0
+    if n in (2, 3):
+        zero = -_HALF if n == 2 else Fraction(0)
+        if ue.sign_at(zero) != 0:
+            raise BadBracket(f"expected exact zero at {zero}")
+        return float(zero)
     _beta_bracket(ue, n)
     return _grid_point(2 * (n // 2), n + 1)
 
@@ -351,17 +352,16 @@ def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
     """All zeros of s_poly(n), ascending: one in each gap of the grid, then 1.
 
     The brackets run from -1 through a verified point just above each zero
-    cos(j pi/(n+1)) of partial_o(n), j = 2c-1, ..., 3, 1, the last nudged
-    toward 1.  By the zero localization each holds exactly one zero, and
-    with x = 1 they are all of them; each is narrowed to width <= tol.  The
-    zeros of S_n near -1 lie just below their grid points (2.4e-12 below at
-    j = n = 401), so a point nudged downward could pass one; one point above
-    each grid point ends one bracket and starts the next.
+    cos(j pi/(n+1)) of partial_o(n), j = 2c-1, ..., 3, 1, in gap j - 1.  By
+    the zero localization each holds exactly one zero, and with x = 1 they
+    are all of them; each is narrowed to width <= tol.  The zeros of S_n
+    near -1 lie just below their grid points (2.4e-12 below at j = n = 401),
+    so one point above each grid point ends one bracket and starts the next.
     """
     s = CompanionSign(n)
     den, top = n + 1, 2 * ((n + 1) // 2) - 1
-    ends = ((den, top), *((j, max(j - 2, 0)) for j in range(top, 0, -2)))
-    brackets = _grid_brackets(s, den, ends, (-1) ** ((n + 3) // 2)) if n else []
+    ends = ((den, _ABOVE), *((j, _ABOVE) for j in range(top, 0, -2)))
+    brackets = _grid_brackets(s, den, ends, 0, (-1) ** ((n + 3) // 2)) if n else []
     return [*(_zero_in(s, n, b, tol) for b in brackets), _exact_cert(s, Fraction(1))]
 
 

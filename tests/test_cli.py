@@ -498,12 +498,16 @@ class TestVerify:
         monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j + 1, den))
         code, out, _ = run(capsys, "verify", "--max-n", "2", "--roots-max-n", "4")
         assert code == 1
+        # Each of the four brackets fails at the end whose gap signs are
+        # wrong: a base shifted one grid point down lies one gap too low,
+        # while an end that wants gap n verifies just below -1, where the
+        # split factors keep the signs of gap n.
         assert out.splitlines()[1:6] == [
             "minimal-zero orderings up to n=4: 4 failures",
-            "  FAIL gamma bracket n=3: no verified endpoint near -1.0 (sign -1)",
-            "  FAIL gamma bracket n=4: no verified endpoint near -1.0 (sign -1)",
-            "  FAIL beta bracket n=2: no verified endpoint near -1.0 (sign -1)",
-            "  FAIL beta bracket n=4: no verified endpoint near -1.0 (sign 1)",
+            "  FAIL gamma bracket n=3: no verified endpoint near -1.0 (sign 1)",
+            "  FAIL gamma bracket n=4: no verified endpoint near -0.8090169943749473 (sign 1)",
+            "  FAIL beta bracket n=2: no verified endpoint near -1.0 (sign 1)",
+            "  FAIL beta bracket n=4: no verified endpoint near -1.0 (sign -1)",
         ]
         assert "zero localization of S_n: proven for every n" in out
         assert out.strip().endswith("FAILED")

@@ -96,16 +96,12 @@ def _recorded_root_queries(monkeypatch, indices, zero_indices):
     seen: dict[tuple[str, int], set[Fraction]] = {}
 
     def recording(kind, cls):
-        def make(n):
-            inner = cls(n)
+        class Recorder(cls):  # sign_at asks signs_at too
+            def signs_at(self, x):
+                seen.setdefault((kind, self.n), set()).add(Fraction(x))
+                return super().signs_at(x)
 
-            class Recorder:
-                def sign_at(self, x):
-                    seen.setdefault((kind, n), set()).add(Fraction(x))
-                    return inner.sign_at(x)
-
-            return Recorder()
-        return make
+        return Recorder
 
     monkeypatch.setattr(roots, "CompanionSign", recording("s", CompanionSign))
     monkeypatch.setattr(roots, "EvenPartSign", recording("e", EvenPartSign))
@@ -158,16 +154,12 @@ def _report_query_signs_match(monkeypatch) -> set[tuple[int, Fraction]]:
     seen: dict[int, set[Fraction]] = {}
 
     def recording(cls):
-        def make(n):
-            inner = cls(n)
+        class Recorder(cls):  # sign_at asks signs_at too
+            def signs_at(self, x):
+                seen.setdefault(self.n, set()).add(Fraction(x))
+                return super().signs_at(x)
 
-            class Recorder:
-                def sign_at(self, x):
-                    seen.setdefault(n, set()).add(Fraction(x))
-                    return inner.sign_at(x)
-
-            return Recorder()
-        return make
+        return Recorder
 
     monkeypatch.setattr(roots, "CompanionSign", recording(CompanionSign))
     monkeypatch.setattr(roots, "EvenPartSign", recording(EvenPartSign))
@@ -382,16 +374,17 @@ def test_odd_value_strictly_inside_proven_bounds(n):
 @pytest.mark.parametrize("n", [3479, 3481])
 def test_odd_root_query_count_does_not_depend_on_rounding(monkeypatch, n):
     # The rounded cosine grid point lies on the zero's side at n = 3481 and
-    # beyond it at n = 3479; both take the exact sign at -1, at the grid
+    # beyond it at n = 3479; both take the exact signs at -1, at the grid
     # endpoint and at the float-refined lower endpoint, nothing more.
+    # CompanionSign.sign_at asks signs_at, so every query is counted.
     calls = []
-    sign_at = CompanionSign.sign_at
+    signs_at = CompanionSign.signs_at
 
     def counted(self, x):
         calls.append(x)
-        return sign_at(self, x)
+        return signs_at(self, x)
 
-    monkeypatch.setattr(CompanionSign, "sign_at", counted)
+    monkeypatch.setattr(CompanionSign, "signs_at", counted)
     cert = roots.gamma(n)
     assert len(calls) == 3
     assert cert.hi - cert.lo <= 1e-12

@@ -7,12 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fanqec import qec as qec_module
 from fanqec.graphs import Graph, fan, path, path_spectrum
 from fanqec.qec import (
     Method,
     NearSingular,
-    OrderingViolation,
     cross_validate,
     helmert_basis,
     key_identity_check,
@@ -21,7 +19,7 @@ from fanqec.qec import (
     sigma,
     tau,
 )
-from fanqec.roots import ZeroCert, beta
+from fanqec.roots import beta
 
 
 def even_closed_form(n: int) -> float:
@@ -123,12 +121,6 @@ class TestBranchValues:
         assert w4[3] < sigma(4) < w4[2]
         assert sigma(5) < path_spectrum(5)[4]
         assert sigma(3) == pytest.approx(-1.5, abs=0)  # 2 * (-3/4), exact zero
-
-    def test_sigma_ordering_violation_detected(self, monkeypatch):
-        fake = ZeroCert(0.0, Fraction(0), Fraction(0), True)
-        monkeypatch.setattr(qec_module.roots, "gamma", lambda n, tol=1e-12: fake)
-        with pytest.raises(OrderingViolation):
-            sigma(9)
 
 
 class TestKeyIdentity:

@@ -11,8 +11,11 @@ from fanqec.chebyshev import (
     CompanionSign,
     EvenPartSign,
     identity_suite,
+    partial_e,
+    partial_o,
     s_poly,
     s_value,
+    split_signs,
 )
 from fanqec.polynomial import Poly
 from fanqec.roots import (
@@ -132,15 +135,22 @@ class TestGamma:
             gamma(0)
 
 
+def gap_signs(i: int) -> tuple[int, int]:
+    """Signs of (partial_e, partial_o) on gap i, below i grid points: each
+    point below the first flips the one factor that vanishes there."""
+    return (-1) ** (i // 2), (-1) ** ((i + 1) // 2)
+
+
 class _ConstantSign:
-    """Sign stub that records every query and always answers the same."""
+    """Sign stub that records every query and always answers the same
+    signs of (S_n, partial_e, partial_o)."""
 
-    def __init__(self, sign: int):
-        self.sign, self.queries = sign, []
+    def __init__(self, signs: tuple[int, int, int]):
+        self.signs, self.queries = signs, []
 
-    def sign_at(self, x) -> int:
+    def signs_at(self, x) -> tuple[int, int, int]:
         self.queries.append(Fraction(x))
-        return self.sign
+        return self.signs
 
 
 def _nudged_end(n: int, end: str) -> tuple[Fraction, Fraction]:
@@ -158,13 +168,14 @@ def _nudged_end(n: int, end: str) -> tuple[Fraction, Fraction]:
 @pytest.mark.parametrize("n", [6400, 6401, 20000, 20001])
 @pytest.mark.parametrize("end", ["lo", "hi"])
 def test_nudges_stop_before_the_neighbouring_grid_point(monkeypatch, n, end):
-    # Near -1 the grid gap falls below the 2^-20 nudge ceiling (9.9e-8 above
-    # the odd bracket at n = 20001): an endpoint whose sign never verifies
-    # must raise, not walk past the next zero.  The stub gives the lower end
-    # its sign when the upper end is the one to fail.
+    # Near -1 the grid gap falls below 2^-20 (9.9e-8 above the odd bracket
+    # at n = 20001): an endpoint whose signs never verify must raise, not
+    # walk past the next zero.  The stub answers the signs of the other end,
+    # in gap n (both lower ends) or in gap n - 1 or n - 2 (the upper ends).
     m, odd = divmod(n, 2)
     want_lo = (-1) ** m if odd else (-1) ** (m + 1)
-    stub = _ConstantSign(want_lo if end == "hi" else -want_lo)
+    lower, upper = (want_lo, *gap_signs(n)), (-want_lo, *gap_signs(n - 2 + odd))
+    stub = _ConstantSign(lower if end == "hi" else upper)
     monkeypatch.setattr(roots, "CompanionSign", lambda _: stub)
     with pytest.raises(BadBracket):
         gamma(n)
@@ -179,16 +190,80 @@ def test_nudges_stop_before_the_neighbouring_grid_point(monkeypatch, n, end):
 @pytest.mark.parametrize("n", [6400, 6401, 20000, 20001])
 def test_beta_probe_stays_between_minus_one_and_the_neighbouring_grid_point(
         monkeypatch, n):
-    # At n = 20000 the 2^-20 probe ceiling is ten times the gap to the next
-    # even-factor zero (9.9e-8): a sign that never changes must raise, and
-    # no probe may pass -1 or the grid point above the minimal zero.
-    stub = _ConstantSign(1)
+    # At n = 20000, 2^-20 is ten times the gap to the next even-factor zero
+    # (9.9e-8): signs that never change must raise, and no probe may pass -1
+    # or the grid point above the minimal zero.  The stub answers the signs
+    # of the lower end, in gap 2m with partial_e(n) = (-1)^m = 1.
+    stub = _ConstantSign((1, *gap_signs(2 * (n // 2))))
     monkeypatch.setattr(roots, "EvenPartSign", lambda _: stub)
     with pytest.raises(BadBracket):
         beta(n)
     neighbour = Fraction(math.cos((2 * (n // 2) - 1) * math.pi / (n + 1)))
     assert len(stub.queries) >= 10
     assert all(-1 < x < neighbour for x in stub.queries)
+
+
+def test_split_factor_signs_follow_the_gap_pattern():
+    # At the midpoint of every gap, for n <= 80, the exact signs of
+    # partial_e(n) and partial_o(n), from split_signs and from their
+    # coefficient vectors, are those of gap_signs.
+    for n in range(0, 81):
+        den = n + 1
+        grid = [Fraction(math.cos(j * math.pi / den)) for j in range(den)]
+        grid.append(Fraction(-1))
+        even, odd = partial_e(n), partial_o(n)
+        for i in range(den):
+            x = (grid[i] + grid[i + 1]) / 2
+            coefficient_signs = (even.sign_at(x), odd.sign_at(x))
+            assert split_signs(n, x)[1:] == gap_signs(i) == coefficient_signs, (n, i)
+
+
+def _recording(cls, probes: list[Fraction]):
+    class Recorder(cls):  # sign_at asks signs_at too
+        def signs_at(self, x):
+            probes.append(Fraction(x))
+            return super().signs_at(x)
+
+    return Recorder
+
+
+@pytest.mark.parametrize("n", [6401, 20001, 100001, 10 ** 6 + 1, 24 * 10 ** 5 + 1,
+                               20000, 10 ** 6])
+def test_large_bracket_ends_lie_in_their_gaps(n):
+    # From n = 1448 on, 2/(n+1)^2 < 2^-20 caps the nudge, below every gap.
+    # Each end of gamma's and beta's brackets has the exact split-factor signs
+    # of the gap it names, and no probe lies further than that cap from the
+    # rounded grid point (or -1) it starts from.
+    m, odd = divmod(n, 2)
+    den = n + 1
+    probes: list[Fraction] = []
+    gamma_ = roots._gamma_bracket(_recording(CompanionSign, probes)(n), n)
+    beta_ = roots._beta_bracket(_recording(EvenPartSign, probes)(n), n)
+    for x, gap in ((gamma_.lo, n), (gamma_.hi, n - 2 + odd),
+                   (beta_.lo, 2 * m), (beta_.hi, 2 * m - 1)):
+        assert split_signs(n, x)[1:] == gap_signs(gap), (n, float(x), gap)
+    bases = [Fraction(-1), *(Fraction(math.cos(j * math.pi / den))
+                             for j in (n, n - 1, 2 * m))]
+    cap = Fraction(2, den * den)
+    assert len(probes) >= 4
+    assert all(min(abs(x - b) for b in bases) <= cap for x in probes)
+
+
+@pytest.mark.parametrize("n", [60, 61, 401])
+def test_grid_point_past_its_neighbour_is_caught(monkeypatch, n):
+    # Every rounded grid point moved up by one and a half grid steps, past
+    # the next one, so that each end starts a gap above the one it names.
+    # S_n can have the wanted sign there (at odd n >= 61 gamma's upper end
+    # used to verify), but the split-factor signs are another gap's: every
+    # root finder raises, and the report lists every bracket.
+    real = roots._grid_point
+    monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j - 1.5, den))
+    for find in (gamma, beta, zeros_of_s):
+        with pytest.raises(BadBracket, match="^no verified endpoint near "):
+            find(n)
+    assert [f.split(":")[0] for f in root_report(n).failures] == [
+        *(f"gamma bracket n={k}" for k in range(3, n + 1)),
+        *(f"beta bracket n={k}" for k in range(2, n + 1, 2))]
 
 
 def _walked_s_value(n: int, x: float) -> float:
@@ -433,16 +508,12 @@ class TestRootReport:
         # only where gamma's and beta's brackets do, and at -1/2 for
         # alpha_1 = alpha_2.
         def recording(kind, cls, seen):
-            def make(n):
-                inner = cls(n)
+            class Recorder(cls):  # sign_at asks signs_at too
+                def signs_at(self, x):
+                    seen.setdefault((kind, self.n), set()).add(Fraction(x))
+                    return super().signs_at(x)
 
-                class Recorder:
-                    def sign_at(self, x):
-                        seen.setdefault((kind, n), set()).add(Fraction(x))
-                        return inner.sign_at(x)
-
-                return Recorder()
-            return make
+            return Recorder
 
         asked: dict[tuple[str, int], set[Fraction]] = {}
         monkeypatch.setattr(roots, "CompanionSign", recording("s", CompanionSign, asked))
