@@ -73,9 +73,13 @@ class NotIntegral(ArithmeticError):
 # Members each builder keeps (functools.lru_cache).  One step of the
 # battery's walk reads U_{k-1}, U_k and U_{k+1}, for u itself, for the split
 # factors and S_n at 2k and 2k + 1 and for phi at k; the ties of those
-# derived members reuse their builders' evaluations and read no U.
-# identity_suite(300) builds 1209 members with the cache (each U member once
-# in its walk) and 5189, in 1.4 to 1.5 times the time, without it.
+# derived members reuse their builders' evaluations and read no U.  That
+# holds per process: above a crossover (fanqec.identities._FORK_FROM) and
+# with two CPUs, the four kinds and the derived families are walked in two
+# processes, each with its own cache.  identity_suite(300) builds 1233
+# members in one process (each U member once in its walk); in two, the
+# worker builds U_{-1} to U_303 once more.  Without the cache one walk
+# built 5189 members, in 1.4 to 1.5 times the time.
 _KEEP = 8
 
 

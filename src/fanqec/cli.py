@@ -309,8 +309,8 @@ _COMMANDS = {
         _cmd_verify, "run the exact identity battery and root-structure checks",
         (),
         (_Arg("--max-n", int, default=50),
-         _Arg("--roots-max-n", int, help="cap for the minimal-zero orderings "
-                                         "(default min(max-n, 60))"),
+         _Arg("--roots-max-n", int, help="cap for the gamma and beta brackets and "
+                                         "the initial values (default min(max-n, 60))"),
          _FORMAT)),
     "qec": _Command(
         _cmd_qec, "compute one quadratic embedding constant",

@@ -4,9 +4,11 @@ import collections
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -141,6 +143,12 @@ _FRESH_SEEDS = {
 _BASE_BUILDERS = {"u": cheb_u, "t": cheb_t, "v": cheb_v, "w": cheb_w}
 
 
+def _cpus(monkeypatch, count):
+    """Let the stored pass see `count` CPUs: one walks in this process only."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 class TestFamilyStore:
     @pytest.mark.parametrize("family", sorted(_FRESH_SEEDS))
     def test_any_read_order_equals_a_fresh_recurrence(self, family):
@@ -221,6 +229,7 @@ class TestFamilyStore:
 
         monkeypatch.setattr(chebyshev, "_alternating", alternating)
         monkeypatch.setattr(identities, "_stored_pass", stored_pass)
+        _cpus(monkeypatch, 1)  # one process, so every build is counted here
         for builder in _BASE_BUILDERS.values():
             builder.cache_clear()
         assert identity_suite(300).ok
@@ -261,6 +270,7 @@ class TestFamilyStore:
 
         monkeypatch.setattr(chebyshev._Families, "defined", defined)
         monkeypatch.setattr(identities, "_stored_pass", stored_pass)
+        _cpus(monkeypatch, 1)  # one process, so every evaluation is counted here
         assert identity_suite(300).ok
         derived = ("pe", "po", "s", "phi")
         assert all(tops[family] >= 300 for family in derived)
@@ -984,3 +994,154 @@ class TestModularBattery:
         monkeypatch.setattr(chebyshev, "partial_o", lambda n: Poly([5]))
         assert _digest(identity_suite(2)) == (
             "2284f693f6144e8dc5339bb1297450edd69e1956c9056e8c100771998f16ca54")
+
+
+# -- the stored pass in two processes ---------------------------------------
+
+
+class _BuilderFault(ArithmeticError):
+    """An exception type of this module, raised by a failing builder."""
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _two_cpus(monkeypatch, max_n):
+    """Let the stored pass see two CPUs; skip unless it then forks at max_n."""
+    _cpus(monkeypatch, 2)
+    if not identities._forks(max_n):
+        pytest.skip("this runtime walks in one process only (no os.fork, "
+                    "or Python 3.12+ with more than one thread)")
+
+
+def _both_ways(monkeypatch, max_n):
+    """identity_suite(max_n) on one CPU, then on two, where one worker forks."""
+    _cpus(monkeypatch, 1)
+    one = identity_suite(max_n)
+    _two_cpus(monkeypatch, max_n)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(True)
+        return real_fork()
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", fork)
+        two = identity_suite(max_n)
+    assert forks == [True]
+    _assert_no_child()
+    return one, two
+
+
+_BUILDER_NAMES = {"u": "cheb_u", "t": "cheb_t", "v": "cheb_v", "w": "cheb_w",
+                  "pe": "partial_e", "po": "partial_o", "s": "s_poly", "phi": "phi"}
+
+
+class TestTwoProcessPass:
+    """From identities._FORK_FROM on, with two CPUs, a forked worker walks
+    the derived families: the report is the one-process report."""
+
+    def test_report_equals_the_one_process_report(self, monkeypatch):
+        one, two = _both_ways(monkeypatch, 300)
+        assert two.ok
+        assert two.checked == one.checked
+        assert two.proven == one.proven and len(two.proven) == 27
+
+    # The crossover is lowered so that each battery, all on Poly once a tie
+    # fails, stays small.  Member 7 of every family lies below max_n and
+    # below the top index the walk ties.
+    @pytest.mark.parametrize("family", sorted(_BUILDER_NAMES))
+    def test_corrupted_builder_fails_alike(self, monkeypatch, family):
+        name = _BUILDER_NAMES[family]
+        real = getattr(chebyshev, name)
+
+        def corrupted(n):
+            p = real(n)
+            return Poly((p.coeffs[0] + 1,) + p.coeffs[1:]) if n == 7 else p
+
+        monkeypatch.setattr(chebyshev, name, corrupted)
+        monkeypatch.setattr(identities, "_FORK_FROM", 20)
+        one, two = _both_ways(monkeypatch, 24)
+        assert two.checked == one.checked
+        assert two.proven == one.proven == ()
+        assert two.failures
+        assert all(c.lhs and c.rhs and c.lhs != c.rhs for c in two.failures)
+
+    @pytest.mark.parametrize("family", ["s", "t"])
+    def test_builder_exception_is_raised_here(self, monkeypatch, family):
+        # s is walked by the worker, t by this process: either way the
+        # exception is raised here with its type and message, no record of
+        # the pass is left, and no process.
+        name = _BUILDER_NAMES[family]
+        real = getattr(chebyshev, name)
+
+        def failing(n):
+            if n == 10:
+                raise _BuilderFault(f"{family} failed at 10 in process {os.getpid()}")
+            return real(n)
+
+        monkeypatch.setattr(chebyshev, name, failing)
+        _two_cpus(monkeypatch, identities._FORK_FROM)
+        with pytest.raises(_BuilderFault) as caught:
+            identity_suite(identities._FORK_FROM)
+        message = str(caught.value)
+        assert type(caught.value) is _BuilderFault
+        assert message.startswith(f"{family} failed at 10 in process ")
+        in_worker = int(message.rsplit(" ", 1)[1]) != os.getpid()
+        assert in_worker == (family == "s")
+        assert not hasattr(chebyshev._STORED._thread, "last")
+        _assert_no_child()
+
+    def test_worker_is_killed_when_this_walk_raises(self, monkeypatch):
+        # The worker would sleep for a minute at its first S_n; this
+        # process's walk raises at T_10 and does not wait for it.
+        real_s, real_t, here = s_poly, cheb_t, os.getpid()
+
+        def slow(n):
+            if n == 0 and os.getpid() != here:
+                time.sleep(60)
+            return real_s(n)
+
+        def failing(n):
+            if n == 10:
+                raise _BuilderFault("t failed at 10")
+            return real_t(n)
+
+        monkeypatch.setattr(chebyshev, "s_poly", slow)
+        monkeypatch.setattr(chebyshev, "cheb_t", failing)
+        _two_cpus(monkeypatch, identities._FORK_FROM)
+        start = time.monotonic()
+        with pytest.raises(_BuilderFault, match="^t failed at 10$"):
+            identity_suite(identities._FORK_FROM)
+        assert time.monotonic() - start < 30
+        _assert_no_child()
+
+    def test_worker_that_dies_is_named(self, monkeypatch):
+        real_s, here = s_poly, os.getpid()
+
+        def dying(n):
+            if n == 10 and os.getpid() != here:
+                os._exit(3)
+            return real_s(n)
+
+        monkeypatch.setattr(chebyshev, "s_poly", dying)
+        _two_cpus(monkeypatch, identities._FORK_FROM)
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            identity_suite(identities._FORK_FROM)
+        _assert_no_child()
+
+    def test_failed_fork_walks_here(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        one = identity_suite(identities._FORK_FROM)
+
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        _two_cpus(monkeypatch, identities._FORK_FROM)
+        monkeypatch.setattr(os, "fork", fork)
+        fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
+        assert identity_suite(identities._FORK_FROM).checked == one.checked
+        if fds:
+            assert len(os.listdir("/proc/self/fd")) == len(fds)

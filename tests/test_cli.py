@@ -272,7 +272,8 @@ _HELP = {
     ("poly",): ["phi", "s", "t", "u", "ucomp", "ue", "uecomp", "uo", "uocomp",
                 "v", "w", "n", *_FORMAT_HELP],
     ("verify",): ["--max-n", "--roots-max-n",
-                  "cap for the minimal-zero orderings (default min(max-n, 60))",
+                  "cap for the gamma and beta brackets and the initial values "
+                  "(default min(max-n, 60))",
                   *_FORMAT_HELP],
     ("qec",): ["fan", "graph", "value", "fan size or edge-list file path",
                "--method", "auto", "closed", "numeric", "root",
