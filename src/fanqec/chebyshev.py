@@ -51,6 +51,7 @@ import math
 import operator
 import threading
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polynomial import X, Poly
 
@@ -575,8 +576,7 @@ def s_value(n: int, x: float) -> float:
 # -- identity battery --------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of one coefficient-exact identity at one index."""
 
     identity: str

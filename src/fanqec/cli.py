@@ -125,11 +125,12 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     elif roots_cap < 0:
         return _fail("roots_max_n must be >= 0", 2)
     report = identity_suite(args.max_n)
+    failures = report.failures
     unproven = [name for name in roots.LOCALIZATION_IDENTITIES
                 if name not in report.proven]
     roots_failures = roots.root_report(roots_cap).failures
     inequality_ok = roots.check_elementary_inequality(_INEQUALITY_GRID)
-    ok = report.ok and not unproven and not roots_failures and inequality_ok
+    ok = not failures and not unproven and not roots_failures and inequality_ok
 
     _emit(args.format,
           lambda: {
@@ -150,8 +151,8 @@ def _cmd_verify(args: SimpleNamespace) -> int:
                 inequality_ok]]),
           lambda: chain(
               [f"identities: {len(report.checked)} checks up to n={args.max_n}, "
-               f"{len(report.failures)} failures"],
-              (f"  FAIL {c.identity} at n={c.n}" for c in report.failures),
+               f"{len(failures)} failures"],
+              (f"  FAIL {c.identity} at n={c.n}" for c in failures),
               [f"minimal-zero orderings up to n={roots_cap}: "
                f"{len(roots_failures)} failures"],
               (f"  FAIL {msg}" for msg in roots_failures),

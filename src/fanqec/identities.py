@@ -41,8 +41,9 @@ through its own family's last two members, and a pe, po, s or phi member
 through its formula in U.  From max_n = _FORK_FROM on, the measured
 crossover, and where this process may run on two CPUs, a forked worker
 walks the derived families, in its own record and with its own cache,
-while the calling process walks the four kinds; otherwise one walk does
-both.  The report is the same either way.
+and then runs the base checks of every identity, while the calling
+process walks the four kinds; otherwise one walk does both and the base
+checks follow it.  The report is the same either way.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ import os
 import pickle
 import signal
 import sys
+import traceback
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .chebyshev import (
@@ -319,8 +322,20 @@ def _tie(family: str, k: int, member: Poly, below: Sequence[Poly]) -> bool:
     return coeffs == tuple(map(operator.sub, map(operator.add, upper, upper), lower))
 
 
-def _compressed_monic(name: str, n: int, poly: Poly) -> IdentityCheck:
-    """poly compresses (compress) to a monic polynomial."""
+def _compressed_monic(name: str, masks: Sequence[int], n: int,
+                      poly: Poly) -> IdentityCheck:
+    """poly compresses (compress) to a monic polynomial.
+
+    masks[k] is 2^k - 1: coefficient k halves k times exactly when it
+    shares no bit with masks[k], and the compressed polynomial is monic
+    when the top coefficient is 2^deg.  That accepts a sound member in one
+    map pass; compress decides every other one (and a degree past the
+    masks) and gives a failure its two vectors.
+    """
+    coeffs = poly.coeffs
+    if (0 < len(coeffs) <= len(masks) and coeffs[-1] == masks[len(coeffs) - 1] + 1
+            and not any(map(operator.and_, coeffs, masks))):
+        return IdentityCheck(name, n, True)
     try:
         c = compress(poly)
     except NotIntegral:
@@ -339,14 +354,20 @@ def _divisible_by_x_minus_one(name: str, n: int, s: Poly) -> IdentityCheck:
     return IdentityCheck(name, n, True)
 
 
-# The coefficient-property check of each family that has one, run on every
-# member n <= max_n as the walk fetches it.
-_COEFFICIENT_CHECKS = {
-    "u": functools.partial(_compressed_monic, "compressed-u-monic"),
-    "pe": functools.partial(_compressed_monic, "compressed-even-part-monic"),
-    "po": functools.partial(_compressed_monic, "compressed-odd-part-monic"),
-    "s": functools.partial(_divisible_by_x_minus_one, "s-divisible-by-x-minus-one"),
-}
+def _coefficient_checks(max_n: int) -> dict[str, Callable[[int, Poly], IdentityCheck]]:
+    """The coefficient-property check of each family that has one, run on
+    every member n <= max_n as the walk fetches it.
+
+    A member n <= max_n of u, pe or po has degree at most max_n, so the
+    compressed-monic checks share the masks 2^k - 1 for k <= max_n.
+    """
+    masks = tuple((1 << k) - 1 for k in range(max_n + 1))
+    return {
+        "u": functools.partial(_compressed_monic, "compressed-u-monic", masks),
+        "pe": functools.partial(_compressed_monic, "compressed-even-part-monic", masks),
+        "po": functools.partial(_compressed_monic, "compressed-odd-part-monic", masks),
+        "s": functools.partial(_divisible_by_x_minus_one, "s-divisible-by-x-minus-one"),
+    }
 
 
 def _walk(max_n: int, reads: dict[str, int]) -> tuple[bool, list[IdentityCheck]]:
@@ -359,6 +380,7 @@ def _walk(max_n: int, reads: dict[str, int]) -> tuple[bool, list[IdentityCheck]]
     for n <= max_n handed to its family's coefficient check.  The first
     element is whether every tie held.
     """
+    coefficient_checks = _coefficient_checks(max_n)
     walks = []
     for family, top in reads.items():
         # Member n of pe, po and s reads U near n/2, member k of u and phi U
@@ -368,7 +390,7 @@ def _walk(max_n: int, reads: dict[str, int]) -> tuple[bool, list[IdentityCheck]]
         first = _SEEDS[family][0] if family in _SEEDS else 0
         below = collections.deque(maxlen=2)  # the members n-2 and n-1
         walks.append((family, pace, first, top, getattr(_STORED, family),
-                      _COEFFICIENT_CHECKS.get(family), below))
+                      coefficient_checks.get(family), below))
     ties, checks = True, []
     with _STORED.recording():
         for k in range(min(first // pace for _, pace, first, *_ in walks),
@@ -384,20 +406,31 @@ def _walk(max_n: int, reads: dict[str, int]) -> tuple[bool, list[IdentityCheck]]
     return ties, checks
 
 
+def _proven_walk(max_n: int, reads: dict[str, int],
+                 plan: Sequence[tuple]) -> tuple[list[bool], list[IdentityCheck]]:
+    """_walk, then a verdict for each class (name, r, fn, (B, reads)) of
+    identity_suite's plan: whether every tie of the walk held, the class
+    has a bound B, and its B base checks pass on the stored Poly objects."""
+    ties, checks = _walk(max_n, reads)
+    verdicts = [ties and bool(order) and all(
+                    operator.eq(*fn(_STORED, n)) for n in range(r, r + 2 * order, 2))
+                for _, r, fn, (order, _) in plan]
+    return verdicts, checks
+
+
 # From max_n = _FORK_FROM on, _stored_pass walks the four kinds and the
 # derived families in two processes.  Measured for identity_suite(max_n)
-# in-process on a 2-core VM (Python 3.11.7, numpy loaded), medians of 40
-# alternating runs, one process against two: 21 against 27 ms at max_n =
-# 40, 37 against 40 ms at 80, 49 against 44 ms at 100, 62 against 53 ms at
-# 120, 129 against 94 ms at 200 and 267 against 185 ms at 300.  Forking,
-# the pipe and the reaping cost about 5 ms, and the crossover lies between
-# 80 and 100.  At 300 the four-kind walk alone took 96 ms and the derived
-# one 84 ms (fastest of 9).
+# in-process on a shared 2-core VM (Python 3.11.7, numpy loaded, caches
+# cleared), medians of 40 alternating runs, one process against two: 17
+# against 21 ms at max_n = 40, 23 against 24-25 ms at 60, 26-28 against
+# 28 ms at 70, 29-32 against 27-30 ms at 80 (two processes faster in 18
+# to 32 runs of 40), 36 against 34 ms at 90, 40-42 against 31-37 ms at 100
+# (33 to 39 of 40), 53 against 43 ms at 120 and 239 against 148 ms at 300.
+# The crossover lies near 80, and from 90 on two processes win clearly;
+# forking, the pipe and the reaping cost about 5 ms.  At 300 the four-kind
+# walk took 86 ms, the derived one 75 ms, the base checks after it 3.5 ms
+# and pickling its checks 1.5 ms (fastest of 10).
 _FORK_FROM = 100
-
-# The worker sends each check as its fields: a list of IdentityCheck
-# pickles about five times slower.
-_CHECK_FIELDS = operator.attrgetter("identity", "n", "passed", "lhs", "rhs")
 
 
 def _forks(max_n: int) -> bool:
@@ -420,40 +453,45 @@ def _forks(max_n: int) -> bool:
         return False
 
 
-def _stored_pass(max_n: int, reads: dict[str, int]) -> tuple[bool, list[IdentityCheck]]:
-    """_walk over every family `reads` names, in one process or in two.
+def _stored_pass(max_n: int, reads: dict[str, int],
+                 plan: Sequence[tuple]) -> tuple[list[bool], list[IdentityCheck]]:
+    """_proven_walk over every family `reads` names, in one process or in two.
 
     `reads` maps a family to its highest index; u, pe, po and s reach max_n
-    at least.  The first element is whether every tie held: only then are
-    the stored Poly objects the families whose order bounds _order
-    computes.
+    at least.  A class of `plan` has a true verdict only if every tie held,
+    so that the stored Poly objects are the families whose order bounds
+    _order computes, and its base checks pass on them.
 
     Where _forks says so, a forked worker walks pe, po, s and phi, in its
-    own recording, while this process walks u, t, v and w.  The worker
-    sends its (ties, checks), or the exception it met, through a pipe and
-    leaves through os._exit.  A fork, not a fresh interpreter, so that a
-    builder replaced in this process is what the worker checks.  The worker
-    is killed and reaped before this returns or raises, and its exception
-    is raised here.  identity_suite sorts the checks, so their order does
-    not matter.  Where no process can be forked, one walk does it all.
+    own recording, and then runs every class's base checks, while this
+    process walks u, t, v and w.  The worker sends its (verdicts, checks),
+    or the exception it met with the worker's traceback as a note, through
+    a pipe and leaves through os._exit; a failed tie here makes every
+    verdict false.  A fork, not a fresh interpreter, so that a builder
+    replaced in this process is what the worker checks.  The worker is
+    killed and reaped before this returns or raises, and its exception is
+    raised here.  identity_suite sorts the checks, so their order does not
+    matter.  Where no process can be forked, one walk does it all and the
+    base checks follow it.
     """
     if not _forks(max_n):
-        return _walk(max_n, reads)
+        return _proven_walk(max_n, reads, plan)
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return _walk(max_n, reads)
+        return _proven_walk(max_n, reads, plan)
     if not pid:
         try:
             os.close(read_fd)
             try:
-                ties, checks = _walk(max_n, {f: top for f, top in reads.items()
-                                             if f not in _SEEDS})
-                result = True, (ties, list(map(_CHECK_FIELDS, checks)))
+                derived = {f: top for f, top in reads.items() if f not in _SEEDS}
+                result = True, _proven_walk(max_n, derived, plan)
             except BaseException as exc:
+                exc.add_note("In the worker walking the derived families:\n"
+                             + "".join(traceback.format_exception(exc)))
                 result = False, exc
             with open(write_fd, "wb") as pipe:
                 pickle.dump(result, pipe)
@@ -473,8 +511,8 @@ def _stored_pass(max_n: int, reads: dict[str, int]) -> tuple[bool, list[Identity
             os.waitpid(pid, 0)
     if not walked:
         raise result
-    worker_ties, fields = result
-    return ties and worker_ties, checks + [IdentityCheck(*f) for f in fields]
+    verdicts, worker_checks = result
+    return [ties and verdict for verdict in verdicts], checks + worker_checks
 
 
 def identity_suite(max_n: int) -> IdentityReport:
@@ -482,8 +520,8 @@ def identity_suite(max_n: int) -> IdentityReport:
 
     An identity passes without Poly arithmetic only on its parity classes
     with a bound (_order) whose base checks pass on the stored Poly objects,
-    and only after _stored_pass has tied those objects to their
-    definitions; everything else, and every failure, is decided on Poly.
+    and only after those objects are tied to their definitions; _stored_pass
+    runs both.  Everything else, and every failure, is decided on Poly.
     Base checks above max_n are not reported, but they run whatever max_n
     is, so the report's proven identities are the same at every max_n for
     a sound build.
@@ -499,16 +537,16 @@ def identity_suite(max_n: int) -> IdentityReport:
         j = (top_n - r) // 2
         for family, k in class_reads:
             reads[family] = max(reads.get(family, k.b), k.b, k.a * j + k.b)
-    ties_hold, checked = _stored_pass(max_n, reads)
+    verdicts, checked = _stored_pass(max_n, reads, plan)
     unproven = set()
-    for name, r, fn, (order, _) in plan:
+    for (name, r, fn, _), proven in zip(plan, verdicts):
         indices = range(r, max_n + 1, 2)
-        if ties_hold and order and all(_cmp(name, n, *fn(_STORED, n)).passed
-                                       for n in range(r, r + 2 * order, 2)):
-            checked.extend(IdentityCheck(name, n, True) for n in indices)
+        if proven:
+            checked.extend(map(IdentityCheck, repeat(name), indices, repeat(True)))
         else:
             unproven.add(name)
             checked.extend(_cmp(name, n, *fn(_STORED, n)) for n in indices)
-    checked.sort(key=lambda c: (c.identity, c.n))
+    # No two checks share (identity, n), so the tuples sort by it.
+    checked.sort()
     proven = tuple(sorted({name for name, *_ in plan} - unproven))
     return IdentityReport(max_n, checked, proven)

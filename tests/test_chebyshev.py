@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import random
 import sys
 import threading
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from fanqec.chebyshev import (
+    IdentityCheck,
     NotIntegral,
     cheb_t,
     cheb_u,
@@ -213,22 +215,22 @@ class TestFamilyStore:
         # The stored pass reads U_k for u and near n/2 for pe, po and s in
         # one step, so no U member leaves the cache before its last read.
         built, walking = [], []
-        real_alternating, real_pass = chebyshev._alternating, identities._stored_pass
+        real_alternating, real_walk = chebyshev._alternating, identities._walk
 
         def alternating(n, lead, offset):
             if walking and offset == 0:  # offset 0 builds U, offset 1 T
                 built.append(n)
             return real_alternating(n, lead, offset)
 
-        def stored_pass(*args):
+        def walk(max_n, reads):
             walking.append(True)
             try:
-                return real_pass(*args)
+                return real_walk(max_n, reads)
             finally:
                 walking.pop()
 
         monkeypatch.setattr(chebyshev, "_alternating", alternating)
-        monkeypatch.setattr(identities, "_stored_pass", stored_pass)
+        monkeypatch.setattr(identities, "_walk", walk)
         _cpus(monkeypatch, 1)  # one process, so every build is counted here
         for builder in _BASE_BUILDERS.values():
             builder.cache_clear()
@@ -253,23 +255,23 @@ class TestFamilyStore:
         # left in the record, so a sound pass evaluates each formula once
         # per member it reads.
         evaluated, walking, tops = collections.Counter(), [], {}
-        real_defined, real_pass = chebyshev._Families.defined, identities._stored_pass
+        real_defined, real_walk = chebyshev._Families.defined, identities._walk
 
         def defined(self, family, n):
             if walking and self is chebyshev._STORED:
                 evaluated[family, n] += 1
             return real_defined(self, family, n)
 
-        def stored_pass(max_n, reads):
+        def walk(max_n, reads):
             tops.update(reads)
             walking.append(True)
             try:
-                return real_pass(max_n, reads)
+                return real_walk(max_n, reads)
             finally:
                 walking.pop()
 
         monkeypatch.setattr(chebyshev._Families, "defined", defined)
-        monkeypatch.setattr(identities, "_stored_pass", stored_pass)
+        monkeypatch.setattr(identities, "_walk", walk)
         _cpus(monkeypatch, 1)  # one process, so every evaluation is counted here
         assert identity_suite(300).ok
         derived = ("pe", "po", "s", "phi")
@@ -521,6 +523,60 @@ class TestCompress:
                 f"coefficient {coeffs[k]} of degree {k} not divisible by 2^{k}")
 
 
+def _monic_corruptions(member: Poly, step: int) -> list[Poly]:
+    """member with a bit below 2^k set in coefficient k >= 1 and 2^k added
+    to coefficient k (it still halves), at every step-th k and the top
+    one; the top coefficient 2^deg - 1, 2^deg + 1 and 2^(deg+1); negated;
+    and one degree higher."""
+    c, top = list(member.coeffs), member.degree
+    out = []
+    for k in [*range(0, top, step), top]:
+        for bit in ((1 << k - 1,) if k else ()) + (1 << k,):
+            bad = list(c)
+            bad[k] += bit
+            out.append(Poly(bad))
+    for lead in ((1 << top) - 1, (1 << top) + 1, 1 << top + 1):
+        out.append(Poly(c[:-1] + [lead]))
+    return out + [-member, Poly(c + [1 << top + 1]), Poly(c + [1])]
+
+
+class TestCompressedMonic:
+    """The battery's monic check accepts a sound member by its bit masks and
+    leaves every other one to compress: the two give one verdict."""
+
+    @staticmethod
+    def _assert_as_compress(check, poly):
+        # With no masks, the check is compress alone.
+        assert check(7, poly) == identities._compressed_monic(check.args[0], (), 7, poly)
+
+    def test_random_polynomials(self):
+        check = identities._coefficient_checks(300)["u"]
+        rng = random.Random(2026)
+        for degree in [0, 1, 2, 300, *rng.sample(range(3, 300), 40)]:
+            halvable = TestCompress._halvable(rng, degree)
+            for lead in (1 << degree, -1 << degree, rng.randint(-2**80, 2**80) << degree):
+                self._assert_as_compress(check, Poly(halvable[:-1] + [lead]))
+            self._assert_as_compress(
+                check, Poly([rng.randint(-2**40, 2**40) for _ in range(degree + 1)]))
+        self._assert_as_compress(check, Poly())
+
+    # A bad bit at every position up to degree 300, at every 25th from
+    # degree 1000 on, where compress takes a millisecond a failure.
+    @pytest.mark.parametrize("family, n, max_n, step", [
+        ("u", 40, 40, 1), ("pe", 41, 41, 1), ("po", 40, 40, 1), ("u", 300, 300, 1),
+        ("u", 1000, 1000, 25), ("pe", 2000, 2000, 25), ("po", 2001, 2001, 25),
+        # A degree past the masks is left to compress.
+        ("u", 60, 30, 1), ("pe", 81, 30, 1)])
+    def test_corrupted_members(self, family, n, max_n, step):
+        check = identities._coefficient_checks(max_n)[family]
+        member = {"u": cheb_u, "pe": partial_e, "po": partial_o}[family](n)
+        assert member.degree >= 1000 or n < 1000
+        self._assert_as_compress(check, member)
+        for bad in _monic_corruptions(member, step):
+            self._assert_as_compress(check, bad)
+        self._assert_as_compress(check, Poly())
+
+
 class TestCompanionPolynomials:
     def test_first_three(self):
         assert s_poly(0) == Poly([-1, 1])
@@ -656,6 +712,16 @@ class TestIdentitySuite:
                      if (c.identity, c.n) == ("u-split-product", 4))
         assert entry.lhs is not None and entry.rhs is not None
         assert entry.lhs != entry.rhs
+
+    def test_check_is_an_immutable_record_that_pickles(self):
+        checks = [IdentityCheck("u-square-gap", 4, True),
+                  IdentityCheck("compressed-u-monic", 3, False, (0, -6, 0, 8), (0, -3, 0, 1))]
+        with pytest.raises(AttributeError):
+            checks[0].passed = False
+        assert checks[0] == ("u-square-gap", 4, True, None, None)
+        copy = pickle.loads(pickle.dumps(checks))
+        assert copy == checks
+        assert [type(c) for c in copy] == [IdentityCheck, IdentityCheck]
 
     def test_report_failure_payload_roundtrip(self, monkeypatch):
         monkeypatch.setattr(chebyshev, "partial_o", lambda n: Poly([5]))
@@ -1069,6 +1135,28 @@ class TestTwoProcessPass:
         assert two.failures
         assert all(c.lhs and c.rhs and c.lhs != c.rhs for c in two.failures)
 
+    def test_failed_base_check_fails_alike(self, monkeypatch):
+        # u-square-gap changed on Poly at n = 2 only: its formula still has
+        # a bound, and n = 2 is one of its base checks, which the worker
+        # runs.  The identity is unproven and decided on Poly either way.
+        name = "u-square-gap"
+        real = dict((n_, fn) for n_, _, fn in identities._IDENTITIES)[name]
+
+        def mutated(f, n):
+            lhs, rhs = real(f, n)
+            return (lhs, rhs + 1) if f is identities._STORED and n == 2 else (lhs, rhs)
+
+        assert identities._order(mutated, 0)[0] >= 2
+        table = [(n_, parity, mutated if n_ == name else fn)
+                 for n_, parity, fn in identities._IDENTITIES]
+        monkeypatch.setattr(identities, "_IDENTITIES", table)
+        monkeypatch.setattr(identities, "_FORK_FROM", 20)
+        one, two = _both_ways(monkeypatch, 24)
+        assert two.checked == one.checked
+        assert two.proven == one.proven
+        assert name not in two.proven and len(two.proven) == 26
+        assert two.failures == [IdentityCheck(name, 2, False, (1,), (2,))]
+
     @pytest.mark.parametrize("family", ["s", "t"])
     def test_builder_exception_is_raised_here(self, monkeypatch, family):
         # s is walked by the worker, t by this process: either way the
@@ -1091,6 +1179,9 @@ class TestTwoProcessPass:
         assert message.startswith(f"{family} failed at 10 in process ")
         in_worker = int(message.rsplit(" ", 1)[1]) != os.getpid()
         assert in_worker == (family == "s")
+        # The worker's traceback comes along as a note.
+        notes = getattr(caught.value, "__notes__", [])
+        assert any(", in failing\n" in note for note in notes) == in_worker
         assert not hasattr(chebyshev._STORED._thread, "last")
         _assert_no_child()
 
