@@ -10,8 +10,6 @@ computations (`qec`), and a command-line front end (`cli`).
 """
 
 from .chebyshev import (
-    CompanionSign,
-    EvenPartSign,
     IdentityCheck,
     IdentityReport,
     NotIntegral,
@@ -75,11 +73,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BadBracket",
     "Bracket",
-    "CompanionSign",
     "CrossCheckReport",
     "CrossCheckRow",
     "Disconnected",
-    "EvenPartSign",
     "Graph",
     "IdentityCheck",
     "IdentityReport",

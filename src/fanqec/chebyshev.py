@@ -7,9 +7,9 @@ identifications below are genuine checks rather than tautologies; the
 battery ties every member it reads to that kind's three-term recurrence
 (``_SEEDS``).  The even/odd split factors of the second-kind polynomials
 are built from second-kind differences, and the fan-graph polynomials from
-their defining combinations.  No table of members is kept: each of U, T, V
-and W remembers its last ``_KEEP`` members (``functools.lru_cache``), so
-memory follows the largest member read, not every one.
+their defining combinations.  No table of members is kept: U alone
+remembers its last ``_KEEP`` members (``functools.lru_cache``), so memory
+follows the largest member read, not every one.
 
 The identity battery over these families (``identity_suite``, code in
 ``fanqec.identities``) proves each identity for every index at once: on a
@@ -31,8 +31,8 @@ of state and O(log m) multiplications of numbers up to the final size
 so that they hold the exact values; an enclosure that excludes 0 is a
 proof of the sign, and one that holds 0 is retried with more bits and
 then handed to the exact pair, which alone returns a sign 0.  Its
-formulas are the only ones, and ``CompanionSign`` and ``EvenPartSign``
-read the S_n and even-factor parts of it.
+formulas are the only ones: ``fanqec.roots`` reads all three signs from
+``split_signs``.
 
 Floating-point values of S_n (``s_value``) are only proposals for the
 root search.  They take U_m and U_{m-1} from the angle of x, in O(1)
@@ -71,16 +71,18 @@ class NotIntegral(ArithmeticError):
     """Halving the variable produced a non-integer coefficient."""
 
 
-# Members each builder keeps (functools.lru_cache).  One step of the
-# battery's walk reads U_{k-1}, U_k and U_{k+1}, for u itself, for the split
-# factors and S_n at 2k and 2k + 1 and for phi at k; the ties of those
-# derived members reuse their builders' evaluations and read no U.  That
-# holds per process: above a crossover (fanqec.identities._FORK_FROM) and
-# with two CPUs, the four kinds and the derived families are walked in two
+# Members cheb_u keeps (functools.lru_cache).  One step of the battery's
+# walk reads U_{k-1}, U_k and U_{k+1}, for u itself, for the split factors
+# and S_n at 2k and 2k + 1 and for phi at k; the ties of those derived
+# members reuse their builders' evaluations and read no U.  That holds per
+# process: above a crossover (fanqec.identities._FORK_FROM) and with two
+# CPUs, the four kinds and the derived families are walked in two
 # processes, each with its own cache.  identity_suite(300) builds 1233
 # members in one process (each U member once in its walk); in two, the
 # worker builds U_{-1} to U_303 once more.  Without the cache one walk
-# built 5189 members, in 1.4 to 1.5 times the time.
+# built 5189 members, in 1.4 to 1.5 times the time.  T, V and W keep none:
+# the walk ties each of their members through its own family's last two,
+# and no identity reads one twice (0 hits in identity_suite(300)).
 _KEEP = 8
 
 
@@ -133,7 +135,6 @@ def cheb_u(n: int) -> Poly:
     return _alternating(n, 1 << n, 0)
 
 
-@functools.lru_cache(maxsize=_KEEP)
 def cheb_t(n: int) -> Poly:
     """First-kind polynomial T_n = sum_k (-1)^k 2^(n-2k-1) n/(n-k) C(n-k, k) x^(n-2k)."""
     _check_index(n)
@@ -142,14 +143,12 @@ def cheb_t(n: int) -> Poly:
     return _alternating(n, 1 << (n - 1), 1)
 
 
-@functools.lru_cache(maxsize=_KEEP)
 def cheb_v(n: int) -> Poly:
     """Third-kind polynomial V_n (seeds 1 and 2x - 1)."""
     _check_index(n)
     return _third_fourth(n, 0)
 
 
-@functools.lru_cache(maxsize=_KEEP)
 def cheb_w(n: int) -> Poly:
     """Fourth-kind polynomial W_n (seeds 1 and 2x + 1)."""
     _check_index(n)
@@ -474,6 +473,7 @@ def split_signs(n: int, x: Fraction | int) -> tuple[int, int, int]:
     2 (p V_m - q^2 V_{m-1}); for n = 2m they are U_m + U_{m-1} and U_m -
     U_{m-1}, so q^m times them is V_m + q V_{m-1} and V_m - q V_{m-1}.
     """
+    _check_index(n)
     p, q = x.numerator, x.denominator
     m, head, tail = _s_factors(n)
     exact_bits = m * (q.bit_length() - 1)
@@ -493,36 +493,6 @@ def split_signs(n: int, x: Fraction | int) -> tuple[int, int, int]:
     if n % 2:
         return s, _sign(vm), _sign(p * vm - q * q * vm1)
     return s, _sign(vm + q * vm1), _sign(vm - q * vm1)
-
-
-@dataclasses.dataclass(frozen=True)
-class _SplitSign:
-    """Sign of one part of split_signs(n, x), Poly's sign_at contract, and
-    the whole triple (signs_at)."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"index {self.n} must be >= 0")
-
-    def signs_at(self, x: Fraction | int) -> tuple[int, int, int]:
-        return split_signs(self.n, Fraction(x))
-
-    def sign_at(self, x: Fraction | int) -> int:
-        return self.signs_at(x)[self._part]
-
-
-class CompanionSign(_SplitSign):
-    """Exact sign of s_poly(n) at rationals: part 0 of split_signs."""
-
-    _part = 0
-
-
-class EvenPartSign(_SplitSign):
-    """Exact sign of partial_e(n) at rationals: part 1 of split_signs."""
-
-    _part = 1
 
 
 # -- floating-point evaluation in the angle variable -------------------------

@@ -209,8 +209,10 @@ def _odd_bounds(n: int) -> tuple[float, float] | None:
 def _cmd_table(args: SimpleNamespace) -> int:
     if not 1 <= args.start <= args.stop:
         return _fail(f"need 1 <= from <= to, got {args.start}..{args.stop}", 2)
-    entries = [(n, qec_fan(n, tol=args.tol), _odd_bounds(n))
-               for n in range(args.start, args.stop + 1)]
+    # Only one format's callable runs, so the generator is read once: plain
+    # and CSV print each row as it is computed.
+    entries = ((n, qec_fan(n, tol=args.tol), _odd_bounds(n))
+               for n in range(args.start, args.stop + 1))
     line = "{:>4}  {:<24} {:<18} {:<24} {:<24}".format
     _emit(args.format,
           lambda: {"rows": [

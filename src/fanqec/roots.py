@@ -75,19 +75,19 @@ both with positive leading coefficients, so on gap i partial_e has the sign
 (-1)^floor(i/2) and partial_o (-1)^ceil(i/2).  A bracket end is accepted
 when these are its exact signs and its sign of S_n (of partial_e for
 ``beta``) is the one wanted: a float only proposes a point.  All three
-signs come in one query from ``CompanionSign`` or ``EvenPartSign``
-(``chebyshev.split_signs``), which build no coefficient vector; bisection
-only calls ``sign_at``, so a ``Poly`` works in its place.
+signs come in one query from ``chebyshev.split_signs(n, x)``, which builds
+no coefficient vector.  Bisection takes a sign function (``ExactSign``),
+element 0 of that triple for S_n; ``Poly.sign_at`` works in its place.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol
 
-from .chebyshev import CompanionSign, EvenPartSign, s_value
+from .chebyshev import s_value, split_signs
 
 # The identities of the battery that the zero localization rests on (see
 # above); verify holds it proven only when all are proven for every n.
@@ -100,7 +100,6 @@ LOCALIZATION_IDENTITIES = (
 _NUDGE_START = Fraction(1, 2 ** 52)
 _NUDGE_LIMIT = Fraction(1, 2 ** 20)
 _ABOVE, _BELOW = 1, -1
-_Signs = CompanionSign | EvenPartSign  # the sources of signs_at's triple
 _SIMPLE_PROBE = Fraction(1, 2 ** 40)
 _HALF = Fraction(1, 2)
 
@@ -109,10 +108,8 @@ class BadBracket(ValueError):
     """Endpoint signs do not certify a sign change."""
 
 
-class ExactSign(Protocol):
-    """Anything with an exact sign (-1, 0, +1) at rationals, such as Poly."""
-
-    def sign_at(self, x: Fraction | int) -> int: ...
+# An exact sign (-1, 0, +1) at rationals, such as Poly.sign_at.
+ExactSign = Callable[[Fraction], int]
 
 
 @dataclass(frozen=True)
@@ -152,17 +149,17 @@ class ZeroCert:
         return self.lo == self.hi
 
 
-def _is_simple(p: ExactSign, x: Fraction) -> bool:
+def _is_simple(sign: ExactSign, x: Fraction) -> bool:
     # Opposite exact signs just outside the root witness odd multiplicity;
     # all roots certified here are isolated far beyond the probe width.
-    return p.sign_at(x - _SIMPLE_PROBE) * p.sign_at(x + _SIMPLE_PROBE) < 0
+    return sign(x - _SIMPLE_PROBE) * sign(x + _SIMPLE_PROBE) < 0
 
 
-def _exact_cert(p: ExactSign, x: Fraction) -> ZeroCert:
-    return ZeroCert(float(x), x, x, _is_simple(p, x))
+def _exact_cert(sign: ExactSign, x: Fraction) -> ZeroCert:
+    return ZeroCert(float(x), x, x, _is_simple(sign, x))
 
 
-def bisect(p: ExactSign, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
+def bisect(sign: ExactSign, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
     """Narrow a sign-change bracket to width <= tol by exact midpoint signs.
 
     An exact rational root hit at a midpoint short-circuits to a width-0
@@ -174,9 +171,9 @@ def bisect(p: ExactSign, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
     limit = Fraction(tol)
     while hi - lo > limit:
         mid = (lo + hi) / 2
-        s = p.sign_at(mid)
+        s = sign(mid)
         if s == 0:
-            return _exact_cert(p, mid)
+            return _exact_cert(sign, mid)
         if s == sign_lo:
             lo = mid
         else:
@@ -184,15 +181,14 @@ def bisect(p: ExactSign, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
     return ZeroCert(float((lo + hi) / 2), lo, hi, True)
 
 
-def _verified_endpoint(p: _Signs, den: int, j: int, side: int, part: int,
-                       want: int) -> Fraction:
+def _verified_endpoint(n: int, j: int, side: int, part: int, want: int) -> Fraction:
     """Rational point of gap j - 1 (side 1, above g_j) or gap j (side -1).
 
-    A candidate is accepted when its signs of partial_e and partial_o are
-    the gap's and its sign of part (0 for S_n, 1 for partial_e) is want.
-    j = den stands for -1, exact and tried first.  A base rounded from g_j
-    may lie on either side of it: the first candidate is 2^-52 away, and
-    one still on the wrong side has the other gap's signs.  The nudge
+    A candidate is accepted when its signs of partial_e(n) and partial_o(n)
+    are the gap's and its sign of part (0 for S_n, 1 for partial_e) is want.
+    j = den = n + 1 stands for -1, exact and tried first.  A base rounded
+    from g_j may lie on either side of it: the first candidate is 2^-52
+    away, and one still on the wrong side has the other gap's signs.  The nudge
     doubles while at most 2^-20, which bounds the cost and keeps a wrong S_n
     from finding its sign far from g_j, and 2/den^2, below every gap: g_j -
     g_{j+1} >= 1 - cos(pi/den) = 2 sin^2(pi/(2 den)) >= 2/den^2, as sin u >=
@@ -201,19 +197,20 @@ def _verified_endpoint(p: _Signs, den: int, j: int, side: int, part: int,
     at n = 2.4e6 is over 300 times the rounding, as j pi/den in doubles is
     within 8.2e-16 of the angle and cos adds at most one unit in the last place.
     """
+    den = n + 1
     base = Fraction(-1) if j == den else Fraction(_grid_point(j, den))
     i = j - 1 if side == _ABOVE else j
     gap = (-1) ** (i // 2), (-1) ** ((i + 1) // 2)
     nudge = Fraction(0) if j == den else _NUDGE_START
     while nudge <= min(_NUDGE_LIMIT, Fraction(2, den * den)):
-        signs = p.signs_at(base + side * nudge)
+        signs = split_signs(n, base + side * nudge)
         if signs[1:] == gap and signs[part] == want:
             return base + side * nudge
         nudge = nudge * 2 or _NUDGE_START
     raise BadBracket(f"no verified endpoint near {float(base)} (sign {want})")
 
 
-def _float_refined(p: ExactSign, feval, bracket: Bracket, tol: float) -> Bracket:
+def _float_refined(sign: ExactSign, feval, bracket: Bracket, tol: float) -> Bracket:
     """Shrink a bracket with float bisection, re-verifying endpoints exactly.
 
     Purely an accelerator: endpoints that fail the exact sign check are
@@ -238,9 +235,9 @@ def _float_refined(p: ExactSign, feval, bracket: Bracket, tol: float) -> Bracket
             hi = mid
     new_lo, new_hi = bracket.lo, bracket.hi
     cand_lo, cand_hi = Fraction(lo), Fraction(hi)
-    if cand_lo > new_lo and p.sign_at(cand_lo) == bracket.sign_lo:
+    if cand_lo > new_lo and sign(cand_lo) == bracket.sign_lo:
         new_lo = cand_lo
-    if cand_hi < new_hi and p.sign_at(cand_hi) == bracket.sign_hi:
+    if cand_hi < new_hi and sign(cand_hi) == bracket.sign_hi:
         new_hi = cand_hi
     if new_lo >= new_hi:
         return bracket
@@ -252,24 +249,24 @@ def _grid_point(j: int, den: int) -> float:
     return math.cos(j * math.pi / den)
 
 
-def _grid_brackets(p: _Signs, den: int, ends: tuple[tuple[int, int], ...],
-                   part: int, sign_lo: int) -> list[Bracket]:
+def _grid_brackets(n: int, ends: tuple[tuple[int, int], ...], part: int,
+                   sign_lo: int) -> list[Bracket]:
     """Brackets between consecutive verified points next to grid points.
 
     ends gives (j, side) for each point, in ascending order of the points:
-    the point is _verified_endpoint's, just above or below cos(j*pi/den),
+    the point is _verified_endpoint's, just above or below cos(j*pi/(n+1)),
     with the sign sign_lo of part at the first point and alternating from
     there.  Which zeros a bracket holds is the caller's theorem; the signs
     place each point in its gap and on its side of them.
     """
     signs = [sign_lo * (-1) ** i for i in range(len(ends))]
-    points = [_verified_endpoint(p, den, j, side, part, want)
+    points = [_verified_endpoint(n, j, side, part, want)
               for (j, side), want in zip(ends, signs)]
     return [Bracket(lo, hi, want, -want)
             for lo, hi, want in zip(points, points[1:], signs)]
 
 
-def _gamma_bracket(s: _Signs, n: int) -> Bracket:
+def _gamma_bracket(n: int) -> Bracket:
     """The bracket gamma narrows, for odd n >= 3 and even n >= 4.
 
     Below the zero S_n has the sign of S_n(-1), (-1)^(c+1), c = (n+1) // 2.
@@ -277,12 +274,11 @@ def _gamma_bracket(s: _Signs, n: int) -> Bracket:
     short of the next zero; for even n from gap n, just below that point,
     the minimal even-factor zero, to gap n - 2, above cos((n-1) pi/(n+1)).
     """
-    den = n + 1
-    ends = ((den, _ABOVE), (n, _ABOVE)) if n % 2 else ((n, _BELOW), (n - 1, _ABOVE))
-    return _grid_brackets(s, den, ends, 0, (-1) ** ((n + 3) // 2))[0]
+    ends = ((n + 1, _ABOVE), (n, _ABOVE)) if n % 2 else ((n, _BELOW), (n - 1, _ABOVE))
+    return _grid_brackets(n, ends, 0, (-1) ** ((n + 3) // 2))[0]
 
 
-def _beta_bracket(e: _Signs, n: int) -> Bracket:
+def _beta_bracket(n: int) -> Bracket:
     """Bracket on the minimal zero cos(2m pi/(n+1)) of partial_e(n), n >= 2.
 
     Its ends lie in gaps 2m and 2m - 1, just below and just above the zero,
@@ -291,7 +287,7 @@ def _beta_bracket(e: _Signs, n: int) -> Bracket:
     is doubled past it.
     """
     m = n // 2
-    return _grid_brackets(e, n + 1, ((2 * m, _BELOW), (2 * m, _ABOVE)), 1, (-1) ** m)[0]
+    return _grid_brackets(n, ((2 * m, _BELOW), (2 * m, _ABOVE)), 1, (-1) ** m)[0]
 
 
 def beta(n: int) -> float:
@@ -303,13 +299,12 @@ def beta(n: int) -> float:
     """
     if n <= 1:
         raise ValueError(f"even-zero factor of index {n} is constant, no minimal zero")
-    ue = EvenPartSign(n)
     if n in (2, 3):
         zero = -_HALF if n == 2 else Fraction(0)
-        if ue.sign_at(zero) != 0:
+        if split_signs(n, zero)[1] != 0:
             raise BadBracket(f"expected exact zero at {zero}")
         return float(zero)
-    _beta_bracket(ue, n)
+    _beta_bracket(n)
     return _grid_point(2 * (n // 2), n + 1)
 
 
@@ -319,6 +314,11 @@ def beta(n: int) -> float:
 _RATIONAL_PROBES = (Fraction(-3, 4), Fraction(-1, 2))
 
 
+def _s_sign(n: int) -> ExactSign:
+    """The exact sign of S_n at rationals: element 0 of split_signs."""
+    return lambda x: split_signs(n, x)[0]
+
+
 def _zero_in(s: ExactSign, n: int, bracket: Bracket, tol: float) -> ZeroCert:
     """Certified zero of S_n in a bracket that holds exactly one.
 
@@ -326,7 +326,7 @@ def _zero_in(s: ExactSign, n: int, bracket: Bracket, tol: float) -> ZeroCert:
     certificate; otherwise the bracket is float-refined and then bisected.
     """
     for cand in _RATIONAL_PROBES:
-        if bracket.lo < cand < bracket.hi and s.sign_at(cand) == 0:
+        if bracket.lo < cand < bracket.hi and s(cand) == 0:
             return _exact_cert(s, cand)
     bracket = _float_refined(s, lambda x: s_value(n, x), bracket, tol)
     return bisect(s, bracket, tol)
@@ -340,12 +340,12 @@ def gamma(n: int, tol: float = 1e-12) -> ZeroCert:
     """
     if n < 1:
         raise ValueError(f"index {n} must be >= 1")
-    s = CompanionSign(n)
+    s = _s_sign(n)
     if n in (1, 2):
-        if s.sign_at(-_HALF) == 0:
+        if s(-_HALF) == 0:
             return _exact_cert(s, -_HALF)
         raise BadBracket("expected exact minimal zero at -1/2")
-    return _zero_in(s, n, _gamma_bracket(s, n), tol)
+    return _zero_in(s, n, _gamma_bracket(n), tol)
 
 
 def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
@@ -358,10 +358,10 @@ def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
     near -1 lie just below their grid points (2.4e-12 below at j = n = 401),
     so one point above each grid point ends one bracket and starts the next.
     """
-    s = CompanionSign(n)
-    den, top = n + 1, 2 * ((n + 1) // 2) - 1
-    ends = ((den, _ABOVE), *((j, _ABOVE) for j in range(top, 0, -2)))
-    brackets = _grid_brackets(s, den, ends, 0, (-1) ** ((n + 3) // 2)) if n else []
+    s = _s_sign(n)
+    top = 2 * ((n + 1) // 2) - 1
+    ends = ((n + 1, _ABOVE), *((j, _ABOVE) for j in range(top, 0, -2)))
+    brackets = _grid_brackets(n, ends, 0, (-1) ** ((n + 3) // 2)) if n > 0 else []
     return [*(_zero_in(s, n, b, tol) for b in brackets), _exact_cert(s, Fraction(1))]
 
 
@@ -384,7 +384,7 @@ def root_report(max_n: int) -> RootReport:
     """The brackets gamma and beta narrow, and the initial values, to max_n.
 
     It builds _gamma_bracket for 3 <= n <= max_n and _beta_bracket for even
-    2 <= n <= max_n by exact signs (CompanionSign, EvenPartSign), and from
+    2 <= n <= max_n by exact signs (split_signs), and from
     max_n = 2 checks alpha_1 = alpha_2 = -1/2 exactly: S_1 and partial_e(2)
     vanish at -1/2.  A bracket whose endpoint signs do not verify is
     reported.  The minimal-zero orderings need no per-n check: the module
@@ -393,16 +393,14 @@ def root_report(max_n: int) -> RootReport:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     failures: list[str] = []
-    for kind, sign, build, indices in (
-            ("gamma", CompanionSign, _gamma_bracket, range(3, max_n + 1)),
-            ("beta", EvenPartSign, _beta_bracket, range(2, max_n + 1, 2))):
+    for kind, build, indices in (("gamma", _gamma_bracket, range(3, max_n + 1)),
+                                 ("beta", _beta_bracket, range(2, max_n + 1, 2))):
         for n in indices:
             try:
-                build(sign(n), n)
+                build(n)
             except BadBracket as exc:
                 failures.append(f"{kind} bracket n={n}: {exc}")
-    if max_n >= 2 and not (CompanionSign(1).sign_at(-_HALF)
-                           == EvenPartSign(2).sign_at(-_HALF) == 0):
+    if max_n >= 2 and not (split_signs(1, -_HALF)[0] == split_signs(2, -_HALF)[1] == 0):
         failures.append("alpha-monotone: wrong initial values")
     return RootReport(max_n, tuple(failures))
 

@@ -159,7 +159,7 @@ class TestFamilyStore:
         interleaved = [k for n in range(top // 2 + 1) for k in (n // 2, n, 2 * n)]
         shuffled = random.Random(11).sample(range(top + 1), top + 1)
         for order in (range(top + 1), range(top, -1, -1), interleaved, shuffled):
-            builder.cache_clear()
+            cheb_u.cache_clear()  # only U keeps members
             for k in order:
                 assert builder(k) == ref[k], (family, k)
 
@@ -204,12 +204,12 @@ class TestFamilyStore:
 
     def test_battery_holds_a_bounded_number_of_members(self):
         # The bound is the cache size, not max_n: the battery reads U_k up
-        # to 2 * max_n + 1.
+        # to 2 * max_n + 1.  T, V and W keep no member at all.
         assert identity_suite(600).ok
-        for builder in _BASE_BUILDERS.values():
-            info = builder.cache_info()
-            assert info.maxsize == chebyshev._KEEP
-            assert info.currsize <= chebyshev._KEEP
+        info = cheb_u.cache_info()
+        assert info.maxsize == chebyshev._KEEP
+        assert info.currsize <= chebyshev._KEEP
+        assert [f for f, b in _BASE_BUILDERS.items() if hasattr(b, "cache_info")] == ["u"]
 
     def test_battery_builds_each_second_kind_member_once(self, monkeypatch):
         # The stored pass reads U_k for u and near n/2 for pe, po and s in
@@ -232,8 +232,7 @@ class TestFamilyStore:
         monkeypatch.setattr(chebyshev, "_alternating", alternating)
         monkeypatch.setattr(identities, "_walk", walk)
         _cpus(monkeypatch, 1)  # one process, so every build is counted here
-        for builder in _BASE_BUILDERS.values():
-            builder.cache_clear()
+        cheb_u.cache_clear()
         assert identity_suite(300).ok
         assert sorted(built) == list(range(602))
 

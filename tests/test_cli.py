@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import select
 import shlex
 import subprocess
 import sys
@@ -318,6 +319,23 @@ class TestEntry:
             assert proc.stdout.read(10) == b"family,n,c"
             proc.stdout.close()
             _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
+
+    def test_table_rows_reach_a_reader_that_leaves_early(self):
+        # The whole table would take many minutes.  Its rows are printed as
+        # they are computed, so the first ones arrive at once and the
+        # command stops when the reader closes the pipe.
+        command, env = self.command("table", "fan", "1", "2000001", "--format", "csv")
+        with subprocess.Popen(command, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            try:
+                assert select.select([proc.stdout], [], [], 20)[0], "no row in 20 s"
+                assert proc.stdout.read(10) == b"n,qec,meth"
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=20)
+            finally:
+                proc.kill()
         assert proc.returncode == 141
         assert err == b""
 

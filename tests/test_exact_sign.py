@@ -12,8 +12,6 @@ import pytest
 
 from fanqec import chebyshev, roots
 from fanqec.chebyshev import (
-    CompanionSign,
-    EvenPartSign,
     cheb_u,
     partial_e,
     partial_o,
@@ -86,25 +84,24 @@ class TestKernel:
         with pytest.raises(ValueError):
             u_pair_at(3, 1, 0)
         with pytest.raises(ValueError):
-            CompanionSign(-1)
-        with pytest.raises(ValueError):
-            EvenPartSign(-1)
+            split_signs(-1, Fraction(1, 2))
+        # roots asks split_signs for every sign, so its check covers an
+        # index that the root finders do not refuse themselves.
+        for find, n in ((roots.gamma, 0), (roots.beta, 1), (roots.zeros_of_s, -1)):
+            with pytest.raises(ValueError):
+                find(n)
 
 
-def _recorded_root_queries(monkeypatch, indices, zero_indices):
-    """Every point gamma, beta and zeros_of_s ask a sign at, keyed by family."""
-    seen: dict[tuple[str, int], set[Fraction]] = {}
+def _grouped(calls) -> dict[int, set[Fraction]]:
+    """The recorded split_signs points, by index."""
+    seen: dict[int, set[Fraction]] = {}
+    for n, x in calls:
+        seen.setdefault(n, set()).add(x)
+    return seen
 
-    def recording(kind, cls):
-        class Recorder(cls):  # sign_at asks signs_at too
-            def signs_at(self, x):
-                seen.setdefault((kind, self.n), set()).add(Fraction(x))
-                return super().signs_at(x)
 
-        return Recorder
-
-    monkeypatch.setattr(roots, "CompanionSign", recording("s", CompanionSign))
-    monkeypatch.setattr(roots, "EvenPartSign", recording("e", EvenPartSign))
+def _recorded_root_queries(calls, indices, zero_indices):
+    """Every point gamma, beta and zeros_of_s ask a sign at, by index."""
     for n in indices:
         if n >= 1:
             roots.gamma(n)
@@ -112,62 +109,49 @@ def _recorded_root_queries(monkeypatch, indices, zero_indices):
             roots.beta(n)
     for n in zero_indices:
         roots.zeros_of_s(n)
-    return seen
+    return _grouped(calls)
 
 
-def _root_query_signs_match(monkeypatch) -> set[tuple[int, Fraction]]:
+def _root_query_signs_match(calls) -> set[tuple[int, Fraction]]:
     """Compares the recurrence signs with Poly.sign_at where the root finders
     ask them; returns every (n, x) compared."""
-    # zeros_of_s asks CompanionSign at ~70k points over all n <= 300 (grid
+    # zeros_of_s asks split_signs at ~70k points over all n <= 300 (grid
     # bracket ends, float-refined ends and bisection midpoints); its points
     # are taken exhaustively up to the verify default cap (60) and at five
     # larger indices to keep the run short.
     indices = range(0, 301)
     queried = _recorded_root_queries(
-        monkeypatch, indices, [*range(0, 61), 101, 150, 201, 250, 300])
+        calls, indices, [*range(0, 61), 101, 150, 201, 250, 300])
     shared = FIXED_POINTS + tuple(random_points(2024, 30))
     mismatches = []
     checked = set()
     for n in indices:
-        for kind, poly, fast in (("s", s_poly(n), CompanionSign(n)),
-                                 ("e", partial_e(n), EvenPartSign(n))):
-            points = queried.get((kind, n), set()) | set(shared)
-            for x in points:
-                checked.add((n, x))
-                if poly.sign_at(x) != fast.sign_at(x):
-                    mismatches.append((kind, n, x))
+        polys = (s_poly(n), partial_e(n))
+        for x in queried.get(n, set()) | set(shared):
+            checked.add((n, x))
+            if split_signs(n, x)[:2] != tuple(poly.sign_at(x) for poly in polys):
+                mismatches.append((n, x))
     assert not mismatches, mismatches[:5]
     return checked
 
 
-def test_signs_match_coefficient_horner(monkeypatch):
-    # Gate for the kernel: for every n <= 300 the recurrence signs equal
-    # Poly.sign_at at the points the root finders query, at fixed points and
-    # at seeded random rationals.
-    checked = _root_query_signs_match(monkeypatch)
+def test_signs_match_coefficient_horner(split_sign_calls):
+    # Gate for the kernel: for every n <= 300 the recurrence signs of S_n
+    # and partial_e equal Poly.sign_at at the points the root finders query,
+    # at fixed points and at seeded random rationals.
+    checked = _root_query_signs_match(split_sign_calls)
     assert len(checked) > 301 * (len(FIXED_POINTS) + 30)
 
 
-def _report_query_signs_match(monkeypatch) -> set[tuple[int, Fraction]]:
+def _report_query_signs_match(calls) -> set[tuple[int, Fraction]]:
     """Compares split_signs with the coefficient vectors where root_report
     asks a sign; returns every (n, x) compared."""
-    seen: dict[int, set[Fraction]] = {}
-
-    def recording(cls):
-        class Recorder(cls):  # sign_at asks signs_at too
-            def signs_at(self, x):
-                seen.setdefault(self.n, set()).add(Fraction(x))
-                return super().signs_at(x)
-
-        return Recorder
-
-    monkeypatch.setattr(roots, "CompanionSign", recording(CompanionSign))
-    monkeypatch.setattr(roots, "EvenPartSign", recording(EvenPartSign))
     assert roots.root_report(120).ok
+    seen = _grouped(calls)
     # Both ends of gamma's bracket for every n in 3..120, and of beta's for
     # every even n, must be among the points compared below.
-    ends = [(n, roots._gamma_bracket(CompanionSign(n), n)) for n in range(3, 121)]
-    ends += [(n, roots._beta_bracket(EvenPartSign(n), n)) for n in range(2, 121, 2)]
+    ends = [(n, roots._gamma_bracket(n)) for n in range(3, 121)]
+    ends += [(n, roots._beta_bracket(n)) for n in range(2, 121, 2)]
     assert all({b.lo, b.hi} <= seen.get(n, set()) for n, b in ends)
     shared = set(FIXED_POINTS) | set(random_points(2025, 20))
     mismatches = []
@@ -176,21 +160,18 @@ def _report_query_signs_match(monkeypatch) -> set[tuple[int, Fraction]]:
         polys = (s_poly(n), partial_e(n), partial_o(n))
         for x in seen.get(n, set()) | shared:
             checked.add((n, x))
-            want = tuple(poly.sign_at(x) for poly in polys)
-            got = (split_signs(n, x), CompanionSign(n).sign_at(x),
-                   EvenPartSign(n).sign_at(x))
-            if got != (want, want[0], want[1]):
+            if split_signs(n, x) != tuple(poly.sign_at(x) for poly in polys):
                 mismatches.append((n, x))
     assert not mismatches, mismatches[:5]
     return checked
 
 
-def test_report_signs_match_coefficient_horner(monkeypatch):
+def test_report_signs_match_coefficient_horner(split_sign_calls):
     # Gate for split_signs and for the brackets of the root report: for
     # every n <= 120 each point root_report asks a sign at, and the fixed
     # and seeded points, give the signs of the coefficient vectors of S_n
     # and of both split factors.
-    _report_query_signs_match(monkeypatch)
+    _report_query_signs_match(split_sign_calls)
 
 
 # -- integer enclosures ahead of the exact pair --------------------------------
@@ -241,14 +222,14 @@ def _assert_decided_on_enclosures(decided, checked):
     assert tried and not missed, missed
 
 
-def test_enclosure_signs_match_coefficient_horner(enclose_all, monkeypatch):
+def test_enclosure_signs_match_coefficient_horner(enclose_all, split_sign_calls):
     # Below the crossover the gates above never reach the enclosure.
-    checked = _root_query_signs_match(monkeypatch)
+    checked = _root_query_signs_match(split_sign_calls)
     _assert_decided_on_enclosures(enclose_all, checked)
 
 
-def test_enclosure_report_signs_match_coefficient_horner(enclose_all, monkeypatch):
-    checked = _report_query_signs_match(monkeypatch)
+def test_enclosure_report_signs_match_coefficient_horner(enclose_all, split_sign_calls):
+    checked = _report_query_signs_match(split_sign_calls)
     _assert_decided_on_enclosures(enclose_all, checked)
 
 
@@ -297,12 +278,12 @@ ODD_LARGE = [n for lo, hi in ((1601, 1621), (2801, 2821), (4001, 4021))
              for n in range(lo, hi + 1, 2)]
 
 
-def test_large_n_signs_at_root_finder_points(monkeypatch, enclosures):
+def test_large_n_signs_at_root_finder_points(split_sign_calls, enclosures):
     # Every point gamma and beta query for the fan sizes of the odd_large
     # benchmark and at 20001, above the crossover, against the exact pair.
-    queried = _recorded_root_queries(monkeypatch, [*ODD_LARGE, 20001], [])
+    queried = _recorded_root_queries(split_sign_calls, [*ODD_LARGE, 20001], [])
     checked = 0
-    for (_, n), points in queried.items():
+    for n, points in queried.items():
         for x in points:
             checked += 1
             enclosures.clear()
@@ -316,9 +297,9 @@ def test_large_n_signs_at_root_finder_points(monkeypatch, enclosures):
 def test_large_n_signs_next_to_a_zero(enclosures, n):
     # bisect narrows gamma's bracket to 2^-200; points 2^-60 to 2^-200
     # beyond its ends need more working bits than the first try has.
-    s = CompanionSign(n)
+    s = roots._s_sign(n)
     cert = roots.gamma(n)
-    bracket = roots.Bracket(cert.lo, cert.hi, s.sign_at(cert.lo), s.sign_at(cert.hi))
+    bracket = roots.Bracket(cert.lo, cert.hi, s(cert.lo), s(cert.hi))
     narrow = roots.bisect(s, bracket, tol=2.0 ** -200)
     assert 0 < narrow.hi - narrow.lo <= Fraction(1, 2 ** 200)
     for k in range(60, 201, 35):
@@ -372,19 +353,10 @@ def test_odd_value_strictly_inside_proven_bounds(n):
 
 
 @pytest.mark.parametrize("n", [3479, 3481])
-def test_odd_root_query_count_does_not_depend_on_rounding(monkeypatch, n):
+def test_odd_root_query_count_does_not_depend_on_rounding(split_sign_calls, n):
     # The rounded cosine grid point lies on the zero's side at n = 3481 and
     # beyond it at n = 3479; both take the exact signs at -1, at the grid
     # endpoint and at the float-refined lower endpoint, nothing more.
-    # CompanionSign.sign_at asks signs_at, so every query is counted.
-    calls = []
-    signs_at = CompanionSign.signs_at
-
-    def counted(self, x):
-        calls.append(x)
-        return signs_at(self, x)
-
-    monkeypatch.setattr(CompanionSign, "signs_at", counted)
     cert = roots.gamma(n)
-    assert len(calls) == 3
+    assert len(split_sign_calls) == 3
     assert cert.hi - cert.lo <= 1e-12

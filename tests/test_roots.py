@@ -8,8 +8,6 @@ import pytest
 
 from fanqec import chebyshev, roots
 from fanqec.chebyshev import (
-    CompanionSign,
-    EvenPartSign,
     identity_suite,
     partial_e,
     partial_o,
@@ -59,20 +57,20 @@ class TestBracket:
 class TestBisect:
     def test_midpoint_hits_exact_root(self):
         p = Poly([-1, 1])
-        cert = bisect(p, _around(p, Fraction(0), Fraction(2)), 1e-12)
+        cert = bisect(p.sign_at, _around(p, Fraction(0), Fraction(2)), 1e-12)
         assert cert.value == 1.0
         assert cert.is_exact
         assert cert.simple
 
     def test_companion_small(self):
         p = s_poly(1)
-        cert = bisect(p, _around(p, Fraction(-1), Fraction(0)), 1e-12)
+        cert = bisect(p.sign_at, _around(p, Fraction(-1), Fraction(0)), 1e-12)
         assert cert.value == -0.5
         assert cert.is_exact
 
     def test_width_bound(self):
         p = Poly([-2, 0, 1])  # sqrt(2)
-        cert = bisect(p, _around(p, Fraction(1), Fraction(2)), 1e-10)
+        cert = bisect(p.sign_at, _around(p, Fraction(1), Fraction(2)), 1e-10)
         assert not cert.is_exact
         assert float(cert.hi - cert.lo) <= 1e-10
         assert abs(cert.value - math.sqrt(2)) < 1e-10
@@ -82,7 +80,7 @@ class TestBisect:
         # its localization theorem provides.
         p = s_poly(3)
         hi = Fraction(math.cos(3 * math.pi / 4))
-        cert = bisect(p, _around(p, Fraction(-1), hi), 1e-12)
+        cert = bisect(p.sign_at, _around(p, Fraction(-1), hi), 1e-12)
         assert abs(cert.value - (-0.75)) <= 1e-12
 
     def test_certificate_brackets_root(self):
@@ -141,14 +139,14 @@ def gap_signs(i: int) -> tuple[int, int]:
     return (-1) ** (i // 2), (-1) ** ((i + 1) // 2)
 
 
-class _ConstantSign:
-    """Sign stub that records every query and always answers the same
-    signs of (S_n, partial_e, partial_o)."""
+class _ConstantSigns:
+    """split_signs stub that records every point asked and always answers
+    the same signs of (S_n, partial_e, partial_o)."""
 
     def __init__(self, signs: tuple[int, int, int]):
         self.signs, self.queries = signs, []
 
-    def signs_at(self, x) -> tuple[int, int, int]:
+    def __call__(self, n, x) -> tuple[int, int, int]:
         self.queries.append(Fraction(x))
         return self.signs
 
@@ -175,8 +173,8 @@ def test_nudges_stop_before_the_neighbouring_grid_point(monkeypatch, n, end):
     m, odd = divmod(n, 2)
     want_lo = (-1) ** m if odd else (-1) ** (m + 1)
     lower, upper = (want_lo, *gap_signs(n)), (-want_lo, *gap_signs(n - 2 + odd))
-    stub = _ConstantSign(lower if end == "hi" else upper)
-    monkeypatch.setattr(roots, "CompanionSign", lambda _: stub)
+    stub = _ConstantSigns(lower if end == "hi" else upper)
+    monkeypatch.setattr(roots, "split_signs", stub)
     with pytest.raises(BadBracket):
         gamma(n)
     base, neighbour = _nudged_end(n, end)
@@ -194,8 +192,8 @@ def test_beta_probe_stays_between_minus_one_and_the_neighbouring_grid_point(
     # (9.9e-8): signs that never change must raise, and no probe may pass -1
     # or the grid point above the minimal zero.  The stub answers the signs
     # of the lower end, in gap 2m with partial_e(n) = (-1)^m = 1.
-    stub = _ConstantSign((1, *gap_signs(2 * (n // 2))))
-    monkeypatch.setattr(roots, "EvenPartSign", lambda _: stub)
+    stub = _ConstantSigns((1, *gap_signs(2 * (n // 2))))
+    monkeypatch.setattr(roots, "split_signs", stub)
     with pytest.raises(BadBracket):
         beta(n)
     neighbour = Fraction(math.cos((2 * (n // 2) - 1) * math.pi / (n + 1)))
@@ -218,27 +216,17 @@ def test_split_factor_signs_follow_the_gap_pattern():
             assert split_signs(n, x)[1:] == gap_signs(i) == coefficient_signs, (n, i)
 
 
-def _recording(cls, probes: list[Fraction]):
-    class Recorder(cls):  # sign_at asks signs_at too
-        def signs_at(self, x):
-            probes.append(Fraction(x))
-            return super().signs_at(x)
-
-    return Recorder
-
-
 @pytest.mark.parametrize("n", [6401, 20001, 100001, 10 ** 6 + 1, 24 * 10 ** 5 + 1,
                                20000, 10 ** 6])
-def test_large_bracket_ends_lie_in_their_gaps(n):
+def test_large_bracket_ends_lie_in_their_gaps(split_sign_calls, n):
     # From n = 1448 on, 2/(n+1)^2 < 2^-20 caps the nudge, below every gap.
     # Each end of gamma's and beta's brackets has the exact split-factor signs
     # of the gap it names, and no probe lies further than that cap from the
     # rounded grid point (or -1) it starts from.
     m, odd = divmod(n, 2)
     den = n + 1
-    probes: list[Fraction] = []
-    gamma_ = roots._gamma_bracket(_recording(CompanionSign, probes)(n), n)
-    beta_ = roots._beta_bracket(_recording(EvenPartSign, probes)(n), n)
+    gamma_, beta_ = roots._gamma_bracket(n), roots._beta_bracket(n)
+    probes = [x for _, x in split_sign_calls]
     for x, gap in ((gamma_.lo, n), (gamma_.hi, n - 2 + odd),
                    (beta_.lo, 2 * m), (beta_.hi, 2 * m - 1)):
         assert split_signs(n, x)[1:] == gap_signs(gap), (n, float(x), gap)
@@ -347,9 +335,8 @@ class TestZerosOfS:
         zeros = {(Fraction(-1, 2), 1), (Fraction(-1, 2), 2),
                  (Fraction(-1, 2), 3), (Fraction(-3, 4), 3)}
         for n in range(0, 401):
-            sign = CompanionSign(n)
             for r in (Fraction(0), Fraction(-1, 2), Fraction(-3, 4)):
-                assert (sign.sign_at(r) == 0) == ((r, n) in zeros), f"n={n}, r={r}"
+                assert (split_signs(n, r)[0] == 0) == ((r, n) in zeros), f"n={n}, r={r}"
 
     def test_all_simple_and_sorted(self):
         for n in range(0, 31):
@@ -394,7 +381,7 @@ class TestOrderingsProof:
         for n in range(3, 4002):
             _, _, x = _ordering_point(n)
             value = s_value(n, x)
-            assert (value > 0) - (value < 0) == CompanionSign(n).sign_at(-1), n
+            assert (value > 0) - (value < 0) == split_signs(n, -1)[0], n
 
     def test_odd_closed_form(self):
         # S_n(x) = (-1)^m 4 s (1 - (N+1) s^2): x is a float next to a point
@@ -456,7 +443,7 @@ class TestRootReport:
         for cert, z in zip(certs, zeros):
             assert cert.lo <= Fraction(z) <= cert.hi and cert.is_exact
         if n >= 2:
-            bracket = roots._beta_bracket(EvenPartSign(n), n)
+            bracket = roots._beta_bracket(n)
             assert bracket.lo < Fraction(beta(n)) < bracket.hi
 
     @pytest.mark.parametrize("n", [3, 10, 11, 60])
@@ -469,7 +456,7 @@ class TestRootReport:
 
     def test_even_bracket_holds_beta(self):
         for n in range(2, 61):
-            bracket = roots._beta_bracket(EvenPartSign(n), n)
+            bracket = roots._beta_bracket(n)
             assert bracket.lo < Fraction(beta(n)) < bracket.hi, f"n={n}"
 
     @pytest.mark.parametrize("n", [2, 3, 10, 11, 60])
@@ -503,30 +490,18 @@ class TestRootReport:
             *(f"gamma bracket n={n}" for n in range(3, 13)),
             *(f"beta bracket n={n}" for n in range(2, 13, 2))]
 
-    def test_asks_only_bracket_points_and_the_initial_values(self, monkeypatch):
+    def test_asks_only_bracket_points_and_the_initial_values(self, split_sign_calls):
         # The orderings are proven for every n, so the report asks a sign
         # only where gamma's and beta's brackets do, and at -1/2 for
-        # alpha_1 = alpha_2.
-        def recording(kind, cls, seen):
-            class Recorder(cls):  # sign_at asks signs_at too
-                def signs_at(self, x):
-                    seen.setdefault((kind, self.n), set()).add(Fraction(x))
-                    return super().signs_at(x)
-
-            return Recorder
-
-        asked: dict[tuple[str, int], set[Fraction]] = {}
-        monkeypatch.setattr(roots, "CompanionSign", recording("s", CompanionSign, asked))
-        monkeypatch.setattr(roots, "EvenPartSign", recording("e", EvenPartSign, asked))
+        # alpha_1 = alpha_2 (S_1 and partial_e(2)), in that order.
         assert root_report(120).ok
-        alone: dict[tuple[str, int], set[Fraction]] = {}
+        asked = split_sign_calls[:]
+        split_sign_calls.clear()
         for n in range(3, 121):
-            roots._gamma_bracket(recording("s", CompanionSign, alone)(n), n)
+            roots._gamma_bracket(n)
         for n in range(2, 121, 2):
-            roots._beta_bracket(recording("e", EvenPartSign, alone)(n), n)
-        for key in (("s", 1), ("e", 2)):
-            alone.setdefault(key, set()).add(Fraction(-1, 2))
-        assert asked == alone
+            roots._beta_bracket(n)
+        assert asked == [*split_sign_calls, (1, Fraction(-1, 2)), (2, Fraction(-1, 2))]
 
 
 class TestElementaryInequality:
