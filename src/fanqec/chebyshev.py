@@ -12,14 +12,19 @@ remembers its last ``_KEEP`` members (``functools.lru_cache``), so memory
 follows the largest member read, not every one.
 
 The identity battery over these families (``identity_suite``, code in
-``fanqec.identities``) proves each identity for every index at once: on a
-parity class n = 2j + r both sides are C-finite sequences in j, the
-identity's own formula gives a bound B on the order of their difference,
-and exact checks at j = 0..B-1 (n <= 11 for the identities here) make it
-zero at every j.  That stands for the stored families only after each one
-the battery reads is tied, in linear time, to its recurrence or formula;
-an identity without such a proof runs on exact Poly arithmetic at every
-n, which also decides and reports every failure.
+``fanqec.identities``) proves all 31 of its checks for every index at
+once.  For the 27 identities: on a parity class n = 2j + r both sides are
+C-finite sequences in j, the identity's own formula gives a bound B on the
+order of their difference, and exact checks at j = 0..B-1 (n <= 11 for
+the identities here) make it zero at every j.  The 4 coefficient
+properties (U_n, partial_e(n) and partial_o(n) halve to monic integer
+polynomials, and x - 1 divides S_n) follow from the three-term recurrence,
+which keeps U(x/2), 2T(x/2), V(x/2) and W(x/2) monic with integer
+coefficients and fixes the values at 1, and from the identities that name
+the split factors and S_n in those kinds.  That stands for the stored
+families only after each one the battery reads is tied, in linear time, to
+its recurrence or formula; a check without such a proof runs on exact Poly
+arithmetic at every n, which also decides and reports every failure.
 
 Exact signs of S_n and of both split factors at a rational p/q need no
 coefficients: q^k U_k(p/q) is a Lucas sequence in 2p and q^2, and index
@@ -77,9 +82,10 @@ class NotIntegral(ArithmeticError):
 # members reuse their builders' evaluations and read no U.  That holds per
 # process: above a crossover (fanqec.identities._FORK_FROM) and with two
 # CPUs, the four kinds and the derived families are walked in two
-# processes, each with its own cache.  identity_suite(300) builds 1233
-# members in one process (each U member once in its walk); in two, the
-# worker builds U_{-1} to U_303 once more.  Without the cache one walk
+# processes, each with its own cache.  In one process identity_suite(300)
+# runs 1209 coefficient formulas (_alternating and _third_fourth): 1054 in
+# the walk, which builds each U member once, and 155 in the base checks.  In
+# two, the worker builds U_{-1} to U_303 once more.  Without the cache one walk
 # built 5189 members, in 1.4 to 1.5 times the time.  T, V and W keep none:
 # the walk ties each of their members through its own family's last two,
 # and no identity reads one twice (0 hits in identity_suite(300)).

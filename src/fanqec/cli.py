@@ -77,13 +77,15 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _emit(fmt: str, data: Callable[[], object], header: list[str],
+def _emit(fmt: str, data: Callable[[], Iterable[str]], header: list[str],
           rows: Callable[[], Iterable[list]], lines: Callable[[], Iterable]) -> None:
-    """Print data() as JSON, header and rows() as CSV, or lines() one per line.
+    """Print data(), the pieces of one JSON document, header and rows() as
+    CSV, or lines() one per line.
 
-    Only fmt's callable runs: no command builds a payload it does not print."""
+    Each piece is written as it comes.  Only fmt's callable runs: no command
+    builds a payload it does not print."""
     if fmt == "json":
-        print(json.dumps(data()))
+        sys.stdout.writelines(chain(data(), ["\n"]))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -108,7 +110,7 @@ def _cmd_poly(args: SimpleNamespace) -> int:
         return _fail(f"family {args.family!r} needs n >= {min_n}", 2)
     coeffs = list(builder(args.n).coeffs)
     _emit(args.format,
-          lambda: {"family": args.family, "n": args.n, "coeffs": coeffs},
+          lambda: [json.dumps({"family": args.family, "n": args.n, "coeffs": coeffs})],
           ["family", "n", "coeffs"],
           lambda: [[args.family, args.n, " ".join(map(str, coeffs))]],
           lambda: [coeffs])
@@ -133,7 +135,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     ok = not failures and not unproven and not roots_failures and inequality_ok
 
     _emit(args.format,
-          lambda: {
+          lambda: [json.dumps({
               "identities": report.to_json_dict(),
               "identity_checks": len(report.checked),
               "roots_max_n": roots_cap,
@@ -141,7 +143,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
               "localization_unproven": unproven,
               "elementary_inequality": inequality_ok,
               "ok": ok,
-          },
+          })],
           ["section", "check", "n", "passed"],
           lambda: chain(
               (["identity", c.identity, c.n, c.passed] for c in report.checked),
@@ -187,8 +189,9 @@ def _cmd_qec(args: SimpleNamespace) -> int:
         label, result = args.value, qec_numeric(from_edge_list(text))
 
     _emit(args.format,
-          lambda: {"target": label, "value": result.value,
-                   "method": result.method.value, "certificate": result.certificate},
+          lambda: [json.dumps({"target": label, "value": result.value,
+                               "method": result.method.value,
+                               "certificate": result.certificate})],
           ["target", "value", "method", "certificate"],
           lambda: [[label, repr(result.value), result.method.value,
                     _cert_text(result.certificate)]],
@@ -209,16 +212,18 @@ def _odd_bounds(n: int) -> tuple[float, float] | None:
 def _cmd_table(args: SimpleNamespace) -> int:
     if not 1 <= args.start <= args.stop:
         return _fail(f"need 1 <= from <= to, got {args.start}..{args.stop}", 2)
-    # Only one format's callable runs, so the generator is read once: plain
-    # and CSV print each row as it is computed.
+    # Only one format's callable runs, so the generator is read once: every
+    # format prints each row as it is computed, JSON with the bytes of
+    # json.dumps({"rows": [...]}).
     entries = ((n, qec_fan(n, tol=args.tol), _odd_bounds(n))
                for n in range(args.start, args.stop + 1))
     line = "{:>4}  {:<24} {:<18} {:<24} {:<24}".format
     _emit(args.format,
-          lambda: {"rows": [
-              {"n": n, "qec": r.value, "method": r.method.value,
-               "lower": b[0] if b else None, "upper": b[1] if b else None}
-              for n, r, b in entries]},
+          lambda: chain(['{"rows": ['], (
+              ", " * (n > args.start) + json.dumps(
+                  {"n": n, "qec": r.value, "method": r.method.value,
+                   "lower": b[0] if b else None, "upper": b[1] if b else None})
+              for n, r, b in entries), ["]}"]),
           ["n", "qec", "method", "lower", "upper"],
           lambda: ([n, repr(r.value), r.method.value,
                     repr(b[0]) if b else "", repr(b[1]) if b else ""]

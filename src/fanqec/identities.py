@@ -2,10 +2,10 @@
 
 ``identity_suite`` runs 31 named checks: 27 identities and 4 coefficient
 properties, at every index n up to a bound, each coefficient-exactly over
-the integers.  Each identity is written once, as lhs and rhs over a family
-accessor, and runs on two backends: the stored Poly objects, and order
-bounds (``_Orders``) on an index object that stands for every n of one
-parity class n = 2j + r at once.
+the integers, and proves all 31 for every n.  Each identity is written
+once, as lhs and rhs over a family accessor, and runs on two backends: the
+stored Poly objects, and order bounds (``_Orders``) on an index object that
+stands for every n of one parity class n = 2j + r at once.
 
 On such a class every member an identity reads sits at an index a*j + b,
 and with lambda + 1/lambda = 2x each member of U, T, V and W is
@@ -22,11 +22,32 @@ bound, and is not proven.
 That proof stands for the stored polynomials only once they are tied to
 their definitions: every stored member the battery reads, up to the larger
 of max_n and the top base index, is checked, in linear time, against its
-recurrence or formula, and if one tie fails nothing is proven.  An identity
-without a proof, whether it has no bound, a failing base check or a
-failing tie, is decided at every n on Poly, which also gives a failure its
-two coefficient vectors.  The compress/monic and S_n divisible by x - 1
-checks are coefficient properties and always run on Poly.
+recurrence or formula, and if one tie fails nothing is proven.
+
+The coefficient properties (``_PROPERTIES``) are proven the same way: each
+once every tie held and the identities its argument rests on are proven.
+Write P~(x) for P(x/2).  U, T, V and W follow P_{k+1} = 2x P_k - P_{k-1},
+so U~, 2T~, V~ and W~ follow P~_{k+1} = x P~_k - P~_{k-1}, from the seeds
+(U~_{-1}, U~_0) = (0, 1), (2T~_0, 2T~_1) = (2, x), (V~_0, V~_1) = (1, x - 1)
+and (W~_0, W~_1) = (1, x + 1) (Mason and Handscomb, Chebyshev Polynomials,
+2003, ch. 2).  From k = 0 on (k = 1 for 2T~) each member is monic of degree
+k with integer coefficients, since x times a monic integer polynomial of
+degree k, minus an integer one of lower degree, is monic of degree k + 1.
+
+* compressed-u-monic: U_n(x/2) = U~_n; the ties alone.
+* compressed-even-part-monic: partial_e(n) is U_m for n = 2m + 1 and W_m
+  for n = 2m (even-part-is-second-kind, even-part-is-fourth-kind).
+* compressed-odd-part-monic: partial_o(n) is 2 T_{m+1} for n = 2m + 1 and
+  V_m for n = 2m (odd-part-is-doubled-first-kind, odd-part-is-third-kind).
+* s-divisible-by-x-minus-one: x - 1 is monic, so it divides S_n over the
+  integers exactly when S_n(1) = 0, step 4 of the zero localization
+  (fanqec.roots), which rests on roots.LOCALIZATION_IDENTITIES.  At x = 1
+  the recurrence is P_{k+1}(1) = 2 P_k(1) - P_{k-1}(1), so U_k(1) = k + 1,
+  T_k(1) = V_k(1) = 1 and W_k(1) = 2k + 1.
+
+A check without a proof, whether it has no bound, a failing base check, a
+failing tie or an unproven identity it rests on, is decided at every n on
+Poly, which also gives a failure its two coefficient vectors.
 
 Every stored family is read through ``chebyshev._STORED``, which looks its
 builder up when it is used, so a builder replaced there is what the battery
@@ -43,13 +64,13 @@ crossover, and where this process may run on two CPUs, a forked worker
 walks the derived families, in its own record and with its own cache,
 and then runs the base checks of every identity, while the calling
 process walks the four kinds; otherwise one walk does both and the base
-checks follow it.  The report is the same either way.
+checks follow it.  Only verdicts cross between the two processes, and the
+report is the same either way.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import operator
 import os
 import pickle
@@ -69,6 +90,7 @@ from .chebyshev import (
     compress,
 )
 from .polynomial import Poly
+from .roots import LOCALIZATION_IDENTITIES
 
 
 def _cmp(identity: str, n: int, lhs: Poly, rhs: Poly) -> IdentityCheck:
@@ -322,65 +344,47 @@ def _tie(family: str, k: int, member: Poly, below: Sequence[Poly]) -> bool:
     return coeffs == tuple(map(operator.sub, map(operator.add, upper, upper), lower))
 
 
-def _compressed_monic(name: str, masks: Sequence[int], n: int,
-                      poly: Poly) -> IdentityCheck:
-    """poly compresses (compress) to a monic polynomial.
+# Each coefficient property: its name, the family whose members n <= max_n
+# it is checked on, and the identities its proof rests on besides the ties
+# (module docstring).
+_PROPERTIES = (
+    ("compressed-u-monic", "u", ()),
+    ("compressed-even-part-monic", "pe",
+     ("even-part-is-second-kind", "even-part-is-fourth-kind")),
+    ("compressed-odd-part-monic", "po",
+     ("odd-part-is-doubled-first-kind", "odd-part-is-third-kind")),
+    ("s-divisible-by-x-minus-one", "s", LOCALIZATION_IDENTITIES),
+)
 
-    masks[k] is 2^k - 1: coefficient k halves k times exactly when it
-    shares no bit with masks[k], and the compressed polynomial is monic
-    when the top coefficient is 2^deg.  That accepts a sound member in one
-    map pass; compress decides every other one (and a degree past the
-    masks) and gives a failure its two vectors.
-    """
-    coeffs = poly.coeffs
-    if (0 < len(coeffs) <= len(masks) and coeffs[-1] == masks[len(coeffs) - 1] + 1
-            and not any(map(operator.and_, coeffs, masks))):
-        return IdentityCheck(name, n, True)
+
+def _compressed_monic(name: str, n: int, poly: Poly) -> IdentityCheck:
+    """poly compresses (compress) to a monic polynomial."""
     try:
         c = compress(poly)
     except NotIntegral:
         return IdentityCheck(name, n, False, poly.coeffs, ())
     if c.leading == 1:
         return IdentityCheck(name, n, True)
-    expected = c.coeffs[:-1] + (1,) if c.coeffs else (1,)
-    return IdentityCheck(name, n, False, c.coeffs, expected)
+    return IdentityCheck(name, n, False, c.coeffs, c.coeffs[:-1] + (1,))
 
 
 def _divisible_by_x_minus_one(name: str, n: int, s: Poly) -> IdentityCheck:
     """x - 1 divides s: it is monic, so it does over the integers iff s(1) = 0."""
-    at_one = sum(s.coeffs)
-    if at_one:
+    if at_one := sum(s.coeffs):
         return IdentityCheck(name, n, False, s.coeffs, (at_one,))
     return IdentityCheck(name, n, True)
 
 
-def _coefficient_checks(max_n: int) -> dict[str, Callable[[int, Poly], IdentityCheck]]:
-    """The coefficient-property check of each family that has one, run on
-    every member n <= max_n as the walk fetches it.
-
-    A member n <= max_n of u, pe or po has degree at most max_n, so the
-    compressed-monic checks share the masks 2^k - 1 for k <= max_n.
-    """
-    masks = tuple((1 << k) - 1 for k in range(max_n + 1))
-    return {
-        "u": functools.partial(_compressed_monic, "compressed-u-monic", masks),
-        "pe": functools.partial(_compressed_monic, "compressed-even-part-monic", masks),
-        "po": functools.partial(_compressed_monic, "compressed-odd-part-monic", masks),
-        "s": functools.partial(_divisible_by_x_minus_one, "s-divisible-by-x-minus-one"),
-    }
-
-
-def _walk(max_n: int, reads: dict[str, int]) -> tuple[bool, list[IdentityCheck]]:
-    """Tie and check the families `reads` names, in one upward walk by steps k.
+def _walk(reads: dict[str, int]) -> bool:
+    """Whether every member of the families `reads` names is tied to its
+    definition, in one upward walk by steps k.
 
     Step k fetches members 2k and 2k + 1 of pe, po and s and member k of
     every other family, each that `reads` asks for (it maps a family to its
     highest index) once from its builder, family by family in the order of
-    `reads`.  Each member is tied to its definition until a tie fails, and
-    for n <= max_n handed to its family's coefficient check.  The first
-    element is whether every tie held.
+    `reads`, and ties it to its definition.  The walk stops at the first
+    tie that fails.
     """
-    coefficient_checks = _coefficient_checks(max_n)
     walks = []
     for family, top in reads.items():
         # Member n of pe, po and s reads U near n/2, member k of u and phi U
@@ -389,33 +393,29 @@ def _walk(max_n: int, reads: dict[str, int]) -> tuple[bool, list[IdentityCheck]]
         pace = 2 if family in ("pe", "po", "s") else 1
         first = _SEEDS[family][0] if family in _SEEDS else 0
         below = collections.deque(maxlen=2)  # the members n-2 and n-1
-        walks.append((family, pace, first, top, getattr(_STORED, family),
-                      coefficient_checks.get(family), below))
-    ties, checks = True, []
+        walks.append((family, pace, first, top, getattr(_STORED, family), below))
     with _STORED.recording():
         for k in range(min(first // pace for _, pace, first, *_ in walks),
                        max(top // pace for _, pace, _, top, *_ in walks) + 1):
-            for family, pace, first, top, fetch, check, below in walks:
+            for family, pace, first, top, fetch, below in walks:
                 for n in range(pace * k, pace * (k + 1)):
                     if first <= n <= top:
                         member = fetch(n)
-                        ties = ties and _tie(family, n, member, below)
+                        if not _tie(family, n, member, below):
+                            return False
                         below.append(member)
-                        if check and 0 <= n <= max_n:
-                            checks.append(check(n, member))
-    return ties, checks
+    return True
 
 
-def _proven_walk(max_n: int, reads: dict[str, int],
-                 plan: Sequence[tuple]) -> tuple[list[bool], list[IdentityCheck]]:
-    """_walk, then a verdict for each class (name, r, fn, (B, reads)) of
-    identity_suite's plan: whether every tie of the walk held, the class
-    has a bound B, and its B base checks pass on the stored Poly objects."""
-    ties, checks = _walk(max_n, reads)
-    verdicts = [ties and bool(order) and all(
-                    operator.eq(*fn(_STORED, n)) for n in range(r, r + 2 * order, 2))
-                for _, r, fn, (order, _) in plan]
-    return verdicts, checks
+def _proven_walk(reads: dict[str, int], plan: Sequence[tuple]) -> list[bool]:
+    """Whether every tie of _walk held, then a verdict for each class (name,
+    r, fn, (B, reads)) of identity_suite's plan: whether the ties held, the
+    class has a bound B, and its B base checks pass on the stored Poly
+    objects."""
+    ties = _walk(reads)
+    return [ties] + [ties and bool(order) and all(
+                         operator.eq(*fn(_STORED, n)) for n in range(r, r + 2 * order, 2))
+                     for _, r, fn, (order, _) in plan]
 
 
 # From max_n = _FORK_FROM on, _stored_pass walks the four kinds and the
@@ -428,8 +428,9 @@ def _proven_walk(max_n: int, reads: dict[str, int],
 # (33 to 39 of 40), 53 against 43 ms at 120 and 239 against 148 ms at 300.
 # The crossover lies near 80, and from 90 on two processes win clearly;
 # forking, the pipe and the reaping cost about 5 ms.  At 300 the four-kind
-# walk took 86 ms, the derived one 75 ms, the base checks after it 3.5 ms
-# and pickling its checks 1.5 ms (fastest of 10).
+# walk took 86 ms, the derived one 75 ms and the base checks after it
+# 3.5 ms (fastest of 10).  All of this was measured while both walks also
+# ran a coefficient check on every member they fetched.
 _FORK_FROM = 100
 
 
@@ -454,41 +455,40 @@ def _forks(max_n: int) -> bool:
 
 
 def _stored_pass(max_n: int, reads: dict[str, int],
-                 plan: Sequence[tuple]) -> tuple[list[bool], list[IdentityCheck]]:
+                 plan: Sequence[tuple]) -> list[bool]:
     """_proven_walk over every family `reads` names, in one process or in two.
 
-    `reads` maps a family to its highest index; u, pe, po and s reach max_n
-    at least.  A class of `plan` has a true verdict only if every tie held,
-    so that the stored Poly objects are the families whose order bounds
-    _order computes, and its base checks pass on them.
+    `reads` maps a family to its highest index.  The first verdict is
+    whether every tie held, and a class of `plan` has a true verdict only
+    if every tie held, so that the stored Poly objects are the families
+    whose order bounds _order computes, and its base checks pass on them.
 
-    Where _forks says so, a forked worker walks pe, po, s and phi, in its
-    own recording, and then runs every class's base checks, while this
-    process walks u, t, v and w.  The worker sends its (verdicts, checks),
-    or the exception it met with the worker's traceback as a note, through
-    a pipe and leaves through os._exit; a failed tie here makes every
-    verdict false.  A fork, not a fresh interpreter, so that a builder
-    replaced in this process is what the worker checks.  The worker is
-    killed and reaped before this returns or raises, and its exception is
-    raised here.  identity_suite sorts the checks, so their order does not
-    matter.  Where no process can be forked, one walk does it all and the
-    base checks follow it.
+    Where _forks at max_n says so, a forked worker walks pe, po, s and phi,
+    in its own recording, and then runs every class's base checks, while
+    this process walks u, t, v and w.  The worker sends its verdicts, or
+    the exception it met with the worker's traceback as a note, through a
+    pipe and leaves through os._exit; a failed tie here makes every verdict
+    false.  A fork, not a fresh interpreter, so that a builder replaced in
+    this process is what the worker checks.  The worker is killed and
+    reaped before this returns or raises, and its exception is raised here.
+    Where no process can be forked, one walk does it all and the base
+    checks follow it.
     """
     if not _forks(max_n):
-        return _proven_walk(max_n, reads, plan)
+        return _proven_walk(reads, plan)
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return _proven_walk(max_n, reads, plan)
+        return _proven_walk(reads, plan)
     if not pid:
         try:
             os.close(read_fd)
             try:
                 derived = {f: top for f, top in reads.items() if f not in _SEEDS}
-                result = True, _proven_walk(max_n, derived, plan)
+                result = True, _proven_walk(derived, plan)
             except BaseException as exc:
                 exc.add_note("In the worker walking the derived families:\n"
                              + "".join(traceback.format_exception(exc)))
@@ -500,7 +500,7 @@ def _stored_pass(max_n: int, reads: dict[str, int],
     os.close(write_fd)
     with open(read_fd, "rb") as pipe:
         try:
-            ties, checks = _walk(max_n, {f: top for f, top in reads.items() if f in _SEEDS})
+            ties = _walk({f: top for f, top in reads.items() if f in _SEEDS})
             try:
                 walked, result = pickle.load(pipe)
             except EOFError:
@@ -511,8 +511,7 @@ def _stored_pass(max_n: int, reads: dict[str, int],
             os.waitpid(pid, 0)
     if not walked:
         raise result
-    verdicts, worker_checks = result
-    return [ties and verdict for verdict in verdicts], checks + worker_checks
+    return [ties and verdict for verdict in result]
 
 
 def identity_suite(max_n: int) -> IdentityReport:
@@ -521,24 +520,27 @@ def identity_suite(max_n: int) -> IdentityReport:
     An identity passes without Poly arithmetic only on its parity classes
     with a bound (_order) whose base checks pass on the stored Poly objects,
     and only after those objects are tied to their definitions; _stored_pass
-    runs both.  Everything else, and every failure, is decided on Poly.
-    Base checks above max_n are not reported, but they run whatever max_n
-    is, so the report's proven identities are the same at every max_n for
-    a sound build.
+    runs both.  A coefficient property passes without Poly arithmetic only
+    when every tie held and every identity it rests on (_PROPERTIES) is
+    proven.  Everything else, and every failure, is decided on Poly.  Base
+    checks above max_n are not reported, but they run whatever max_n is, so
+    the report's proven checks are the same at every max_n for a sound
+    build.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     plan = [(name, r, fn, _order(fn, r)) for name, parity, fn in _IDENTITIES
             for r in ((0, 1) if parity is None else (parity,))]
     top_n = max([max_n] + [r + 2 * order - 2 for _, r, _, (order, _) in plan if order])
-    # The coefficient checks read u, pe, po and s at every n <= max_n.
+    # The properties stand for the members n <= max_n of u, pe, po and s
+    # once those are tied.
     reads = dict.fromkeys(("u", "pe", "po", "s"), max_n)
     for _, r, _, (_, class_reads) in plan:
         j = (top_n - r) // 2
         for family, k in class_reads:
             reads[family] = max(reads.get(family, k.b), k.b, k.a * j + k.b)
-    verdicts, checked = _stored_pass(max_n, reads, plan)
-    unproven = set()
+    ties, *verdicts = _stored_pass(max_n, reads, plan)
+    checked, unproven = [], set()
     for (name, r, fn, _), proven in zip(plan, verdicts):
         indices = range(r, max_n + 1, 2)
         if proven:
@@ -546,7 +548,14 @@ def identity_suite(max_n: int) -> IdentityReport:
         else:
             unproven.add(name)
             checked.extend(_cmp(name, n, *fn(_STORED, n)) for n in indices)
+    proven, indices = {name for name, *_ in plan} - unproven, range(max_n + 1)
+    for name, family, rests_on in _PROPERTIES:
+        if ties and proven.issuperset(rests_on):
+            proven.add(name)
+            checked.extend(map(IdentityCheck, repeat(name), indices, repeat(True)))
+        else:
+            check = _divisible_by_x_minus_one if family == "s" else _compressed_monic
+            checked.extend(check(name, n, _STORED.member(family, n)) for n in indices)
     # No two checks share (identity, n), so the tuples sort by it.
     checked.sort()
-    proven = tuple(sorted({name for name, *_ in plan} - unproven))
-    return IdentityReport(max_n, checked, proven)
+    return IdentityReport(max_n, checked, tuple(sorted(proven)))

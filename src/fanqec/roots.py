@@ -159,16 +159,24 @@ def _exact_cert(sign: ExactSign, x: Fraction) -> ZeroCert:
     return ZeroCert(float(x), x, x, _is_simple(sign, x))
 
 
+def _width(tol: float) -> Fraction:
+    """tol as an exact bracket width; ValueError unless it is finite and > 0.
+
+    Every function here that takes a tol refuses a bad one through this
+    before its first sign query."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    return Fraction(tol)
+
+
 def bisect(sign: ExactSign, bracket: Bracket, tol: float = 1e-12) -> ZeroCert:
     """Narrow a sign-change bracket to width <= tol by exact midpoint signs.
 
     An exact rational root hit at a midpoint short-circuits to a width-0
     certificate.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    limit = _width(tol)
     lo, hi, sign_lo = bracket.lo, bracket.hi, bracket.sign_lo
-    limit = Fraction(tol)
     while hi - lo > limit:
         mid = (lo + hi) / 2
         s = sign(mid)
@@ -340,6 +348,7 @@ def gamma(n: int, tol: float = 1e-12) -> ZeroCert:
     """
     if n < 1:
         raise ValueError(f"index {n} must be >= 1")
+    _width(tol)
     s = _s_sign(n)
     if n in (1, 2):
         if s(-_HALF) == 0:
@@ -358,6 +367,7 @@ def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
     near -1 lie just below their grid points (2.4e-12 below at j = n = 401),
     so one point above each grid point ends one bracket and starts the next.
     """
+    _width(tol)
     s = _s_sign(n)
     top = 2 * ((n + 1) // 2) - 1
     ends = ((n + 1, _ABOVE), *((j, _ABOVE) for j in range(top, 0, -2)))

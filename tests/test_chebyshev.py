@@ -4,6 +4,7 @@ import collections
 import hashlib
 import json
 import math
+import operator
 import os
 import pickle
 import random
@@ -222,10 +223,10 @@ class TestFamilyStore:
                 built.append(n)
             return real_alternating(n, lead, offset)
 
-        def walk(max_n, reads):
+        def walk(reads):
             walking.append(True)
             try:
-                return real_walk(max_n, reads)
+                return real_walk(reads)
             finally:
                 walking.pop()
 
@@ -261,11 +262,11 @@ class TestFamilyStore:
                 evaluated[family, n] += 1
             return real_defined(self, family, n)
 
-        def walk(max_n, reads):
+        def walk(reads):
             tops.update(reads)
             walking.append(True)
             try:
-                return real_walk(max_n, reads)
+                return real_walk(reads)
             finally:
                 walking.pop()
 
@@ -539,41 +540,54 @@ def _monic_corruptions(member: Poly, step: int) -> list[Poly]:
     return out + [-member, Poly(c + [1 << top + 1]), Poly(c + [1])]
 
 
+def _monic_reference(name: str, n: int, poly: Poly) -> IdentityCheck:
+    """The battery's compressed-monic record, coefficient by coefficient
+    (test oracle): the coefficients against () if one of degree k is not a
+    multiple of 2^k, else the halved coefficients against themselves with
+    a leading 1 unless they already have it."""
+    coeffs = poly.coeffs
+    if any(c % 2 ** k for k, c in enumerate(coeffs)):
+        return IdentityCheck(name, n, False, coeffs, ())
+    halved = tuple(c // 2 ** k for k, c in enumerate(coeffs))
+    if halved and halved[-1] == 1:
+        return IdentityCheck(name, n, True)
+    return IdentityCheck(name, n, False, halved, halved[:-1] + (1,))
+
+
 class TestCompressedMonic:
-    """The battery's monic check accepts a sound member by its bit masks and
-    leaves every other one to compress: the two give one verdict."""
+    """The battery's per-n monic check gives the records of a coefficient-
+    by-coefficient reference."""
 
     @staticmethod
-    def _assert_as_compress(check, poly):
-        # With no masks, the check is compress alone.
-        assert check(7, poly) == identities._compressed_monic(check.args[0], (), 7, poly)
+    def _assert_as_reference(at, poly):
+        name = "compressed-u-monic"
+        assert identities._compressed_monic(name, at, poly) == _monic_reference(name, at, poly)
 
     def test_random_polynomials(self):
-        check = identities._coefficient_checks(300)["u"]
         rng = random.Random(2026)
         for degree in [0, 1, 2, 300, *rng.sample(range(3, 300), 40)]:
             halvable = TestCompress._halvable(rng, degree)
             for lead in (1 << degree, -1 << degree, rng.randint(-2**80, 2**80) << degree):
-                self._assert_as_compress(check, Poly(halvable[:-1] + [lead]))
-            self._assert_as_compress(
-                check, Poly([rng.randint(-2**40, 2**40) for _ in range(degree + 1)]))
-        self._assert_as_compress(check, Poly())
+                self._assert_as_reference(7, Poly(halvable[:-1] + [lead]))
+            self._assert_as_reference(
+                7, Poly([rng.randint(-2**40, 2**40) for _ in range(degree + 1)]))
+        self._assert_as_reference(7, Poly())
 
     # A bad bit at every position up to degree 300, at every 25th from
-    # degree 1000 on, where compress takes a millisecond a failure.
-    @pytest.mark.parametrize("family, n, max_n, step", [
+    # degree 1000 on, where compress takes a millisecond a failure.  Each
+    # record carries the index it is asked at, whatever the member's
+    # degree: the last two ask at 30 for members of higher degree.
+    @pytest.mark.parametrize("family, n, at, step", [
         ("u", 40, 40, 1), ("pe", 41, 41, 1), ("po", 40, 40, 1), ("u", 300, 300, 1),
         ("u", 1000, 1000, 25), ("pe", 2000, 2000, 25), ("po", 2001, 2001, 25),
-        # A degree past the masks is left to compress.
         ("u", 60, 30, 1), ("pe", 81, 30, 1)])
-    def test_corrupted_members(self, family, n, max_n, step):
-        check = identities._coefficient_checks(max_n)[family]
+    def test_corrupted_members(self, family, n, at, step):
         member = {"u": cheb_u, "pe": partial_e, "po": partial_o}[family](n)
         assert member.degree >= 1000 or n < 1000
-        self._assert_as_compress(check, member)
+        assert identities._compressed_monic(family, at, member) == IdentityCheck(family, at, True)
         for bad in _monic_corruptions(member, step):
-            self._assert_as_compress(check, bad)
-        self._assert_as_compress(check, Poly())
+            self._assert_as_reference(at, bad)
+        self._assert_as_reference(at, Poly())
 
 
 class TestCompanionPolynomials:
@@ -767,9 +781,10 @@ def _digest(report) -> str:
 
 
 def _on_poly_only(monkeypatch, max_n):
-    """The battery with no identity proven: every check decided on Poly."""
+    """The battery with no tie held, so nothing proven: every check decided
+    on Poly."""
     with monkeypatch.context() as m:
-        m.setattr(identities, "_order", lambda fn, parity: (None, []))
+        m.setattr(identities, "_walk", lambda reads: False)
         return identity_suite(max_n)
 
 
@@ -1112,7 +1127,7 @@ class TestTwoProcessPass:
         one, two = _both_ways(monkeypatch, 300)
         assert two.ok
         assert two.checked == one.checked
-        assert two.proven == one.proven and len(two.proven) == 27
+        assert two.proven == one.proven and len(two.proven) == 31
 
     # The crossover is lowered so that each battery, all on Poly once a tie
     # fails, stays small.  Member 7 of every family lies below max_n and
@@ -1153,7 +1168,7 @@ class TestTwoProcessPass:
         one, two = _both_ways(monkeypatch, 24)
         assert two.checked == one.checked
         assert two.proven == one.proven
-        assert name not in two.proven and len(two.proven) == 26
+        assert name not in two.proven and len(two.proven) == 30
         assert two.failures == [IdentityCheck(name, 2, False, (1,), (2,))]
 
     @pytest.mark.parametrize("family", ["s", "t"])
@@ -1235,3 +1250,127 @@ class TestTwoProcessPass:
         assert identity_suite(identities._FORK_FROM).checked == one.checked
         if fds:
             assert len(os.listdir("/proc/self/fd")) == len(fds)
+
+
+# -- the coefficient properties, proven for every n --------------------------
+
+_PROPERTY_NAMES = {"compressed-u-monic", "compressed-even-part-monic",
+                   "compressed-odd-part-monic", "s-divisible-by-x-minus-one"}
+
+
+def _count_property_checks(monkeypatch) -> collections.Counter:
+    """Count the battery's per-n coefficient-property checks by name."""
+    counts = collections.Counter()
+    for attr in ("_compressed_monic", "_divisible_by_x_minus_one"):
+        real = getattr(identities, attr)
+
+        def counting(name, n, poly, real=real):
+            counts[name] += 1
+            return real(name, n, poly)
+
+        monkeypatch.setattr(identities, attr, counting)
+    return counts
+
+
+def _compressed_members(first: tuple[int, ...], second: tuple[int, ...], top: int):
+    """Members 0..top of P(k+1) = x P(k) - P(k-1) from two seeds, as
+    ascending coefficient lists (stdlib only), holding only the last two."""
+    prev, cur = list(first), list(second)
+    yield prev
+    for _ in range(top):
+        yield cur
+        following = [0, *cur]
+        following[:len(prev)] = map(operator.sub, following, prev)
+        prev, cur = cur, following
+
+
+# U(x/2), 2T(x/2), V(x/2) and W(x/2) at indices 0 and 1, written out here,
+# with the values of U, T, V and W at 1 at indices 0 and 1.
+_COMPRESSED_SEEDS = {
+    "u": (((1,), (0, 1)), (1, 2)),
+    "2t": (((2,), (0, 1)), (1, 1)),
+    "v": (((1,), (-1, 1)), (1, 1)),
+    "w": (((1,), (1, 1)), (1, 3)),
+}
+
+
+class TestCoefficientProperties:
+    """The four coefficient properties are proven for every n: compress and
+    S_n(1) run per n only where a tie or an identity they rest on fails."""
+
+    def test_sound_battery_runs_no_per_n_check(self, monkeypatch):
+        counts = _count_property_checks(monkeypatch)
+        _cpus(monkeypatch, 1)
+        report = identity_suite(300)
+        assert report.ok and not counts
+        assert len(report.proven) == 31 and _PROPERTY_NAMES <= set(report.proven)
+
+    # Each identity a property rests on (the identities module docstring),
+    # made unprovable by a failing base check: exactly the properties that
+    # rest on it are decided per n, with the records of the all-Poly battery.
+    @pytest.mark.parametrize("prerequisite, dependents", [
+        ("even-part-is-second-kind",
+         {"compressed-even-part-monic", "s-divisible-by-x-minus-one"}),
+        ("even-part-is-fourth-kind",
+         {"compressed-even-part-monic", "s-divisible-by-x-minus-one"}),
+        ("odd-part-is-doubled-first-kind",
+         {"compressed-odd-part-monic", "s-divisible-by-x-minus-one"}),
+        ("odd-part-is-third-kind",
+         {"compressed-odd-part-monic", "s-divisible-by-x-minus-one"}),
+        ("s-odd-index-from-split-factors", {"s-divisible-by-x-minus-one"}),
+        ("s-even-index-from-split-factors", {"s-divisible-by-x-minus-one"}),
+    ])
+    def test_unprovable_prerequisite(self, monkeypatch, prerequisite, dependents):
+        parity, real = next((parity, fn) for name, parity, fn in identities._IDENTITIES
+                            if name == prerequisite)
+
+        def mutated(f, n):
+            lhs, rhs = real(f, n)
+            return (lhs, rhs + 1) if f is identities._STORED and n == parity else (lhs, rhs)
+
+        table = [(name, p, mutated if name == prerequisite else fn)
+                 for name, p, fn in identities._IDENTITIES]
+        monkeypatch.setattr(identities, "_IDENTITIES", table)
+        monkeypatch.setattr(identities, "_FORK_FROM", 20)
+        counts = _count_property_checks(monkeypatch)
+        one, two = _both_ways(monkeypatch, 24)
+        assert counts == {name: 2 * 25 for name in dependents}
+        assert two.checked == one.checked == _on_poly_only(monkeypatch, 24).checked
+        assert [(c.identity, c.n) for c in one.failures] == [(prerequisite, parity)]
+        everything = {c.identity for c in one.checked}
+        assert set(one.proven) == set(two.proven) == everything - dependents - {prerequisite}
+
+    def test_per_n_checks_pass_up_to_600(self):
+        for n in range(601):
+            for name, builder in (("compressed-u-monic", cheb_u),
+                                  ("compressed-even-part-monic", partial_e),
+                                  ("compressed-odd-part-monic", partial_o)):
+                assert identities._compressed_monic(name, n, builder(n)).passed, (name, n)
+            assert identities._divisible_by_x_minus_one(
+                "s-divisible-by-x-minus-one", n, s_poly(n)).passed, n
+
+    @pytest.mark.parametrize("family", sorted(_COMPRESSED_SEEDS))
+    def test_compressed_recurrence_keeps_members_monic(self, family):
+        # Integer seeds give integer members; from index 1 on (0 for all
+        # but 2T) each is monic of its index's degree, and at x = 2 it has
+        # the value at 1 of the uncompressed member.
+        (first, second), _ = _COMPRESSED_SEEDS[family]
+        builder = {"u": cheb_u, "2t": lambda k: 2 * cheb_t(k), "v": cheb_v,
+                   "w": cheb_w}[family]
+        for k, coeffs in enumerate(_compressed_members(first, second, 2000)):
+            assert len(coeffs) == k + 1, (family, k)
+            assert coeffs[-1] == 1 or (family, k) == ("2t", 0), (family, k)
+            if k <= 40 or k % 500 == 0:
+                assert tuple(coeffs) == compress(builder(k)).coeffs, (family, k)
+                assert sum(c << i for i, c in enumerate(coeffs)) == builder(k).evaluate(1)
+
+    def test_values_at_one(self):
+        # P(k+1)(1) = 2 P(k)(1) - P(k-1)(1): U_k(1) = k + 1, T_k(1) =
+        # V_k(1) = 1 and W_k(1) = 2k + 1.
+        closed = {"u": lambda k: k + 1, "2t": lambda k: 1, "v": lambda k: 1,
+                  "w": lambda k: 2 * k + 1}
+        for family, (_, values) in _COMPRESSED_SEEDS.items():
+            prev, cur = values
+            for k in range(2001):
+                assert prev == closed[family](k), (family, k)
+                prev, cur = cur, 2 * cur - prev

@@ -339,6 +339,21 @@ class TestEntry:
         assert proc.returncode == 141
         assert err == b""
 
+    def test_json_table_rows_reach_a_reader_that_leaves_early(self):
+        # JSON too is written a row at a time, as one document.
+        command, env = self.command("table", "fan", "1", "2000001", "--format", "json")
+        with subprocess.Popen(command, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            try:
+                assert select.select([proc.stdout], [], [], 20)[0], "no row in 20 s"
+                assert proc.stdout.read(31) == b'{"rows": [{"n": 1, "qec": -1.0,'
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=20)
+            finally:
+                proc.kill()
+        assert proc.returncode == 141
+        assert err == b""
+
     def test_readme_example(self):
         expected = next(p.values[1] for p in doc_examples()
                         if p.values[0] == ["qec", "fan", "3"])

@@ -16,6 +16,7 @@ from fanqec.chebyshev import (
     split_signs,
 )
 from fanqec.polynomial import Poly
+from fanqec.qec import qec_fan
 from fanqec.roots import (
     BadBracket,
     Bracket,
@@ -87,6 +88,27 @@ class TestBisect:
         p = s_poly(3)
         cert = gamma(3, 1e-12)
         assert p.sign_at(cert.lo) == 0 or cert.lo <= Fraction(cert.value) <= cert.hi
+
+
+def _no_sign(x: Fraction) -> int:
+    raise AssertionError(f"sign asked at {x}")
+
+
+# Each bad tol is refused with ValueError before any exact sign is asked:
+# neither split_signs nor bisect's sign function is called.
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1.0],
+                         ids=["inf", "-inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("call", [
+    lambda tol: bisect(_no_sign, Bracket(Fraction(0), Fraction(1), -1, 1), tol),
+    lambda tol: gamma(5, tol),
+    lambda tol: gamma(1, tol),
+    lambda tol: zeros_of_s(5, tol),
+    lambda tol: qec_fan(5, tol=tol),
+], ids=["bisect", "gamma-5", "gamma-1", "zeros_of_s", "qec_fan"])
+def test_bad_tol_is_refused_before_any_sign_query(split_sign_calls, call, tol):
+    with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+        call(tol)
+    assert split_sign_calls == []
 
 
 class TestBeta:
