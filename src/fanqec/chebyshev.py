@@ -22,9 +22,11 @@ polynomials, and x - 1 divides S_n) follow from the three-term recurrence,
 which keeps U(x/2), 2T(x/2), V(x/2) and W(x/2) monic with integer
 coefficients and fixes the values at 1, and from the identities that name
 the split factors and S_n in those kinds.  That stands for the stored
-families only after each one the battery reads is tied, in linear time, to
-its recurrence or formula; a check without such a proof runs on exact Poly
-arithmetic at every n, which also decides and reports every failure.
+families only after each member of U, T, V and W the battery reads is
+tied, in linear time, to its recurrence; the derived families are their
+formulas in U, which the proofs expand.  A check without such a proof runs
+on exact Poly arithmetic at every n, which also decides and reports every
+failure.
 
 Exact signs of S_n and of both split factors at a rational p/q need no
 coefficients: q^k U_k(p/q) is a Lucas sequence in 2p and q^2, and index
@@ -48,13 +50,11 @@ reach 2**50 and beyond, or from an O(n) walk of the recurrence.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import itertools
 import math
 import operator
-import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -76,19 +76,16 @@ class NotIntegral(ArithmeticError):
     """Halving the variable produced a non-integer coefficient."""
 
 
-# Members cheb_u keeps (functools.lru_cache).  One step of the battery's
-# walk reads U_{k-1}, U_k and U_{k+1}, for u itself, for the split factors
-# and S_n at 2k and 2k + 1 and for phi at k; the ties of those derived
-# members reuse their builders' evaluations and read no U.  That holds per
-# process: above a crossover (fanqec.identities._FORK_FROM) and with two
-# CPUs, the four kinds and the derived families are walked in two
-# processes, each with its own cache.  In one process identity_suite(300)
-# runs 1209 coefficient formulas (_alternating and _third_fourth): 1054 in
-# the walk, which builds each U member once, and 155 in the base checks.  In
-# two, the worker builds U_{-1} to U_303 once more.  Without the cache one walk
-# built 5189 members, in 1.4 to 1.5 times the time.  T, V and W keep none:
-# the walk ties each of their members through its own family's last two,
-# and no identity reads one twice (0 hits in identity_suite(300)).
+# Members cheb_u keeps (functools.lru_cache).  The battery's walk reads
+# each U member once, upward, and ties it through the last two it holds
+# itself; the base checks after it read U_{-2} to U_11, 873 times in all.
+# In identity_suite(300), in one process, cheb_u builds 774 members, 604 of
+# them (U_{-2} to U_601, once each) in the walk, and has 703 cache hits, all
+# in the base checks.  Keeping one member it builds 1275, and without the
+# cache the call took 1.4 times as long (0.107 against 0.074 s, best of
+# five, 2-core VM, Python 3.11.7).  T, V and W keep none: the walk ties each
+# of their members through its own family's last two, and no identity reads
+# one twice.
 _KEEP = 8
 
 
@@ -201,51 +198,22 @@ class _Families:
         raise KeyError(family)
 
 
-# Builder of each family, by the name the family accessor uses.
-_BUILDERS = {"u": "cheb_u", "t": "cheb_t", "v": "cheb_v", "w": "cheb_w",
-             "pe": "partial_e", "po": "partial_o", "s": "s_poly", "phi": "phi"}
-
-
 class _Stored(_Families):
     """Poly backend: the families exactly as this module builds them.
 
-    member() looks the builder up by name when it is called, so a builder
-    replaced in this module is what runs; defined() is the formula the
-    derived builders use and the battery ties them to.
-
-    While recording() is open in a thread, defined() keeps there, for each
-    derived family, its last result and the index it was evaluated at, and
-    a request for that same (family, n) gets the kept result instead of a
-    second evaluation.  Only defined() writes the record, so every entry is
-    a genuine formula result; other threads never see it.
+    member() looks the builder of u, t, v or w up by name when it is
+    called, so a builder replaced in this module is what runs, and it reads
+    pe, po, s and phi through defined(), which is what their public
+    builders return and what the battery's order bounds expand.
     """
 
     x = X
     poly = Poly
 
-    def __init__(self):
-        self._thread = threading.local()
-
     def member(self, family: str, k: int) -> Poly:
-        return globals()[_BUILDERS[family]](k)
-
-    @contextlib.contextmanager
-    def recording(self):
-        self._thread.last = {}
-        try:
-            yield
-        finally:
-            del self._thread.last
-
-    def defined(self, family: str, n: int) -> Poly:
-        last = getattr(self._thread, "last", None)
-        if last is None:
-            return super().defined(family, n)
-        k, value = last.get(family, (None, None))
-        if k != n:
-            value = super().defined(family, n)
-            last[family] = n, value
-        return value
+        if family in _SEEDS:
+            return globals()[f"cheb_{family}"](k)
+        return self.defined(family, k)
 
 
 _STORED = _Stored()

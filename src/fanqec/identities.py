@@ -20,9 +20,9 @@ formula that compares, tests or hashes the index raises there, gets no
 bound, and is not proven.
 
 That proof stands for the stored polynomials only once they are tied to
-their definitions: every stored member the battery reads, up to the larger
-of max_n and the top base index, is checked, in linear time, against its
-recurrence or formula, and if one tie fails nothing is proven.
+their definitions: every member of U, T, V and W the battery reads, up to
+the larger of max_n and the top base index, is checked, in linear time,
+against its recurrence, and if one tie fails nothing is proven.
 
 The coefficient properties (``_PROPERTIES``) are proven the same way: each
 once every tie held and the identities its argument rests on are proven.
@@ -49,34 +49,23 @@ A check without a proof, whether it has no bound, a failing base check, a
 failing tie or an unproven identity it rests on, is decided at every n on
 Poly, which also gives a failure its two coefficient vectors.
 
-Every stored family is read through ``chebyshev._STORED``, which looks its
-builder up when it is used, so a builder replaced there is what the battery
-checks.  While the walk that ties the members runs, ``_STORED`` records in
-the walking thread the last formula result of each derived family, so the
-tie of a derived member reads the evaluation its builder already made
-rather than evaluating the formula a second time.
+Every stored family is read through ``chebyshev._STORED``.  It looks the
+builder of U, T, V or W up when it is used, so a builder replaced there is
+what the battery checks.  It reads pe, po, s and phi through
+``chebyshev._Families.defined``, their formulas in U: what the public
+builders return and what ``_Orders`` expands, so the proofs are about the
+polynomials ``fanqec poly`` prints, and a derived family needs no tie of
+its own.
 
-The ties split into two walks that share nothing but cheb_u's cache: a
-U, T, V or W member is built from its own coefficient formula and tied
-through its own family's last two members, and a pe, po, s or phi member
-through its formula in U.  From max_n = _FORK_FROM on, the measured
-crossover, and where this process may run on two CPUs, a forked worker
-walks the derived families, in its own record and with its own cache,
-and then runs the base checks of every identity, while the calling
-process walks the four kinds; otherwise one walk does both and the base
-checks follow it.  Only verdicts cross between the two processes, and the
-report is the same either way.
+The ties are one walk in the calling process: each member of U, T, V and W
+is built once from its own coefficient formula and tied through its own
+family's last two members, and the base checks follow the walk.
 """
 
 from __future__ import annotations
 
 import collections
 import operator
-import os
-import pickle
-import signal
-import sys
-import traceback
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -278,7 +267,8 @@ class _Terms(dict):
 
 
 class _Orders(_Families):
-    """Order-bound backend: _Terms values, and every member read, as (family, index).
+    """Order-bound backend: _Terms values, and every u, t, v or w member read,
+    as (family, index).
 
     A member of u, t, v or w at index a*j + b is c lambda^(a*j) +
     c' lambda^(-a*j), with c and c' free of j; x and ints are constants, and
@@ -295,19 +285,20 @@ class _Orders(_Families):
         return sum(map(_Terms.of, coeffs), _Terms({0: 0}))
 
     def member(self, family: str, k: _Index | int) -> _Terms:
+        if family not in _SEEDS:
+            return self.defined(family, k)
         k = _Index.of(k)
         self.reads.append((family, k))
-        if family in _SEEDS:
-            return _Terms({k.a: 0, -k.a: 0})
-        return self.defined(family, k)
+        return _Terms({k.a: 0, -k.a: 0})
 
 
 def _order(fn: Callable, parity: int) -> tuple[int | None, list[tuple[str, _Index]]]:
     """(B, reads) of fn on the class n = 2j + parity; B is None without a bound.
 
     B bounds the order of lhs - rhs as a sequence in j, and reads lists the
-    family members fn reads.  An exception while fn runs on the index means
-    that fn is not one expression in j, and it gets no bound.
+    members of u, t, v and w that fn reads, through the derived families
+    too.  An exception while fn runs on the index means that fn is not one
+    expression in j, and it gets no bound.
     """
     orders = _Orders()
     try:
@@ -318,23 +309,13 @@ def _order(fn: Callable, parity: int) -> tuple[int | None, list[tuple[str, _Inde
 
 
 def _tie(family: str, k: int, member: Poly, below: Sequence[Poly]) -> bool:
-    """Whether member k of a family, as stored, equals its definition.
+    """Whether member k of u, t, v or w, as stored, equals its definition.
 
-    u, t, v and w start from their seeds and follow their recurrence from
-    `below`, the stored members k-2 and k-1: member k must have the
-    coefficients of 2 (0, *below[1]) - below[0], all three padded with
-    zeros to one length and compared in one map pass.  The derived families
-    equal their defining formulas in u.  Linear in the degree.
-
-    The formula's value comes from _STORED.defined.  While the pass
-    records, that returns the value it computed when the builder asked for
-    this same (family, k), rather than computing it again.  The record
-    holds only genuine evaluations, so a builder that changed the value it
-    got still fails, and one that never evaluated the formula at k, or only
-    at another index, misses the record and meets a fresh evaluation.
+    Each starts from its seeds and follows its recurrence from `below`, the
+    stored members k-2 and k-1: member k must have the coefficients of
+    2 (0, *below[1]) - below[0], all three padded with zeros to one length
+    and compared in one map pass.  Linear in the degree.
     """
-    if family not in _SEEDS:
-        return member == _STORED.defined(family, k)
     k0, first, second = _SEEDS[family]
     if k < k0 + 2:
         return member.coeffs == (first if k == k0 else second)
@@ -376,34 +357,17 @@ def _divisible_by_x_minus_one(name: str, n: int, s: Poly) -> IdentityCheck:
 
 
 def _walk(reads: dict[str, int]) -> bool:
-    """Whether every member of the families `reads` names is tied to its
-    definition, in one upward walk by steps k.
-
-    Step k fetches members 2k and 2k + 1 of pe, po and s and member k of
-    every other family, each that `reads` asks for (it maps a family to its
-    highest index) once from its builder, family by family in the order of
-    `reads`, and ties it to its definition.  The walk stops at the first
-    tie that fails.
-    """
-    walks = []
+    """Whether every member of the kinds `reads` names is tied to its
+    definition: `reads` maps u, t, v or w to its highest index, and each of
+    those members is fetched once from its builder, upward from the first
+    index, and tied.  The walk stops at the first tie that fails."""
     for family, top in reads.items():
-        # Member n of pe, po and s reads U near n/2, member k of u and phi U
-        # near k.  So step k reads only U_{k-1}, U_k and U_{k+1}, and each U
-        # member is built once, while cheb_u's cache holds it.
-        pace = 2 if family in ("pe", "po", "s") else 1
-        first = _SEEDS[family][0] if family in _SEEDS else 0
-        below = collections.deque(maxlen=2)  # the members n-2 and n-1
-        walks.append((family, pace, first, top, getattr(_STORED, family), below))
-    with _STORED.recording():
-        for k in range(min(first // pace for _, pace, first, *_ in walks),
-                       max(top // pace for _, pace, _, top, *_ in walks) + 1):
-            for family, pace, first, top, fetch, below in walks:
-                for n in range(pace * k, pace * (k + 1)):
-                    if first <= n <= top:
-                        member = fetch(n)
-                        if not _tie(family, n, member, below):
-                            return False
-                        below.append(member)
+        fetch, below = getattr(_STORED, family), collections.deque(maxlen=2)
+        for k in range(_SEEDS[family][0], top + 1):
+            member = fetch(k)
+            if not _tie(family, k, member, below):
+                return False
+            below.append(member)
     return True
 
 
@@ -418,108 +382,12 @@ def _proven_walk(reads: dict[str, int], plan: Sequence[tuple]) -> list[bool]:
                      for _, r, fn, (order, _) in plan]
 
 
-# From max_n = _FORK_FROM on, _stored_pass walks the four kinds and the
-# derived families in two processes.  Measured for identity_suite(max_n)
-# in-process on a shared 2-core VM (Python 3.11.7, numpy loaded, caches
-# cleared), medians of 40 alternating runs, one process against two: 17
-# against 21 ms at max_n = 40, 23 against 24-25 ms at 60, 26-28 against
-# 28 ms at 70, 29-32 against 27-30 ms at 80 (two processes faster in 18
-# to 32 runs of 40), 36 against 34 ms at 90, 40-42 against 31-37 ms at 100
-# (33 to 39 of 40), 53 against 43 ms at 120 and 239 against 148 ms at 300.
-# The crossover lies near 80, and from 90 on two processes win clearly;
-# forking, the pipe and the reaping cost about 5 ms.  At 300 the four-kind
-# walk took 86 ms, the derived one 75 ms and the base checks after it
-# 3.5 ms (fastest of 10).  All of this was measured while both walks also
-# ran a coefficient check on every member they fetched.
-_FORK_FROM = 100
-
-
-def _forks(max_n: int) -> bool:
-    """Whether _stored_pass at max_n walks in two processes.
-
-    Only from _FORK_FROM on, with os.fork and at least two CPUs this process
-    may run on.  From Python 3.12 on, fork warns (DeprecationWarning) in a
-    process with more than one thread, as numpy's import makes it, so there
-    it forks only from a single-threaded process.
-    """
-    if max_n < _FORK_FROM or not hasattr(os, "fork"):
-        return False
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return False
-    if sys.version_info < (3, 12):
-        return True
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
-
-
-def _stored_pass(max_n: int, reads: dict[str, int],
-                 plan: Sequence[tuple]) -> list[bool]:
-    """_proven_walk over every family `reads` names, in one process or in two.
-
-    `reads` maps a family to its highest index.  The first verdict is
-    whether every tie held, and a class of `plan` has a true verdict only
-    if every tie held, so that the stored Poly objects are the families
-    whose order bounds _order computes, and its base checks pass on them.
-
-    Where _forks at max_n says so, a forked worker walks pe, po, s and phi,
-    in its own recording, and then runs every class's base checks, while
-    this process walks u, t, v and w.  The worker sends its verdicts, or
-    the exception it met with the worker's traceback as a note, through a
-    pipe and leaves through os._exit; a failed tie here makes every verdict
-    false.  A fork, not a fresh interpreter, so that a builder replaced in
-    this process is what the worker checks.  The worker is killed and
-    reaped before this returns or raises, and its exception is raised here.
-    Where no process can be forked, one walk does it all and the base
-    checks follow it.
-    """
-    if not _forks(max_n):
-        return _proven_walk(reads, plan)
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return _proven_walk(reads, plan)
-    if not pid:
-        try:
-            os.close(read_fd)
-            try:
-                derived = {f: top for f, top in reads.items() if f not in _SEEDS}
-                result = True, _proven_walk(derived, plan)
-            except BaseException as exc:
-                exc.add_note("In the worker walking the derived families:\n"
-                             + "".join(traceback.format_exception(exc)))
-                result = False, exc
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(result, pipe)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
-        try:
-            ties = _walk({f: top for f, top in reads.items() if f in _SEEDS})
-            try:
-                walked, result = pickle.load(pipe)
-            except EOFError:
-                raise RuntimeError("the worker walking the derived families "
-                                   "ended without a result") from None
-        finally:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if not walked:
-        raise result
-    return [ties and verdict for verdict in result]
-
-
 def identity_suite(max_n: int) -> IdentityReport:
     """The battery behind chebyshev.identity_suite.
 
     An identity passes without Poly arithmetic only on its parity classes
     with a bound (_order) whose base checks pass on the stored Poly objects,
-    and only after those objects are tied to their definitions; _stored_pass
+    and only after those objects are tied to their definitions; _proven_walk
     runs both.  A coefficient property passes without Poly arithmetic only
     when every tie held and every identity it rests on (_PROPERTIES) is
     proven.  Everything else, and every failure, is decided on Poly.  Base
@@ -532,14 +400,13 @@ def identity_suite(max_n: int) -> IdentityReport:
     plan = [(name, r, fn, _order(fn, r)) for name, parity, fn in _IDENTITIES
             for r in ((0, 1) if parity is None else (parity,))]
     top_n = max([max_n] + [r + 2 * order - 2 for _, r, _, (order, _) in plan if order])
-    # The properties stand for the members n <= max_n of u, pe, po and s
-    # once those are tied.
-    reads = dict.fromkeys(("u", "pe", "po", "s"), max_n)
+    # compressed-u-monic stands for U_n, n <= max_n, once those are tied.
+    reads = {"u": max_n}
     for _, r, _, (_, class_reads) in plan:
         j = (top_n - r) // 2
         for family, k in class_reads:
             reads[family] = max(reads.get(family, k.b), k.b, k.a * j + k.b)
-    ties, *verdicts = _stored_pass(max_n, reads, plan)
+    ties, *verdicts = _proven_walk(reads, plan)
     checked, unproven = [], set()
     for (name, r, fn, _), proven in zip(plan, verdicts):
         indices = range(r, max_n + 1, 2)

@@ -106,9 +106,7 @@ class Poly:
     def exact_div(self, divisor: Poly) -> Poly:
         """Quotient q with q * divisor == self, exactly over the integers.
 
-        Raises NotDivisible when no such integer quotient exists; a raise
-        here signals a broken identity, which is how the verification suite
-        uses it.
+        Raises NotDivisible when no such integer quotient exists.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")

@@ -105,10 +105,12 @@ def qec_fan(n: int, method: Method | str = "auto", tol: float = 1e-12) -> QecRes
 
     Auto selection: the two smallest fans are complete graphs with value -1;
     even n uses the closed form -4 sin^2(pi / (2(n+1))); odd n >= 3 uses
-    -2 alpha_n - 2 with alpha_n the certified minimal zero.
+    -2 alpha_n - 2 with alpha_n the certified minimal zero.  A tol that is
+    not finite and positive raises ValueError on every route.
     """
     if n < 1:
         raise ValueError("fan needs n >= 1")
+    roots._width(tol)
     if method == "auto":
         if n <= 2:
             method = Method.KNOWN_SMALL

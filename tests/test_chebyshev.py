@@ -5,12 +5,10 @@ import hashlib
 import json
 import math
 import operator
-import os
 import pickle
 import random
 import sys
 import threading
-import time
 from fractions import Fraction
 
 import pytest
@@ -146,12 +144,6 @@ _FRESH_SEEDS = {
 _BASE_BUILDERS = {"u": cheb_u, "t": cheb_t, "v": cheb_v, "w": cheb_w}
 
 
-def _cpus(monkeypatch, count):
-    """Let the stored pass see `count` CPUs: one walks in this process only."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
 class TestFamilyStore:
     @pytest.mark.parametrize("family", sorted(_FRESH_SEEDS))
     def test_any_read_order_equals_a_fresh_recurrence(self, family):
@@ -213,8 +205,8 @@ class TestFamilyStore:
         assert [f for f, b in _BASE_BUILDERS.items() if hasattr(b, "cache_info")] == ["u"]
 
     def test_battery_builds_each_second_kind_member_once(self, monkeypatch):
-        # The stored pass reads U_k for u and near n/2 for pe, po and s in
-        # one step, so no U member leaves the cache before its last read.
+        # The walk reads each U member once and ties it through the last
+        # two it holds, so it builds U_0 to U_601 once each.
         built, walking = [], []
         real_alternating, real_walk = chebyshev._alternating, identities._walk
 
@@ -232,7 +224,6 @@ class TestFamilyStore:
 
         monkeypatch.setattr(chebyshev, "_alternating", alternating)
         monkeypatch.setattr(identities, "_walk", walk)
-        _cpus(monkeypatch, 1)  # one process, so every build is counted here
         cheb_u.cache_clear()
         assert identity_suite(300).ok
         assert sorted(built) == list(range(602))
@@ -250,69 +241,33 @@ class TestFamilyStore:
         assert partial_e(10) == even_part + 1
         assert s_poly(10) == companion + Poly((9, 11))
 
-    def test_battery_evaluates_each_derived_formula_once(self, monkeypatch):
-        # The tie of a derived member reads the formula result its builder
-        # left in the record, so a sound pass evaluates each formula once
-        # per member it reads.
-        evaluated, walking, tops = collections.Counter(), [], {}
-        real_defined, real_walk = chebyshev._Families.defined, identities._walk
-
-        def defined(self, family, n):
-            if walking and self is chebyshev._STORED:
-                evaluated[family, n] += 1
-            return real_defined(self, family, n)
-
-        def walk(reads):
-            tops.update(reads)
-            walking.append(True)
-            try:
-                return real_walk(reads)
-            finally:
-                walking.pop()
-
-        monkeypatch.setattr(chebyshev._Families, "defined", defined)
-        monkeypatch.setattr(identities, "_walk", walk)
-        _cpus(monkeypatch, 1)  # one process, so every evaluation is counted here
-        assert identity_suite(300).ok
-        derived = ("pe", "po", "s", "phi")
-        assert all(tops[family] >= 300 for family in derived)
-        assert evaluated == collections.Counter(
-            {(family, n): 1 for family in derived for n in range(tops[family] + 1)})
-
-    @pytest.mark.parametrize("pass_raises", [False, True])
-    def test_no_derived_member_outlives_a_pass(self, monkeypatch, pass_raises):
-        # The builders' evaluations kept for the ties live only while the
-        # stored pass runs, also when a builder raises inside it.  A record
-        # left behind would answer for the last member of each family the
-        # pass evaluated, so that member is the first read after U changes.
-        before = {n: (s_poly(n), phi(n)) for n in range(24)}
-        last, real_defined, real_s = {}, chebyshev._Families.defined, s_poly
+    def test_battery_reads_derived_members_only_at_base_indices(self, monkeypatch):
+        # The order bounds expand _Families.defined itself, so a sound
+        # battery evaluates pe, po, s and phi only in its base checks, far
+        # below max_n, and walks none of them.
+        indices, real_defined = collections.defaultdict(set), chebyshev._Families.defined
 
         def defined(self, family, n):
             if self is chebyshev._STORED:
-                last[family] = n
+                indices[family].add(n)
             return real_defined(self, family, n)
 
-        def failing(n):
-            value = real_s(n)
-            if n == 10:
-                raise RuntimeError("builder failed at 10")
-            return value
+        monkeypatch.setattr(chebyshev._Families, "defined", defined)
+        assert identity_suite(300).ok
+        assert set(indices) == {"pe", "po", "s", "phi"}
+        assert all(0 <= n < 30 for family in indices for n in indices[family])
 
-        with monkeypatch.context() as m:
-            m.setattr(chebyshev._Families, "defined", defined)
-            if pass_raises:
-                m.setattr(chebyshev, "s_poly", failing)
-                with pytest.raises(RuntimeError, match="builder failed at 10"):
-                    identity_suite(10)
-                assert last["s"] == 10
-            else:
-                assert identity_suite(10).ok
-        real_u = cheb_u
-        monkeypatch.setattr(chebyshev, "cheb_u", lambda n: real_u(n) + 1)
-        # U + 1 changes S_n by head - tail and phi_n by (1 - n, -2, n + 1).
-        assert s_poly(last["s"]) != before[last["s"]][0]
-        assert phi(last["phi"]) != before[last["phi"]][1]
+    @pytest.mark.parametrize("family", ["pe", "po", "s", "phi"])
+    def test_public_derived_builder_is_the_proven_formula(self, family):
+        # What `fanqec poly ue|uo|s|phi` prints is what the battery reads
+        # and its order bounds expand.
+        builder = {"pe": partial_e, "po": partial_o, "s": s_poly, "phi": phi}[family]
+        for n in range(201):
+            value = builder(n)
+            assert value == chebyshev._STORED.defined(family, n), (family, n)
+            assert value == chebyshev._STORED.member(family, n), (family, n)
+        with pytest.raises(ValueError):
+            builder(-1)
 
     def test_derived_readers_beside_a_pass(self):
         # While one thread runs the pass, four more threads, more than the
@@ -373,31 +328,6 @@ class TestFamilyStore:
         assert not any(thread.is_alive() for thread in threads)
         assert digests == [expected]
         assert not wrong, wrong[:5]
-
-    def test_record_belongs_to_the_pass_thread(self, monkeypatch):
-        # While the pass holds S_30 as its builder evaluated it, a reader in
-        # another thread asks for S_30: it must evaluate the formula itself.
-        evaluated_in, real_defined, real_s = [], chebyshev._Families.defined, s_poly
-
-        def defined(self, family, n):
-            if self is chebyshev._STORED and (family, n) == ("s", 30):
-                evaluated_in.append(threading.current_thread().name)
-            return real_defined(self, family, n)
-
-        def builder(n):
-            value = real_s(n)
-            if n == 30:
-                reader = threading.Thread(target=real_s, args=(30,), name="reader")
-                reader.start()
-                reader.join(timeout=60)
-                assert not reader.is_alive()
-            return value
-
-        monkeypatch.setattr(chebyshev._Families, "defined", defined)
-        monkeypatch.setattr(chebyshev, "s_poly", builder)
-        assert identity_suite(30).ok
-        assert sorted(evaluated_in) == sorted([threading.current_thread().name, "reader"])
-
 
 # Hand-expanded from the second-kind differences (exact integer arithmetic).
 _SMALL_EVEN_PARTS = {
@@ -707,17 +637,19 @@ class TestIdentitySuite:
         assert data == {"max_n": 3, "failures": []}
 
     def test_corrupted_even_part_is_caught(self, monkeypatch):
-        real = partial_e
+        # The formula the builders and the proofs share, changed at n = 4
+        # through a test of n that leaves it with no order bound.
+        real = chebyshev._Families.defined
 
-        def corrupted(n):
-            p = real(n)
-            if n == 4:
+        def corrupted(self, family, n):
+            p = real(self, family, n)
+            if family == "pe" and n == 4:
                 coeffs = list(p.coeffs)
                 coeffs[0] += 1
                 return Poly(coeffs)
             return p
 
-        monkeypatch.setattr(chebyshev, "partial_e", corrupted)
+        monkeypatch.setattr(chebyshev._Families, "defined", corrupted)
         report = identity_suite(6)
         failing = {(c.identity, c.n) for c in report.failures}
         assert ("u-split-product", 4) in failing
@@ -737,7 +669,9 @@ class TestIdentitySuite:
         assert [type(c) for c in copy] == [IdentityCheck, IdentityCheck]
 
     def test_report_failure_payload_roundtrip(self, monkeypatch):
-        monkeypatch.setattr(chebyshev, "partial_o", lambda n: Poly([5]))
+        real = chebyshev._Families.defined
+        monkeypatch.setattr(chebyshev._Families, "defined", lambda self, family, n: (
+            Poly([5]) if family == "po" else real(self, family, n)))
         report = identity_suite(2)
         assert not report.ok
         data = report.to_json_dict()
@@ -793,7 +727,7 @@ class _AtInteger(chebyshev._Families):
 
     u, t, v and w come from their recurrences from _FRESH_SEEDS, with
     U_{-1} = 0 and U_{-2} = -1; the derived families from chebyshev's
-    formulas, which the battery ties the stored ones to.
+    formulas, which the battery reads the stored ones through.
     """
 
     def __init__(self, x: int, top: int = 170):
@@ -1059,197 +993,22 @@ class TestModularBattery:
         # digests were re-recorded from the all-Poly battery when the two
         # s-*-index-from-split-factors identities, which read both factors,
         # joined the battery.
-        real = partial_e
+        real = chebyshev._Families.defined
 
-        def corrupted(n):
-            p = real(n)
-            if n == 4:
+        def corrupted(self, family, n):
+            p = real(self, family, n)
+            if family == "pe" and n == 4:
                 return Poly((p.coeffs[0] + 1,) + p.coeffs[1:])
             return p
 
         with monkeypatch.context() as m:
-            m.setattr(chebyshev, "partial_e", corrupted)
+            m.setattr(chebyshev._Families, "defined", corrupted)
             assert _digest(identity_suite(6)) == (
                 "255820dc416cd68655562702f0c553350c6669803777716a468827e602202476")
-        monkeypatch.setattr(chebyshev, "partial_o", lambda n: Poly([5]))
+        monkeypatch.setattr(chebyshev._Families, "defined", lambda self, family, n: (
+            Poly([5]) if family == "po" else real(self, family, n)))
         assert _digest(identity_suite(2)) == (
             "2284f693f6144e8dc5339bb1297450edd69e1956c9056e8c100771998f16ca54")
-
-
-# -- the stored pass in two processes ---------------------------------------
-
-
-class _BuilderFault(ArithmeticError):
-    """An exception type of this module, raised by a failing builder."""
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _two_cpus(monkeypatch, max_n):
-    """Let the stored pass see two CPUs; skip unless it then forks at max_n."""
-    _cpus(monkeypatch, 2)
-    if not identities._forks(max_n):
-        pytest.skip("this runtime walks in one process only (no os.fork, "
-                    "or Python 3.12+ with more than one thread)")
-
-
-def _both_ways(monkeypatch, max_n):
-    """identity_suite(max_n) on one CPU, then on two, where one worker forks."""
-    _cpus(monkeypatch, 1)
-    one = identity_suite(max_n)
-    _two_cpus(monkeypatch, max_n)
-    forks, real_fork = [], os.fork
-
-    def fork():
-        forks.append(True)
-        return real_fork()
-
-    with monkeypatch.context() as m:
-        m.setattr(os, "fork", fork)
-        two = identity_suite(max_n)
-    assert forks == [True]
-    _assert_no_child()
-    return one, two
-
-
-_BUILDER_NAMES = {"u": "cheb_u", "t": "cheb_t", "v": "cheb_v", "w": "cheb_w",
-                  "pe": "partial_e", "po": "partial_o", "s": "s_poly", "phi": "phi"}
-
-
-class TestTwoProcessPass:
-    """From identities._FORK_FROM on, with two CPUs, a forked worker walks
-    the derived families: the report is the one-process report."""
-
-    def test_report_equals_the_one_process_report(self, monkeypatch):
-        one, two = _both_ways(monkeypatch, 300)
-        assert two.ok
-        assert two.checked == one.checked
-        assert two.proven == one.proven and len(two.proven) == 31
-
-    # The crossover is lowered so that each battery, all on Poly once a tie
-    # fails, stays small.  Member 7 of every family lies below max_n and
-    # below the top index the walk ties.
-    @pytest.mark.parametrize("family", sorted(_BUILDER_NAMES))
-    def test_corrupted_builder_fails_alike(self, monkeypatch, family):
-        name = _BUILDER_NAMES[family]
-        real = getattr(chebyshev, name)
-
-        def corrupted(n):
-            p = real(n)
-            return Poly((p.coeffs[0] + 1,) + p.coeffs[1:]) if n == 7 else p
-
-        monkeypatch.setattr(chebyshev, name, corrupted)
-        monkeypatch.setattr(identities, "_FORK_FROM", 20)
-        one, two = _both_ways(monkeypatch, 24)
-        assert two.checked == one.checked
-        assert two.proven == one.proven == ()
-        assert two.failures
-        assert all(c.lhs and c.rhs and c.lhs != c.rhs for c in two.failures)
-
-    def test_failed_base_check_fails_alike(self, monkeypatch):
-        # u-square-gap changed on Poly at n = 2 only: its formula still has
-        # a bound, and n = 2 is one of its base checks, which the worker
-        # runs.  The identity is unproven and decided on Poly either way.
-        name = "u-square-gap"
-        real = dict((n_, fn) for n_, _, fn in identities._IDENTITIES)[name]
-
-        def mutated(f, n):
-            lhs, rhs = real(f, n)
-            return (lhs, rhs + 1) if f is identities._STORED and n == 2 else (lhs, rhs)
-
-        assert identities._order(mutated, 0)[0] >= 2
-        table = [(n_, parity, mutated if n_ == name else fn)
-                 for n_, parity, fn in identities._IDENTITIES]
-        monkeypatch.setattr(identities, "_IDENTITIES", table)
-        monkeypatch.setattr(identities, "_FORK_FROM", 20)
-        one, two = _both_ways(monkeypatch, 24)
-        assert two.checked == one.checked
-        assert two.proven == one.proven
-        assert name not in two.proven and len(two.proven) == 30
-        assert two.failures == [IdentityCheck(name, 2, False, (1,), (2,))]
-
-    @pytest.mark.parametrize("family", ["s", "t"])
-    def test_builder_exception_is_raised_here(self, monkeypatch, family):
-        # s is walked by the worker, t by this process: either way the
-        # exception is raised here with its type and message, no record of
-        # the pass is left, and no process.
-        name = _BUILDER_NAMES[family]
-        real = getattr(chebyshev, name)
-
-        def failing(n):
-            if n == 10:
-                raise _BuilderFault(f"{family} failed at 10 in process {os.getpid()}")
-            return real(n)
-
-        monkeypatch.setattr(chebyshev, name, failing)
-        _two_cpus(monkeypatch, identities._FORK_FROM)
-        with pytest.raises(_BuilderFault) as caught:
-            identity_suite(identities._FORK_FROM)
-        message = str(caught.value)
-        assert type(caught.value) is _BuilderFault
-        assert message.startswith(f"{family} failed at 10 in process ")
-        in_worker = int(message.rsplit(" ", 1)[1]) != os.getpid()
-        assert in_worker == (family == "s")
-        # The worker's traceback comes along as a note.
-        notes = getattr(caught.value, "__notes__", [])
-        assert any(", in failing\n" in note for note in notes) == in_worker
-        assert not hasattr(chebyshev._STORED._thread, "last")
-        _assert_no_child()
-
-    def test_worker_is_killed_when_this_walk_raises(self, monkeypatch):
-        # The worker would sleep for a minute at its first S_n; this
-        # process's walk raises at T_10 and does not wait for it.
-        real_s, real_t, here = s_poly, cheb_t, os.getpid()
-
-        def slow(n):
-            if n == 0 and os.getpid() != here:
-                time.sleep(60)
-            return real_s(n)
-
-        def failing(n):
-            if n == 10:
-                raise _BuilderFault("t failed at 10")
-            return real_t(n)
-
-        monkeypatch.setattr(chebyshev, "s_poly", slow)
-        monkeypatch.setattr(chebyshev, "cheb_t", failing)
-        _two_cpus(monkeypatch, identities._FORK_FROM)
-        start = time.monotonic()
-        with pytest.raises(_BuilderFault, match="^t failed at 10$"):
-            identity_suite(identities._FORK_FROM)
-        assert time.monotonic() - start < 30
-        _assert_no_child()
-
-    def test_worker_that_dies_is_named(self, monkeypatch):
-        real_s, here = s_poly, os.getpid()
-
-        def dying(n):
-            if n == 10 and os.getpid() != here:
-                os._exit(3)
-            return real_s(n)
-
-        monkeypatch.setattr(chebyshev, "s_poly", dying)
-        _two_cpus(monkeypatch, identities._FORK_FROM)
-        with pytest.raises(RuntimeError, match="ended without a result"):
-            identity_suite(identities._FORK_FROM)
-        _assert_no_child()
-
-    def test_failed_fork_walks_here(self, monkeypatch):
-        _cpus(monkeypatch, 1)
-        one = identity_suite(identities._FORK_FROM)
-
-        def fork():
-            raise BlockingIOError("no process to spare")
-
-        _two_cpus(monkeypatch, identities._FORK_FROM)
-        monkeypatch.setattr(os, "fork", fork)
-        fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
-        assert identity_suite(identities._FORK_FROM).checked == one.checked
-        if fds:
-            assert len(os.listdir("/proc/self/fd")) == len(fds)
 
 
 # -- the coefficient properties, proven for every n --------------------------
@@ -1300,7 +1059,6 @@ class TestCoefficientProperties:
 
     def test_sound_battery_runs_no_per_n_check(self, monkeypatch):
         counts = _count_property_checks(monkeypatch)
-        _cpus(monkeypatch, 1)
         report = identity_suite(300)
         assert report.ok and not counts
         assert len(report.proven) == 31 and _PROPERTY_NAMES <= set(report.proven)
@@ -1331,14 +1089,13 @@ class TestCoefficientProperties:
         table = [(name, p, mutated if name == prerequisite else fn)
                  for name, p, fn in identities._IDENTITIES]
         monkeypatch.setattr(identities, "_IDENTITIES", table)
-        monkeypatch.setattr(identities, "_FORK_FROM", 20)
         counts = _count_property_checks(monkeypatch)
-        one, two = _both_ways(monkeypatch, 24)
-        assert counts == {name: 2 * 25 for name in dependents}
-        assert two.checked == one.checked == _on_poly_only(monkeypatch, 24).checked
-        assert [(c.identity, c.n) for c in one.failures] == [(prerequisite, parity)]
-        everything = {c.identity for c in one.checked}
-        assert set(one.proven) == set(two.proven) == everything - dependents - {prerequisite}
+        report = identity_suite(24)
+        assert counts == {name: 25 for name in dependents}
+        assert report.checked == _on_poly_only(monkeypatch, 24).checked
+        assert [(c.identity, c.n) for c in report.failures] == [(prerequisite, parity)]
+        everything = {c.identity for c in report.checked}
+        assert set(report.proven) == everything - dependents - {prerequisite}
 
     def test_per_n_checks_pass_up_to_600(self):
         for n in range(601):

@@ -464,17 +464,19 @@ class TestVerify:
         assert out.strip().endswith("FAILED")
 
     def test_corrupted_build_fails_with_name(self, capsys, monkeypatch):
-        real = chebyshev.partial_e
+        # The even part's formula, which partial_e returns and the proofs
+        # expand, changed at n = 4.
+        real = chebyshev._Families.defined
 
-        def corrupted(n):
-            p = real(n)
-            if n == 4:
+        def corrupted(self, family, n):
+            p = real(self, family, n)
+            if family == "pe" and n == 4:
                 coeffs = list(p.coeffs)
                 coeffs[0] += 1
                 return Poly(coeffs)
             return p
 
-        monkeypatch.setattr(chebyshev, "partial_e", corrupted)
+        monkeypatch.setattr(chebyshev._Families, "defined", corrupted)
         code, out, _ = run(capsys, "verify", "--max-n", "6", "--roots-max-n", "0")
         assert code == 1
         assert "u-split-product" in out
@@ -483,16 +485,20 @@ class TestVerify:
     @pytest.mark.parametrize("builder", ["partial_e", "partial_o"])
     def test_corrupted_split_factor_leaves_the_localization_unproven(
             self, capsys, monkeypatch, builder):
-        # No check reported at --max-n 2 reads index 11, but the ties behind
-        # the base checks do: one fails, no identity is proven, and verify
-        # says so.
-        real = getattr(chebyshev, builder)
+        # The derived formulas changed by a branch on n, taken at n = 11 for
+        # one factor: no identity that reads pe, po, s or phi has an order
+        # bound, and each of the six the localization rests on reads a
+        # factor.  No check reported at --max-n 2 reads index 11, so none
+        # fails, but verify says the localization is unproven.
+        family, real = {"partial_e": "pe", "partial_o": "po"}[builder], chebyshev._Families.defined
 
-        def corrupted(n):
-            p = real(n)
-            return Poly((p.coeffs[0] + 1,) + p.coeffs[1:]) if n == 11 else p
+        def corrupted(self, name, n):
+            p = real(self, name, n)
+            if n == 11 and name == family:
+                return Poly((p.coeffs[0] + 1,) + p.coeffs[1:])
+            return p
 
-        monkeypatch.setattr(chebyshev, builder, corrupted)
+        monkeypatch.setattr(chebyshev._Families, "defined", corrupted)
         code, out, _ = run(capsys, "verify", "--max-n", "2", "--format", "json")
         assert code == 1
         data = json.loads(out)
@@ -506,21 +512,20 @@ class TestVerify:
     @pytest.mark.parametrize("corruption", ["coefficient", "index"])
     def test_corrupted_derived_member_fails_its_tie(
             self, capsys, monkeypatch, builder, named, corruption):
-        # Member 30 lies above every base index.  Its tie compares the build
-        # with the formula's own value at 30: the evaluation the builder made
-        # there, or a fresh one when the builder made none.  Either way the
-        # tie fails, no identity is proven, and Poly finds the bad member.
-        real = getattr(chebyshev, builder)
+        # The formula of S_n or phi_n changed at 30, above every base index,
+        # through a test of n: no identity that reads the family has an
+        # order bound, and Poly finds the bad member.
+        family, real = {"s_poly": "s", "phi": "phi"}[builder], chebyshev._Families.defined
 
-        def corrupted(n):
-            if n != 30:
-                return real(n)
+        def corrupted(self, name, n):
+            if name != family or n != 30:
+                return real(self, name, n)
             if corruption == "index":
-                return real(n - 2)
-            p = real(n)
+                return real(self, name, n - 2)
+            p = real(self, name, n)
             return Poly((p.coeffs[0] + 1,) + p.coeffs[1:])
 
-        monkeypatch.setattr(chebyshev, builder, corrupted)
+        monkeypatch.setattr(chebyshev._Families, "defined", corrupted)
         code, out, _ = run(capsys, "verify", "--max-n", "40")
         assert code == 1
         for identity in named:

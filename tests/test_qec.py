@@ -101,6 +101,16 @@ class TestFanConstant:
         with pytest.raises(ValueError):
             qec_fan(0)
 
+    # The closed form, the two known small fans, the gamma bisection, and
+    # the beta route, which bisects nothing.
+    @pytest.mark.parametrize("n, method, tol", [
+        (4, "auto", math.nan), (1, "auto", math.inf), (100, "auto", -1.0),
+        (4, "auto", 0.0), (5, "auto", math.nan), (6, Method.ROOT_BASED, math.inf)])
+    def test_bad_tol_is_refused_on_every_route(self, n, method, tol):
+        with pytest.raises(ValueError, match=(
+                f"^tol must be a positive finite number, got {tol!r}$")):
+            qec_fan(n, method=method, tol=tol)
+
 
 class TestBranchValues:
     def test_tau_absent(self):
