@@ -371,26 +371,14 @@ def _walk(reads: dict[str, int]) -> bool:
     return True
 
 
-def _proven_walk(reads: dict[str, int], plan: Sequence[tuple]) -> list[bool]:
-    """Whether every tie of _walk held, then a verdict for each class (name,
-    r, fn, (B, reads)) of identity_suite's plan: whether the ties held, the
-    class has a bound B, and its B base checks pass on the stored Poly
-    objects."""
-    ties = _walk(reads)
-    return [ties] + [ties and bool(order) and all(
-                         operator.eq(*fn(_STORED, n)) for n in range(r, r + 2 * order, 2))
-                     for _, r, fn, (order, _) in plan]
-
-
 def identity_suite(max_n: int) -> IdentityReport:
     """The battery behind chebyshev.identity_suite.
 
     An identity passes without Poly arithmetic only on its parity classes
     with a bound (_order) whose base checks pass on the stored Poly objects,
-    and only after those objects are tied to their definitions; _proven_walk
-    runs both.  A coefficient property passes without Poly arithmetic only
-    when every tie held and every identity it rests on (_PROPERTIES) is
-    proven.  Everything else, and every failure, is decided on Poly.  Base
+    and only after those objects are tied to their definitions (_walk).  A
+    coefficient property passes without Poly arithmetic only when every tie
+    held and every identity it rests on (_PROPERTIES) is proven.  Everything else, and every failure, is decided on Poly.  Base
     checks above max_n are not reported, but they run whatever max_n is, so
     the report's proven checks are the same at every max_n for a sound
     build.
@@ -406,11 +394,12 @@ def identity_suite(max_n: int) -> IdentityReport:
         j = (top_n - r) // 2
         for family, k in class_reads:
             reads[family] = max(reads.get(family, k.b), k.b, k.a * j + k.b)
-    ties, *verdicts = _proven_walk(reads, plan)
+    ties = _walk(reads)
     checked, unproven = [], set()
-    for (name, r, fn, _), proven in zip(plan, verdicts):
+    for name, r, fn, (order, _) in plan:
         indices = range(r, max_n + 1, 2)
-        if proven:
+        if ties and order and all(operator.eq(*fn(_STORED, n))
+                                  for n in range(r, r + 2 * order, 2)):
             checked.extend(map(IdentityCheck, repeat(name), indices, repeat(True)))
         else:
             unproven.add(name)

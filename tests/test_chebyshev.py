@@ -141,6 +141,22 @@ _FRESH_SEEDS = {
 }
 
 
+def _derived_reference(family: str, n: int, u_at) -> Poly:
+    """Member n of pe, po, s or phi, from U_k = u_at(k) for k >= -1."""
+    m, odd = divmod(n, 2)
+    if family == "pe":
+        return u_at(m) if odd else u_at(m) + u_at(m - 1)
+    if family == "po":
+        return u_at(m + 1) - u_at(m - 1) if odd else u_at(m) - u_at(m - 1)
+    if family == "s":
+        if odd:
+            head, tail = Poly((-2, 4 * m - 2, 4 * m + 4)), Poly((4 * m + 2, 4 * m + 6))
+        else:
+            head, tail = Poly((2 * m - 1, 2 * m + 1)), Poly((2 * m + 1, 2 * m + 3))
+        return head * u_at(m) - tail * u_at(m - 1)
+    return Poly((-n, -3, n + 1)) * u_at(n) + Poly((1, 1)) * (u_at(n - 1) + 1)
+
+
 _BASE_BUILDERS = {"u": cheb_u, "t": cheb_t, "v": cheb_v, "w": cheb_w}
 
 
@@ -260,74 +276,18 @@ class TestFamilyStore:
     @pytest.mark.parametrize("family", ["pe", "po", "s", "phi"])
     def test_public_derived_builder_is_the_proven_formula(self, family):
         # What `fanqec poly ue|uo|s|phi` prints is what the battery reads
-        # and its order bounds expand.
+        # and its order bounds expand, and it is the formula written out
+        # here from a fresh U recurrence.
         builder = {"pe": partial_e, "po": partial_o, "s": s_poly, "phi": phi}[family]
+        u = [Poly(())] + _fresh_family(*_FRESH_SEEDS["u"], 200)
         for n in range(201):
             value = builder(n)
+            assert value == _derived_reference(family, n, lambda k: u[k + 1]), (family, n)
             assert value == chebyshev._STORED.defined(family, n), (family, n)
             assert value == chebyshev._STORED.member(family, n), (family, n)
         with pytest.raises(ValueError):
             builder(-1)
 
-    def test_derived_readers_beside_a_pass(self):
-        # While one thread runs the pass, four more threads, more than the
-        # cores, read the derived families at scattered indices: each gets
-        # the formulas' values, and the pass its usual report.
-        top = 120
-        u = [Poly((-1,)), Poly(())] + _fresh_family(*_FRESH_SEEDS["u"], top + 1)
-
-        def u_at(k):
-            return u[k + 2]
-
-        def even_part(n):
-            m, odd = divmod(n, 2)
-            return u_at(m) if odd else u_at(m) + u_at(m - 1)
-
-        def odd_part(n):
-            m, odd = divmod(n, 2)
-            return u_at(m + 1) - u_at(m - 1) if odd else u_at(m) - u_at(m - 1)
-
-        def companion(n):
-            m, odd = divmod(n, 2)
-            if odd:
-                head, tail = Poly((-2, 4 * m - 2, 4 * m + 4)), Poly((4 * m + 2, 4 * m + 6))
-            else:
-                head, tail = Poly((2 * m - 1, 2 * m + 1)), Poly((2 * m + 1, 2 * m + 3))
-            return head * u_at(m) - tail * u_at(m - 1)
-
-        def stationary(n):
-            return (Poly((-n, -3, n + 1)) * u_at(n)
-                    + Poly((1, 1)) * (u_at(n - 1) + 1))
-
-        builders = ((partial_e, even_part), (partial_o, odd_part),
-                    (s_poly, companion), (phi, stationary))
-        expected = _digest(identity_suite(top))
-        indices = random.Random(23).sample(range(top + 1), top + 1)
-        digests, wrong = [], []
-
-        def battery():
-            digests.append(_digest(identity_suite(top)))
-
-        def read(ks):
-            for k in ks:
-                for builder, reference in builders:
-                    if builder(k) != reference(k):
-                        wrong.append((builder.__name__, k))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=battery)] + [
-                threading.Thread(target=read, args=(indices[i::4],)) for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert digests == [expected]
-        assert not wrong, wrong[:5]
 
 # Hand-expanded from the second-kind differences (exact integer arithmetic).
 _SMALL_EVEN_PARTS = {
