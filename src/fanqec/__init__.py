@@ -30,7 +30,7 @@ _EXPORTS = {
             "cross_validate", "helmert_basis", "key_identity_check", "qec_fan",
             "qec_numeric", "sigma", "tau"),
     "roots": ("BadBracket", "Bracket", "RootReport", "ZeroCert", "beta", "bisect",
-              "check_elementary_inequality", "gamma", "root_report", "zeros_of_s"),
+              "gamma", "root_report", "zeros_of_s"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -69,6 +69,15 @@ def helmert_basis(m: int) -> np.ndarray:
 MAX_ORACLE_VERTICES = 2048
 
 
+def _oracle_takes(n_vertices: int) -> None:
+    """Raise ValueError unless the numeric oracle takes n_vertices vertices."""
+    if n_vertices < 2:
+        raise ValueError("need at least two vertices")
+    if n_vertices > MAX_ORACLE_VERTICES:
+        raise ValueError(f"numeric oracle takes at most {MAX_ORACLE_VERTICES} "
+                         f"vertices, got {n_vertices}")
+
+
 def qec_numeric(g: Graph) -> QecResult:
     """Constant straight from the definition: the maximum of <f, Df> over
     unit vectors orthogonal to the ones vector, via subspace compression.
@@ -78,11 +87,7 @@ def qec_numeric(g: Graph) -> QecResult:
     eigenpair of the compressed matrix C.  Graphs over MAX_ORACLE_VERTICES
     vertices raise ValueError before any n x n array exists.
     """
-    if g.n_vertices < 2:
-        raise ValueError("need at least two vertices")
-    if g.n_vertices > MAX_ORACLE_VERTICES:
-        raise ValueError(f"numeric oracle takes at most {MAX_ORACLE_VERTICES} "
-                         f"vertices, got {g.n_vertices}")
+    _oracle_takes(g.n_vertices)
     d = distance_matrix(g).astype(float)
     q = helmert_basis(g.n_vertices)
     compressed = q @ d @ q.T
@@ -129,6 +134,7 @@ def qec_fan(n: int, method: Method | str = "auto", tol: float = 1e-12) -> QecRes
             raise ValueError("closed form is proven for even path lengths only")
         return QecResult(closed_form(n), method, {"angle": math.pi / (2 * (n + 1))})
     if method is Method.NUMERIC_ORACLE:
+        _oracle_takes(n + 1)  # before fan(n) builds its edges
         return qec_numeric(fan(n))
 
     # root-based, valid for every n >= 1

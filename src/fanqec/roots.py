@@ -55,9 +55,10 @@ point where S_n has the sign of S_n(-1) lies below gamma_n.
   exactly when (N+1) s^2 < 1.
 * Even n >= 2: the localization of S_{n+1} alone gives gamma_{n+1} <
   cos((n+1) pi/(n+2)) < cos(n pi/(n+1)) = beta_n.
-* The inequality: sin t < t for t > 0 and pi^2 < 10 give (N+1) s^2 <
-  10 (N+1)/(4 N^2), which is below 1 when 4 N^2 > 10 (N+1).  That holds
-  at N = 4, and 4 N^2 - 10 (N+1) grows with N from there.
+* The ordering inequality (N+1) s^2 < 1: sin t < t for t > 0 and
+  pi^2 < 10 give (N+1) s^2 < 10 (N+1)/(4 N^2), which is below 1 when
+  4 N^2 > 10 (N+1).  That holds at N = 4, and 4 N^2 - 10 (N+1) grows with
+  N from there.
 
 So beta_n < gamma_n for even n >= 4, and alpha strictly decreases from
 n = 2: the second case is its step at odd n, the third its step at even
@@ -414,22 +415,3 @@ def root_report(max_n: int) -> RootReport:
         failures.append("alpha-monotone: wrong initial values")
     return RootReport(max_n, tuple(failures))
 
-
-def check_elementary_inequality(grid: int) -> bool:
-    """(1-x)/(1+x) <= cos(pi*x) on [0, 1/3]: equality only at the endpoints.
-
-    Checked on a uniform grid with grid+1 points; interior points must be
-    strictly below, endpoints within 1e-12.
-    """
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    for i in range(grid + 1):
-        x = i / (3.0 * grid)
-        lhs = (1.0 - x) / (1.0 + x)
-        rhs = math.cos(math.pi * x)
-        if i in (0, grid):
-            if abs(lhs - rhs) > 1e-12:
-                return False
-        elif not lhs < rhs:
-            return False
-    return True

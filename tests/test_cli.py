@@ -57,7 +57,10 @@ def test_doc_example_output_is_exact(capsys, argv, expected):
 # and in _ARGV were re-recorded at the commit that proved the zero
 # localization for every n: the parent's bytes plus two identities' checks,
 # the counts, the reworded roots line, the localization line or row and the
-# localization_unproven JSON key.
+# localization_unproven JSON key.  The plain and CSV verify digests were
+# re-recorded again when the elementary inequality was proven for every x:
+# its line reads "proven" and its row has no grid size, and the roots line
+# names the gamma and beta brackets and initial values.  JSON is unchanged.
 _GOLDEN = {
     "table fan 1 401 --format csv":
         "c02d3ca519bf00d8933d132d8988c1b71bf6222c906e39c133b39868af7a12e8",
@@ -65,7 +68,7 @@ _GOLDEN = {
         "f6720c171f7f37da46f261a2eae843dfde81379890c9014b72fe783780738eb4",
     # Every one of the 8428 identity checks, one row each.
     "verify --max-n 300 --format csv":
-        "85b8ad8f81dd057d6d5b8fac177968ee4bbd071ccc6edab2073079cba813c80b",
+        "08e8042efee90e9612a89e638f928f94e0b6dd369a37bb3c735ea9c8a09c818b",
     "poly s 300 --format json":
         "24f730776e488d1a1b89baad75eabdab6a0c3025a69c762b34a91c5648d5f8c7",
     "qec fan 4001 --format json":
@@ -77,7 +80,7 @@ _GOLDEN = {
     "poly s 40 --format csv":
         "53d825fe5385a1452a71721ccdc1cc51b6ffe1a289684d94c64ba368ed60a155",
     "verify --max-n 300":
-        "541fa91ec8a3430716fac9a6995e2c28719862cddf8336928365b682a5b7fb68",
+        "936f4ce02957a8e911ecff30f2ff1c5cb4c7f6639fc4c3f683da9947e5a0f2fd",
     "verify --max-n 300 --format json":
         "cecd415ba6a3963a2461abfb8d67d236f9663aa81df48f800b8eaee256bac9d7",
     "qec fan 101":
@@ -159,11 +162,11 @@ _ARGV = [
     ("poly s 4 --form json", 0,
      "fef1975767bd0100a70321a1c9be3a949875a6ed16bfa929911728790d2697bd"),
     ("verify --max 3", 0,
-     "c8fd239d2fa1b52930086d83148515ebbfdab32867b9e727e48c631c2c286053"),
+     "f282c014114cfd29deb60c42b5564de2aa26b39d2ed464fed855301bfe19e646"),
     ("verify --max-n=3 --roots-max-n 2", 0,
-     "6e2c17f43ce83fbbb49824a4a8b72fc672fa56abcc37c6e74da62c628d6128bd"),
+     "87af61e9bfbe62ac5a879315ee488e2c1a2941bc9340bf220ce6dee42ddb1a95"),
     ("verify --roots 2 --max-n 4 --format=csv", 0,
-     "8720fd41e9b9aa8a2e64b40dd10f320005015e3383d79fa5bb6cb9ae45a49ee7"),
+     "ac83cf5ab5c5b2f678ac6271ae1e2f4b77384d5411a17e7f5adecea2ce1afb28"),
     ("qec --tol 1e-9 fan 5", 0,
      "21e6de4c8506fd496ff7253216434ecfcdb7d4fc5b724fd04acc7940f964d1d6"),
     ("qec fan -- 5", 0,
@@ -422,8 +425,13 @@ class TestVerify:
     def test_trivial_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "0")
         assert code == 0
-        # The localization is proven for every n whatever --max-n is.
-        assert out.splitlines()[2] == "zero localization of S_n: proven for every n"
+        # The localization and the elementary inequality are proven for
+        # every n and every x whatever --max-n is.
+        assert out.splitlines()[1:4] == [
+            "gamma and beta brackets and initial values up to n=0: 0 failures",
+            "zero localization of S_n: proven for every n",
+            "elementary inequality on [0, 1/3]: proven",
+        ]
 
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "5", "--format", "json")
@@ -455,7 +463,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-n", "2", "--roots-max-n", "9")
         assert code == 1
         assert out.splitlines()[1:6] == [
-            "minimal-zero orderings up to n=9: 1 failures",
+            "gamma and beta brackets and initial values up to n=9: 1 failures",
             "  FAIL gamma bracket n=7: no verified endpoint near -1.0 (sign -1)",
             "zero localization of S_n: not proven for every n",
             "  FAIL s-odd-index-from-split-factors not proven for every n",
@@ -542,7 +550,7 @@ class TestVerify:
         # while an end that wants gap n verifies just below -1, where the
         # split factors keep the signs of gap n.
         assert out.splitlines()[1:6] == [
-            "minimal-zero orderings up to n=4: 4 failures",
+            "gamma and beta brackets and initial values up to n=4: 4 failures",
             "  FAIL gamma bracket n=3: no verified endpoint near -1.0 (sign 1)",
             "  FAIL gamma bracket n=4: no verified endpoint near -0.8090169943749473 (sign 1)",
             "  FAIL beta bracket n=2: no verified endpoint near -1.0 (sign 1)",
@@ -632,7 +640,8 @@ class TestQec:
 
 
 class TestOracleCap:
-    """Graphs over the oracle's vertex cap exit 2 before any n x n array."""
+    """Graphs over the oracle's vertex cap exit 2 before any n x n array,
+    and fans over it before the fan is built."""
 
     @pytest.fixture(autouse=True)
     def no_matrices(self, monkeypatch):
@@ -641,6 +650,7 @@ class TestOracleCap:
 
         monkeypatch.setattr(qec, "distance_matrix", refuse)
         monkeypatch.setattr(qec, "helmert_basis", refuse)
+        monkeypatch.setattr(qec, "fan", refuse)
 
     def test_path_file_just_over_cap(self, capsys, tmp_path):
         n = qec.MAX_ORACLE_VERTICES + 1
@@ -658,6 +668,21 @@ class TestOracleCap:
         assert code == 2
         assert out == ""
         assert str(qec.MAX_ORACLE_VERTICES) in err
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "t", "100000000000000000000"],
+    ["qec", "fan", _HUGE],
+    ["qec", "fan", _HUGE[:-1] + "1"],
+    ["table", "fan", _HUGE, _HUGE],
+], ids=["poly t 10^20", "qec fan 10^400", "qec fan 10^400+1", "table fan 10^400 10^400"])
+def test_integer_too_large_exits_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.strip() and "Traceback" not in err
 
 
 class TestTable:

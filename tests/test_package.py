@@ -17,7 +17,7 @@ _EXPORTED = [
     "Graph", "IdentityCheck", "IdentityReport", "Method", "NearSingular",
     "NotDivisible", "NotIntegral", "ONE", "ParseError", "Poly", "QecResult",
     "RootReport", "X", "ZERO", "ZeroCert", "beta", "bisect", "cheb_t", "cheb_u",
-    "cheb_v", "cheb_w", "check_elementary_inequality", "compress", "cross_validate",
+    "cheb_v", "cheb_w", "compress", "cross_validate",
     "distance_matrix", "fan", "from_edge_list", "gamma", "helmert_basis",
     "identity_suite", "join", "key_identity_check", "partial_e", "partial_o", "path",
     "path_eigenvector", "path_spectrum", "phi", "qec_fan", "qec_numeric",

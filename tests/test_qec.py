@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fanqec import qec
 from fanqec.graphs import Graph, fan, path, path_spectrum
 from fanqec.qec import (
     Method,
@@ -56,6 +57,15 @@ class TestNumericOracle:
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
             qec_numeric(Graph(1, frozenset()))
+
+    def test_fan_over_cap_refused_before_it_is_built(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("fan built above the oracle cap")
+
+        monkeypatch.setattr(qec, "fan", refuse)
+        with pytest.raises(ValueError, match=f"numeric oracle takes at most "
+                                             f"{qec.MAX_ORACLE_VERTICES} vertices, got 5001"):
+            qec_fan(5000, method=Method.NUMERIC_ORACLE)
 
 
 class TestFanConstant:

@@ -22,7 +22,6 @@ from fanqec.roots import (
     Bracket,
     beta,
     bisect,
-    check_elementary_inequality,
     gamma,
     root_report,
     zeros_of_s,
@@ -527,9 +526,6 @@ class TestRootReport:
 
 
 class TestElementaryInequality:
-    def test_holds_on_fine_grid(self):
-        assert check_elementary_inequality(1000)
-
     def test_equality_at_endpoints(self):
         assert abs((1 - 0) / (1 + 0) - math.cos(0)) == 0
         third = 1.0 / 3.0
@@ -538,7 +534,3 @@ class TestElementaryInequality:
     def test_strict_in_interior(self):
         x = 1.0 / 6.0
         assert (1 - x) / (1 + x) < math.cos(math.pi * x)
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
-            check_elementary_inequality(1)
