@@ -209,9 +209,11 @@ def _cmd_table(args: SimpleNamespace) -> int:
         return _fail(f"need 1 <= from <= to, got {args.start}..{args.stop}", 2)
     # Only one format's callable runs, so the generator is read once: every
     # format prints each row as it is computed, JSON with the bytes of
-    # json.dumps({"rows": [...]}).
-    entries = ((n, qec_fan(n, tol=args.tol), _odd_bounds(n))
-               for n in range(args.start, args.stop + 1))
+    # json.dumps({"rows": [...]}).  The first row is computed before anything
+    # is printed, so a start too large to compute with exits 2 with empty stdout.
+    computed = ((n, qec_fan(n, tol=args.tol), _odd_bounds(n))
+                for n in range(args.start, args.stop + 1))
+    entries = chain([next(computed)], computed)
     line = "{:>4}  {:<24} {:<18} {:<24} {:<24}".format
     _emit(args.format,
           lambda: chain(['{"rows": ['], (

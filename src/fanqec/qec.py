@@ -151,12 +151,16 @@ def qec_fan(n: int, method: Method | str = "auto", tol: float = 1e-12) -> QecRes
 
 def tau(n: int) -> float | None:
     """Minimal admissible path eigenvalue branch; None where no eigenvalue
-    below -1 has an eigenvector orthogonal to the ones vector (n = 3, 5)."""
+    below -1 has an eigenvector orthogonal to the ones vector (n = 3, 5).
+
+    It is 2 beta(n), twice the minimal zero of the even-zero factor: the
+    double 2 cos(2m pi/(n+1)), m = n // 2, behind an exact sign change
+    across it (fanqec.roots.beta)."""
     if n < 3:
         raise ValueError("defined for n >= 3")
     if n in (3, 5):
         return None
-    return 2.0 * math.cos(2 * (n // 2) * math.pi / (n + 1))
+    return 2.0 * roots.beta(n)
 
 
 def sigma(n: int, tol: float = 1e-12) -> float:

@@ -67,24 +67,30 @@ beta_{n-1} for odd n >= 3.  The exact initial values alpha_1 = alpha_2 =
 -1/2 (S_1 and partial_e(2) = 2x + 1 vanish there) complete the orderings;
 ``root_report`` checks those values, and the brackets, up to a cap.
 
-``_grid_brackets`` builds every bracket (``gamma``'s, ``beta``'s and one
-per gap for ``zeros_of_s``) from rationals next to grid points, and
-bisection narrows brackets by exact-sign midpoints.  Gap i = (g_{i+1}, g_i),
-0 <= i <= n, has i of g_1, ..., g_n above it (g_{n+1} = -1).  Each g_j is a
-simple zero of one split factor (partial_o at odd j, partial_e at even j),
-both with positive leading coefficients, so on gap i partial_e has the sign
-(-1)^floor(i/2) and partial_o (-1)^ceil(i/2).  A bracket end is accepted
-when these are its exact signs and its sign of S_n (of partial_e for
-``beta``) is the one wanted: a float only proposes a point.  All three
-signs come in one query from ``chebyshev.split_signs(n, x)``, which builds
-no coefficient vector.  Bisection takes a sign function (``ExactSign``),
-element 0 of that triple for S_n; ``Poly.sign_at`` works in its place.
+Every bracket runs between rationals next to grid points that
+``_verified_endpoint`` accepts.  One list, ``_s_brackets``, holds those of
+S_n, lowest first, from -1 through a point just above each zero of
+partial_o, and verifies an end only when a caller takes the bracket it
+closes: ``gamma`` narrows the lowest at every n >= 1, and ``zeros_of_s``
+every one.  ``beta`` has its own two ends around the minimal zero of
+partial_e.  Bisection narrows brackets by exact-sign midpoints.
+
+Gap i = (g_{i+1}, g_i), 0 <= i <= n, has i of g_1, ..., g_n above it
+(g_{n+1} = -1).  Each g_j is a simple zero of one split factor (partial_o
+at odd j, partial_e at even j), both with positive leading coefficients,
+so on gap i partial_e has the sign (-1)^floor(i/2) and partial_o
+(-1)^ceil(i/2).  A bracket end is accepted when these are its exact signs
+and its sign of S_n (of partial_e for ``beta``) is the one wanted: a float
+only proposes a point.  All three signs come in one query from
+``chebyshev.split_signs(n, x)``, which builds no coefficient vector.
+Bisection takes a sign function (``ExactSign``), element 0 of that triple
+for S_n; ``Poly.sign_at`` works in its place.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -258,33 +264,24 @@ def _grid_point(j: int, den: int) -> float:
     return math.cos(j * math.pi / den)
 
 
-def _grid_brackets(n: int, ends: tuple[tuple[int, int], ...], part: int,
-                   sign_lo: int) -> list[Bracket]:
-    """Brackets between consecutive verified points next to grid points.
+def _s_brackets(n: int) -> Iterator[Bracket]:
+    """The brackets of the zeros of S_n below 1, lowest first, n >= 0.
 
-    ends gives (j, side) for each point, in ascending order of the points:
-    the point is _verified_endpoint's, just above or below cos(j*pi/(n+1)),
-    with the sign sign_lo of part at the first point and alternating from
-    there.  Which zeros a bracket holds is the caller's theorem; the signs
-    place each point in its gap and on its side of them.
+    They run from -1 through a verified point just above each zero
+    cos(j pi/(n+1)) of partial_o(n), j = 2c-1, ..., 3, 1, in gap j - 1; by
+    the zero localization each holds exactly one zero.  Below the lowest
+    one S_n has the sign of S_n(-1), (-1)^(c+1), c = (n+1) // 2, and the
+    sign alternates from there.  The zeros near -1 lie just below their
+    grid points (2.4e-12 below at j = n = 401), so one point above each
+    grid point ends one bracket and starts the next.  A point is verified
+    only when the bracket it closes is taken, so gamma pays for two.
     """
-    signs = [sign_lo * (-1) ** i for i in range(len(ends))]
-    points = [_verified_endpoint(n, j, side, part, want)
-              for (j, side), want in zip(ends, signs)]
-    return [Bracket(lo, hi, want, -want)
-            for lo, hi, want in zip(points, points[1:], signs)]
-
-
-def _gamma_bracket(n: int) -> Bracket:
-    """The bracket gamma narrows, for odd n >= 3 and even n >= 4.
-
-    Below the zero S_n has the sign of S_n(-1), (-1)^(c+1), c = (n+1) // 2.
-    For odd n it runs from -1 to gap n - 1, just above cos(n pi/(n+1)) and
-    short of the next zero; for even n from gap n, just below that point,
-    the minimal even-factor zero, to gap n - 2, above cos((n-1) pi/(n+1)).
-    """
-    ends = ((n + 1, _ABOVE), (n, _ABOVE)) if n % 2 else ((n, _BELOW), (n - 1, _ABOVE))
-    return _grid_brackets(n, ends, 0, (-1) ** ((n + 3) // 2))[0]
+    want = (-1) ** ((n + 3) // 2)
+    lo = _verified_endpoint(n, n + 1, _ABOVE, 0, want)
+    for j in range(2 * ((n + 1) // 2) - 1, 0, -2):
+        hi = _verified_endpoint(n, j, _ABOVE, 0, -want)
+        yield Bracket(lo, hi, want, -want)
+        lo, want = hi, -want
 
 
 def _beta_bracket(n: int) -> Bracket:
@@ -296,7 +293,9 @@ def _beta_bracket(n: int) -> Bracket:
     is doubled past it.
     """
     m = n // 2
-    return _grid_brackets(n, ((2 * m, _BELOW), (2 * m, _ABOVE)), 1, (-1) ** m)[0]
+    want = (-1) ** m
+    return Bracket(_verified_endpoint(n, 2 * m, _BELOW, 1, want),
+                   _verified_endpoint(n, 2 * m, _ABOVE, 1, -want), want, -want)
 
 
 def beta(n: int) -> float:
@@ -342,38 +341,29 @@ def _zero_in(s: ExactSign, n: int, bracket: Bracket, tol: float) -> ZeroCert:
 
 
 def gamma(n: int, tol: float = 1e-12) -> ZeroCert:
-    """Certified minimal zero of s_poly(n), n >= 1.
+    """Certified minimal zero of s_poly(n), n >= 1: the zero in the lowest
+    of _s_brackets, so gamma(n) is zeros_of_s(n)[0].
 
-    Indices 1 and 2 have the exact rational zero -1/2; otherwise the zero is
-    narrowed inside _gamma_bracket.
+    Indices 1 and 2 have the exact rational zero -1/2, and 3 has -3/4, all
+    found by the rational probes; only the lowest bracket's two ends are
+    verified.
     """
     if n < 1:
         raise ValueError(f"index {n} must be >= 1")
     _width(tol)
-    s = _s_sign(n)
-    if n in (1, 2):
-        if s(-_HALF) == 0:
-            return _exact_cert(s, -_HALF)
-        raise BadBracket("expected exact minimal zero at -1/2")
-    return _zero_in(s, n, _gamma_bracket(n), tol)
+    return _zero_in(_s_sign(n), n, next(_s_brackets(n)), tol)
 
 
 def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
-    """All zeros of s_poly(n), ascending: one in each gap of the grid, then 1.
+    """All zeros of s_poly(n), ascending: one in each of _s_brackets, then 1.
 
-    The brackets run from -1 through a verified point just above each zero
-    cos(j pi/(n+1)) of partial_o(n), j = 2c-1, ..., 3, 1, in gap j - 1.  By
-    the zero localization each holds exactly one zero, and with x = 1 they
-    are all of them; each is narrowed to width <= tol.  The zeros of S_n
-    near -1 lie just below their grid points (2.4e-12 below at j = n = 401),
-    so one point above each grid point ends one bracket and starts the next.
+    With x = 1 they are all of them (the zero localization); each is
+    narrowed to width <= tol.
     """
     _width(tol)
     s = _s_sign(n)
-    top = 2 * ((n + 1) // 2) - 1
-    ends = ((n + 1, _ABOVE), *((j, _ABOVE) for j in range(top, 0, -2)))
-    brackets = _grid_brackets(n, ends, 0, (-1) ** ((n + 3) // 2)) if n > 0 else []
-    return [*(_zero_in(s, n, b, tol) for b in brackets), _exact_cert(s, Fraction(1))]
+    one = _exact_cert(s, Fraction(1))  # split_signs refuses n < 0 here
+    return [*(_zero_in(s, n, b, tol) for b in _s_brackets(n)), one]
 
 
 # -- the report --------------------------------------------------------------
@@ -394,8 +384,9 @@ class RootReport:
 def root_report(max_n: int) -> RootReport:
     """The brackets gamma and beta narrow, and the initial values, to max_n.
 
-    It builds _gamma_bracket for 3 <= n <= max_n and _beta_bracket for even
-    2 <= n <= max_n by exact signs (split_signs), and from
+    It builds gamma's bracket, the lowest of _s_brackets, for 1 <= n <= max_n
+    and _beta_bracket for even 2 <= n <= max_n by exact signs (split_signs),
+    and from
     max_n = 2 checks alpha_1 = alpha_2 = -1/2 exactly: S_1 and partial_e(2)
     vanish at -1/2.  A bracket whose endpoint signs do not verify is
     reported.  The minimal-zero orderings need no per-n check: the module
@@ -404,7 +395,8 @@ def root_report(max_n: int) -> RootReport:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     failures: list[str] = []
-    for kind, build, indices in (("gamma", _gamma_bracket, range(3, max_n + 1)),
+    for kind, build, indices in (("gamma", lambda n: next(_s_brackets(n)),
+                                  range(1, max_n + 1)),
                                  ("beta", _beta_bracket, range(2, max_n + 1, 2))):
         for n in indices:
             try:

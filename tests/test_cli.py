@@ -545,12 +545,14 @@ class TestVerify:
         monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j + 1, den))
         code, out, _ = run(capsys, "verify", "--max-n", "2", "--roots-max-n", "4")
         assert code == 1
-        # Each of the four brackets fails at the end whose gap signs are
+        # Each of the six brackets fails at the end whose gap signs are
         # wrong: a base shifted one grid point down lies one gap too low,
-        # while an end that wants gap n verifies just below -1, where the
-        # split factors keep the signs of gap n.
-        assert out.splitlines()[1:6] == [
-            "gamma and beta brackets and initial values up to n=4: 4 failures",
+        # while beta's lower end, which wants gap n, verifies just below -1,
+        # where the split factors keep the signs of gap n.
+        assert out.splitlines()[1:8] == [
+            "gamma and beta brackets and initial values up to n=4: 6 failures",
+            "  FAIL gamma bracket n=1: no verified endpoint near -1.0 (sign -1)",
+            "  FAIL gamma bracket n=2: no verified endpoint near -0.4999999999999998 (sign -1)",
             "  FAIL gamma bracket n=3: no verified endpoint near -1.0 (sign 1)",
             "  FAIL gamma bracket n=4: no verified endpoint near -0.8090169943749473 (sign 1)",
             "  FAIL beta bracket n=2: no verified endpoint near -1.0 (sign 1)",
@@ -678,10 +680,17 @@ _HUGE = "1" + "0" * 400
     ["qec", "fan", _HUGE],
     ["qec", "fan", _HUGE[:-1] + "1"],
     ["table", "fan", _HUGE, _HUGE],
-], ids=["poly t 10^20", "qec fan 10^400", "qec fan 10^400+1", "table fan 10^400 10^400"])
+    ["table", "fan", _HUGE, _HUGE, "--format", "csv"],
+    ["table", "fan", _HUGE, _HUGE, "--format", "json"],
+], ids=["poly t 10^20", "qec fan 10^400", "qec fan 10^400+1", "table fan 10^400 10^400",
+        "table fan 10^400 10^400 --format csv",
+        "table fan 10^400 10^400 --format json"])
 def test_integer_too_large_exits_two(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    # A command that exits 2 prints nothing to stdout: table computes its
+    # first row before it writes a header.
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err.strip() and "Traceback" not in err
 
 

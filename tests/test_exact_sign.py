@@ -148,9 +148,9 @@ def _report_query_signs_match(calls) -> set[tuple[int, Fraction]]:
     asks a sign; returns every (n, x) compared."""
     assert roots.root_report(120).ok
     seen = _grouped(calls)
-    # Both ends of gamma's bracket for every n in 3..120, and of beta's for
+    # Both ends of gamma's bracket for every n in 1..120, and of beta's for
     # every even n, must be among the points compared below.
-    ends = [(n, roots._gamma_bracket(n)) for n in range(3, 121)]
+    ends = [(n, next(roots._s_brackets(n))) for n in range(1, 121)]
     ends += [(n, roots._beta_bracket(n)) for n in range(2, 121, 2)]
     assert all({b.lo, b.hi} <= seen.get(n, set()) for n, b in ends)
     shared = set(FIXED_POINTS) | set(random_points(2025, 20))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fanqec import qec
+from fanqec import qec, roots
 from fanqec.graphs import Graph, fan, path, path_spectrum
 from fanqec.qec import (
     Method,
@@ -20,7 +20,7 @@ from fanqec.qec import (
     sigma,
     tau,
 )
-from fanqec.roots import beta
+from fanqec.roots import BadBracket, beta
 
 
 def even_closed_form(n: int) -> float:
@@ -135,6 +135,14 @@ class TestBranchValues:
     def test_tau_needs_three(self):
         with pytest.raises(ValueError):
             tau(2)
+
+    def test_tau_is_certified_by_betas_bracket(self, monkeypatch):
+        # tau reads roots.beta, so a grid shifted by one index leaves its
+        # even-factor bracket without verified ends.
+        real = roots._grid_point
+        monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j + 1, den))
+        with pytest.raises(BadBracket):
+            tau(8)
 
     def test_sigma_orderings(self):
         w4 = path_spectrum(4)

@@ -153,6 +153,25 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma(0)
 
+    def test_is_the_lowest_zero_of_zeros_of_s(self):
+        # Both narrow the lowest bracket of one list, so the certificates
+        # are equal, at even n too.
+        for n in range(1, 121):
+            assert gamma(n) == zeros_of_s(n)[0], n
+
+    def test_verifies_only_the_lowest_brackets_ends(self, monkeypatch):
+        # At n = 10^6 + 1 there are 500001 brackets: gamma asks for the two
+        # ends of the lowest one and no other.
+        real, ends = roots._verified_endpoint, []
+
+        def counted(n, j, side, part, want):
+            ends.append(j)
+            return real(n, j, side, part, want)
+
+        monkeypatch.setattr(roots, "_verified_endpoint", counted)
+        gamma(10 ** 6 + 1)
+        assert ends == [10 ** 6 + 2, 10 ** 6 + 1]
+
 
 def gap_signs(i: int) -> tuple[int, int]:
     """Signs of (partial_e, partial_o) on gap i, below i grid points: each
@@ -173,15 +192,13 @@ class _ConstantSigns:
 
 
 def _nudged_end(n: int, end: str) -> tuple[Fraction, Fraction]:
-    """(base, neighbouring grid point) of one end of gamma(n)'s bracket."""
-    m, odd = divmod(n, 2)
-    if odd:
-        grid = [Fraction(math.cos(j * math.pi / (2 * m + 2)))
-                for j in (2 * m - 1, 2 * m + 1)]
-        return (Fraction(-1), grid[1]) if end == "lo" else (grid[1], grid[0])
-    beta_, hi, above = (Fraction(math.cos(j * math.pi / (2 * m + 1)))
-                        for j in (2 * m, 2 * m - 1, 2 * m - 3))
-    return (beta_, Fraction(-1)) if end == "lo" else (hi, above)
+    """(base, neighbouring grid point) of one end of gamma(n)'s bracket.
+
+    The bracket runs from -1 to just above the lowest zero g_top of
+    partial_o(n); the next one up is g_(top-2)."""
+    top = 2 * ((n + 1) // 2) - 1
+    low, above = (Fraction(math.cos(j * math.pi / (n + 1))) for j in (top, top - 2))
+    return (Fraction(-1), low) if end == "lo" else (low, above)
 
 
 @pytest.mark.parametrize("n", [6400, 6401, 20000, 20001])
@@ -190,7 +207,8 @@ def test_nudges_stop_before_the_neighbouring_grid_point(monkeypatch, n, end):
     # Near -1 the grid gap falls below 2^-20 (9.9e-8 above the odd bracket
     # at n = 20001): an endpoint whose signs never verify must raise, not
     # walk past the next zero.  The stub answers the signs of the other end,
-    # in gap n (both lower ends) or in gap n - 1 or n - 2 (the upper ends).
+    # in gap n (the lower end, -1) or in gap n - 1 or n - 2 (the upper end),
+    # so the lower end verifies at once or is walked up from -1.
     m, odd = divmod(n, 2)
     want_lo = (-1) ** m if odd else (-1) ** (m + 1)
     lower, upper = (want_lo, *gap_signs(n)), (-want_lo, *gap_signs(n - 2 + odd))
@@ -199,9 +217,8 @@ def test_nudges_stop_before_the_neighbouring_grid_point(monkeypatch, n, end):
     with pytest.raises(BadBracket):
         gamma(n)
     base, neighbour = _nudged_end(n, end)
-    tried = stub.queries[1:] if end == "hi" or base == -1 else stub.queries
-    if base == -1:
-        assert stub.queries[0] == -1
+    assert stub.queries[0] == -1
+    tried = stub.queries[1:]
     assert len(tried) >= 10
     assert all(min(base, neighbour) < x < max(base, neighbour) for x in tried)
 
@@ -246,7 +263,7 @@ def test_large_bracket_ends_lie_in_their_gaps(split_sign_calls, n):
     # rounded grid point (or -1) it starts from.
     m, odd = divmod(n, 2)
     den = n + 1
-    gamma_, beta_ = roots._gamma_bracket(n), roots._beta_bracket(n)
+    gamma_, beta_ = next(roots._s_brackets(n)), roots._beta_bracket(n)
     probes = [x for _, x in split_sign_calls]
     for x, gap in ((gamma_.lo, n), (gamma_.hi, n - 2 + odd),
                    (beta_.lo, 2 * m), (beta_.hi, 2 * m - 1)):
@@ -264,7 +281,9 @@ def test_grid_point_past_its_neighbour_is_caught(monkeypatch, n):
     # the next one, so that each end starts a gap above the one it names.
     # S_n can have the wanted sign there (at odd n >= 61 gamma's upper end
     # used to verify), but the split-factor signs are another gap's: every
-    # root finder raises, and the report lists every bracket.
+    # root finder raises, and the report lists every bracket from n = 3.
+    # At n = 1 and 2 gamma's upper end, above g_1, moves to cos(-pi/(2n+2)),
+    # still in gap 0, so those brackets verify.
     real = roots._grid_point
     monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j - 1.5, den))
     for find in (gamma, beta, zeros_of_s):
@@ -484,13 +503,13 @@ class TestRootReport:
     def test_flipped_tail_sign_fails_at_that_index(self, monkeypatch, n):
         # A flip that tests its index leaves no identity reading S_n with an
         # order bound, so the battery no longer proves the localization;
-        # from n = 3, where the report builds gamma_n's bracket, that fails.
+        # the report builds gamma_n's bracket for every n >= 1, and it fails.
         _mutated_tail(monkeypatch, n, lambda t: (-t[0],) + t[1:])
         proven = set(identity_suite(0).proven)
         assert {"s-odd-index-from-split-factors",
                 "s-even-index-from-split-factors"}.isdisjoint(proven)
         failures = root_report(n + 1).failures
-        assert len(failures) == (n >= 3)
+        assert len(failures) == 1
         assert all(f.startswith(f"gamma bracket n={n}: no verified endpoint near ")
                    for f in failures)
 
@@ -508,7 +527,7 @@ class TestRootReport:
         monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j + 1, den))
         report = root_report(12)
         assert [f.split(":")[0] for f in report.failures] == [
-            *(f"gamma bracket n={n}" for n in range(3, 13)),
+            *(f"gamma bracket n={n}" for n in range(1, 13)),
             *(f"beta bracket n={n}" for n in range(2, 13, 2))]
 
     def test_asks_only_bracket_points_and_the_initial_values(self, split_sign_calls):
@@ -518,8 +537,8 @@ class TestRootReport:
         assert root_report(120).ok
         asked = split_sign_calls[:]
         split_sign_calls.clear()
-        for n in range(3, 121):
-            roots._gamma_bracket(n)
+        for n in range(1, 121):
+            next(roots._s_brackets(n))
         for n in range(2, 121, 2):
             roots._beta_bracket(n)
         assert asked == [*split_sign_calls, (1, Fraction(-1, 2)), (2, Fraction(-1, 2))]
