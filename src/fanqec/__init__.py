@@ -28,9 +28,9 @@ _EXPORTS = {
     "polynomial": ("ONE", "X", "ZERO", "NotDivisible", "Poly"),
     "qec": ("CrossCheckReport", "CrossCheckRow", "Method", "NearSingular", "QecResult",
             "cross_validate", "helmert_basis", "key_identity_check", "qec_fan",
-            "qec_numeric", "sigma", "tau"),
-    "roots": ("BadBracket", "Bracket", "RootReport", "ZeroCert", "beta", "bisect",
-              "gamma", "root_report", "zeros_of_s"),
+            "qec_numeric"),
+    "roots": ("BadBracket", "Bracket", "ZeroCert", "beta", "bisect", "gamma",
+              "root_report", "zeros_of_s"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

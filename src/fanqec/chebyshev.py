@@ -11,22 +11,10 @@ their defining combinations.  No table of members is kept: U alone
 remembers its last ``_KEEP`` members (``functools.lru_cache``), so memory
 follows the largest member read, not every one.
 
-The identity battery over these families (``identity_suite``, code in
-``fanqec.identities``) proves all 31 of its checks for every index at
-once.  For the 27 identities: on a parity class n = 2j + r both sides are
-C-finite sequences in j, the identity's own formula gives a bound B on the
-order of their difference, and exact checks at j = 0..B-1 (n <= 11 for
-the identities here) make it zero at every j.  The 4 coefficient
-properties (U_n, partial_e(n) and partial_o(n) halve to monic integer
-polynomials, and x - 1 divides S_n) follow from the three-term recurrence,
-which keeps U(x/2), 2T(x/2), V(x/2) and W(x/2) monic with integer
-coefficients and fixes the values at 1, and from the identities that name
-the split factors and S_n in those kinds.  That stands for the stored
-families only after each member of U, T, V and W the battery reads is
-tied, in linear time, to its recurrence; the derived families are their
-formulas in U, which the proofs expand.  A check without such a proof runs
-on exact Poly arithmetic at every n, which also decides and reports every
-failure.
+The identity battery over these families (``identity_suite``) proves all
+31 of its checks for every index at once; the proofs, and the ties of the
+stored members to their recurrences that they rest on, are in
+``fanqec.identities``.
 
 Exact signs of S_n and of both split factors at a rational p/q need no
 coefficients: q^k U_k(p/q) is a Lucas sequence in 2p and q^2, and index

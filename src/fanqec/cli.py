@@ -128,7 +128,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     failures = report.failures
     unproven = [name for name in roots.LOCALIZATION_IDENTITIES
                 if name not in report.proven]
-    roots_failures = roots.root_report(roots_cap).failures
+    roots_failures = roots.root_report(roots_cap)
     ok = not failures and not unproven and not roots_failures
 
     _emit(args.format,

@@ -6,8 +6,9 @@ Helmert basis and take the top eigenvalue of the compressed matrix with
 numpy's symmetric eigensolver (`eigh`, LAPACK).  The closed form covers even
 path lengths, and the root-based route goes through the certified minimal
 zero machinery.  The two stationary-value branches (resolvent zeros and
-admissible path eigenvalues) are exposed separately so their decomposition
-can be cross-checked.
+admissible path eigenvalues) are not computed apart: the proven minimal-zero
+orderings of `fanqec.roots` name the smaller at each n, and the root-based
+route computes that one.
 """
 
 from __future__ import annotations
@@ -149,36 +150,6 @@ def qec_fan(n: int, method: Method | str = "auto", tol: float = 1e-12) -> QecRes
                       "bracket_lo": float(cert.lo), "bracket_hi": float(cert.hi)})
 
 
-def tau(n: int) -> float | None:
-    """Minimal admissible path eigenvalue branch; None where no eigenvalue
-    below -1 has an eigenvector orthogonal to the ones vector (n = 3, 5).
-
-    It is 2 beta(n), twice the minimal zero of the even-zero factor: the
-    double 2 cos(2m pi/(n+1)), m = n // 2, behind an exact sign change
-    across it (fanqec.roots.beta)."""
-    if n < 3:
-        raise ValueError("defined for n >= 3")
-    if n in (3, 5):
-        return None
-    return 2.0 * roots.beta(n)
-
-
-def sigma(n: int, tol: float = 1e-12) -> float:
-    """Minimal non-eigenvalue stationary branch, equal to twice the minimal
-    companion-polynomial zero.
-
-    Its position relative to the path spectrum is proven for every n
-    (fanqec.roots), so it is not re-checked in floats.  For odd n the zero
-    localization puts the value below the smallest path eigenvalue
-    2 cos(n pi/(n+1)).  For even n the even case of the minimal-zero
-    orderings (cos(n pi/(n+1)) = beta_n < gamma_n) puts it above that
-    eigenvalue, and the localization below the next, 2 cos((n-1) pi/(n+1)).
-    """
-    if n < 3:
-        raise ValueError("defined for n >= 3")
-    return 2.0 * roots.gamma(n, tol).value
-
-
 def key_identity_check(n: int, alpha: Fraction | int) -> float:
     """|LHS - RHS| of the resolvent identity for <1, (A_n - a I)^{-1} 1>.
 
@@ -235,8 +206,11 @@ def cross_validate(n_max: int, tol: float = 1e-8) -> CrossCheckReport:
     """Check the fan constant three ways for 3 <= n <= n_max.
 
     Per n: the selected method against the numeric oracle, and against the
-    stationary-branch decomposition -min(sigma, tau) - 2 (tau is absent for
-    n in {3, 5} and the minimum falls back to sigma alone).
+    stationary-branch decomposition -min(sigma, tau) - 2, sigma = 2 gamma_n
+    and tau = 2 beta_n.  The proven minimal-zero orderings (fanqec.roots)
+    pick the branch: the zero localization puts gamma_n below beta_n for
+    odd n, and beta_n < gamma_n for even n, so the minimum is the root-based
+    route's.
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
@@ -244,10 +218,7 @@ def cross_validate(n_max: int, tol: float = 1e-8) -> CrossCheckReport:
     for n in range(3, n_max + 1):
         fan_value = qec_fan(n).value
         oracle_value = qec_numeric(fan(n)).value
-        t = tau(n)
-        s = sigma(n)
-        branch_min = s if t is None else min(s, t)
-        decomposition = -branch_min - 2.0
+        decomposition = qec_fan(n, Method.ROOT_BASED).value
         passed = (abs(fan_value - oracle_value) <= tol
                   and abs(fan_value - decomposition) <= tol)
         rows.append(CrossCheckRow(n, fan_value, oracle_value, decomposition, passed))

@@ -73,7 +73,8 @@ S_n, lowest first, from -1 through a point just above each zero of
 partial_o, and verifies an end only when a caller takes the bracket it
 closes: ``gamma`` narrows the lowest at every n >= 1, and ``zeros_of_s``
 every one.  ``beta`` has its own two ends around the minimal zero of
-partial_e.  Bisection narrows brackets by exact-sign midpoints.
+partial_e, and like ``gamma`` returns a rational zero inside its bracket
+exactly.  Bisection narrows brackets by exact-sign midpoints.
 
 Gap i = (g_{i+1}, g_i), 0 <= i <= n, has i of g_1, ..., g_n above it
 (g_{n+1} = -1).  Each g_j is a simple zero of one split factor (partial_o
@@ -150,10 +151,6 @@ class ZeroCert:
     lo: Fraction
     hi: Fraction
     simple: bool
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
 
 
 def _is_simple(sign: ExactSign, x: Fraction) -> bool:
@@ -302,17 +299,17 @@ def beta(n: int) -> float:
     """Minimal zero of the even-zero factor of U_n, n >= 2.
 
     Closed form cos(2m*pi/(2m+1)) for n = 2m and cos(2m*pi/(2m+2)) for
-    n = 2m+1, verified by an exact sign change across it (_beta_bracket),
-    or by exact evaluation where the zero is rational (n = 2, 3).
+    n = 2m+1, verified by an exact sign change across it (_beta_bracket).
+    A rational zero, -1/2 or 0, strictly inside that bracket where the
+    factor's exact sign is 0 is returned exactly: -1/2 at n = 2 and 5, 0
+    at n = 3.
     """
     if n <= 1:
         raise ValueError(f"even-zero factor of index {n} is constant, no minimal zero")
-    if n in (2, 3):
-        zero = -_HALF if n == 2 else Fraction(0)
-        if split_signs(n, zero)[1] != 0:
-            raise BadBracket(f"expected exact zero at {zero}")
-        return float(zero)
-    _beta_bracket(n)
+    bracket = _beta_bracket(n)
+    for zero in (-_HALF, Fraction(0)):
+        if bracket.lo < zero < bracket.hi and split_signs(n, zero)[1] == 0:
+            return float(zero)
     return _grid_point(2 * (n // 2), n + 1)
 
 
@@ -369,28 +366,16 @@ def zeros_of_s(n: int, tol: float = 1e-12) -> list[ZeroCert]:
 # -- the report --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootReport:
-    """Outcome of root_report: one line per failed check, in a fixed order."""
-
-    max_n: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def root_report(max_n: int) -> RootReport:
+def root_report(max_n: int) -> tuple[str, ...]:
     """The brackets gamma and beta narrow, and the initial values, to max_n.
 
     It builds gamma's bracket, the lowest of _s_brackets, for 1 <= n <= max_n
     and _beta_bracket for even 2 <= n <= max_n by exact signs (split_signs),
-    and from
-    max_n = 2 checks alpha_1 = alpha_2 = -1/2 exactly: S_1 and partial_e(2)
-    vanish at -1/2.  A bracket whose endpoint signs do not verify is
-    reported.  The minimal-zero orderings need no per-n check: the module
-    docstring proves them for every n.
+    and from max_n = 2 checks alpha_1 = alpha_2 = -1/2 exactly: S_1 and
+    partial_e(2) vanish at -1/2.  It returns one line per failed check, in
+    a fixed order, so an empty tuple is a pass; a bracket whose endpoint
+    signs do not verify is reported.  The minimal-zero orderings need no
+    per-n check: the module docstring proves them for every n.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -405,5 +390,5 @@ def root_report(max_n: int) -> RootReport:
                 failures.append(f"{kind} bracket n={n}: {exc}")
     if max_n >= 2 and not (split_signs(1, -_HALF)[0] == split_signs(2, -_HALF)[1] == 0):
         failures.append("alpha-monotone: wrong initial values")
-    return RootReport(max_n, tuple(failures))
+    return tuple(failures)
 

@@ -146,7 +146,7 @@ def test_signs_match_coefficient_horner(split_sign_calls):
 def _report_query_signs_match(calls) -> set[tuple[int, Fraction]]:
     """Compares split_signs with the coefficient vectors where root_report
     asks a sign; returns every (n, x) compared."""
-    assert roots.root_report(120).ok
+    assert roots.root_report(120) == ()
     seen = _grouped(calls)
     # Both ends of gamma's bracket for every n in 1..120, and of beta's for
     # every even n, must be among the points compared below.

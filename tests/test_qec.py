@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fanqec import qec, roots
+from fanqec import qec
 from fanqec.graphs import Graph, fan, path, path_spectrum
 from fanqec.qec import (
     Method,
@@ -17,10 +17,8 @@ from fanqec.qec import (
     key_identity_check,
     qec_fan,
     qec_numeric,
-    sigma,
-    tau,
 )
-from fanqec.roots import BadBracket, beta
+from fanqec.roots import beta, gamma
 
 
 def even_closed_form(n: int) -> float:
@@ -123,32 +121,12 @@ class TestFanConstant:
 
 
 class TestBranchValues:
-    def test_tau_absent(self):
-        assert tau(3) is None
-        assert tau(5) is None
-
-    def test_tau_values(self):
-        assert tau(4) == pytest.approx(2 * math.cos(4 * math.pi / 5), abs=0)
-        assert tau(7) == pytest.approx(-math.sqrt(2), abs=1e-15)
-        assert tau(6) == pytest.approx(2 * math.cos(6 * math.pi / 7), abs=0)
-
-    def test_tau_needs_three(self):
-        with pytest.raises(ValueError):
-            tau(2)
-
-    def test_tau_is_certified_by_betas_bracket(self, monkeypatch):
-        # tau reads roots.beta, so a grid shifted by one index leaves its
-        # even-factor bracket without verified ends.
-        real = roots._grid_point
-        monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j + 1, den))
-        with pytest.raises(BadBracket):
-            tau(8)
-
     def test_sigma_orderings(self):
+        # sigma = 2 gamma_n against the path spectrum.
         w4 = path_spectrum(4)
-        assert w4[3] < sigma(4) < w4[2]
-        assert sigma(5) < path_spectrum(5)[4]
-        assert sigma(3) == pytest.approx(-1.5, abs=0)  # 2 * (-3/4), exact zero
+        assert w4[3] < 2 * gamma(4).value < w4[2]
+        assert 2 * gamma(5).value < path_spectrum(5)[4]
+        assert 2 * gamma(3).value == -1.5  # 2 * (-3/4), exact zero
 
 
 class TestKeyIdentity:
@@ -186,6 +164,16 @@ class TestCrossValidation:
         assert first.n == 3
         assert first.fan_value == pytest.approx(-0.5, abs=1e-10)
         assert first.decomposition_value == pytest.approx(-0.5, abs=1e-10)
+
+    def test_decomposition_is_the_smaller_branch(self):
+        # -min(sigma, tau) - 2 with sigma = 2 gamma_n and tau = 2 beta_n,
+        # bit for bit; tau has no eigenvalue below -1 at n = 3 and 5, where
+        # sigma alone counts.
+        for row in cross_validate(60).rows:
+            n = row.n
+            sigma = 2 * gamma(n).value
+            branch = sigma if n in (3, 5) else min(sigma, 2 * beta(n))
+            assert row.decomposition_value == -branch - 2.0, f"n={n}"
 
     def test_absent_branch_handled(self):
         report = cross_validate(6, 1e-8)

@@ -59,19 +59,19 @@ class TestBisect:
         p = Poly([-1, 1])
         cert = bisect(p.sign_at, _around(p, Fraction(0), Fraction(2)), 1e-12)
         assert cert.value == 1.0
-        assert cert.is_exact
+        assert cert.lo == cert.hi
         assert cert.simple
 
     def test_companion_small(self):
         p = s_poly(1)
         cert = bisect(p.sign_at, _around(p, Fraction(-1), Fraction(0)), 1e-12)
         assert cert.value == -0.5
-        assert cert.is_exact
+        assert cert.lo == cert.hi
 
     def test_width_bound(self):
         p = Poly([-2, 0, 1])  # sqrt(2)
         cert = bisect(p.sign_at, _around(p, Fraction(1), Fraction(2)), 1e-10)
-        assert not cert.is_exact
+        assert cert.lo < cert.hi
         assert float(cert.hi - cert.lo) <= 1e-10
         assert abs(cert.value - math.sqrt(2)) < 1e-10
 
@@ -120,18 +120,36 @@ class TestBeta:
         (3, 0.0),
         (4, math.cos(4 * math.pi / 5)),
         (5, math.cos(4 * math.pi / 6)),
+        (6, math.cos(6 * math.pi / 7)),
+        (7, -math.sqrt(2) / 2),
         (60, math.cos(60 * math.pi / 61)),
         (61, math.cos(60 * math.pi / 62)),
     ])
     def test_closed_form(self, n, expected):
         assert beta(n) == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("n, zero", [(2, -0.5), (3, 0.0), (5, -0.5)])
+    def test_rational_zeros_are_exact(self, n, zero):
+        # The even-zero factor's rational zeros are found by exact sign 0
+        # strictly inside its bracket, not rounded from the grid point.
+        assert beta(n) == zero
+        bracket = roots._beta_bracket(n)
+        assert bracket.lo < Fraction(zero) < bracket.hi
+
+    def test_is_certified_by_its_bracket(self, monkeypatch):
+        # A grid shifted by one index leaves the even-factor bracket without
+        # verified ends.
+        real = roots._grid_point
+        monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j + 1, den))
+        with pytest.raises(BadBracket):
+            beta(8)
+
 
 class TestGamma:
     def test_exact_small_values(self):
-        assert gamma(1).value == -0.5 and gamma(1).is_exact
-        assert gamma(2).value == -0.5 and gamma(2).is_exact
-        assert gamma(3).value == -0.75 and gamma(3).is_exact
+        for n, zero in ((1, -0.5), (2, -0.5), (3, -0.75)):
+            cert = gamma(n)
+            assert cert.value == zero and cert.lo == cert.hi
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 9, 12, 25, 40])
     def test_matches_companion_solver(self, n):
@@ -289,7 +307,7 @@ def test_grid_point_past_its_neighbour_is_caught(monkeypatch, n):
     for find in (gamma, beta, zeros_of_s):
         with pytest.raises(BadBracket, match="^no verified endpoint near "):
             find(n)
-    assert [f.split(":")[0] for f in root_report(n).failures] == [
+    assert [f.split(":")[0] for f in root_report(n)] == [
         *(f"gamma bracket n={k}" for k in range(3, n + 1)),
         *(f"beta bracket n={k}" for k in range(2, n + 1, 2))]
 
@@ -335,18 +353,18 @@ class TestZerosOfS:
     def test_degenerate(self):
         certs = zeros_of_s(0)
         assert [c.value for c in certs] == [1.0]
-        assert certs[0].is_exact
+        assert certs[0].lo == certs[0].hi
 
     def test_first_companion(self):
         certs = zeros_of_s(1)
         assert [c.value for c in certs] == [-0.5, 1.0]
-        assert all(c.is_exact for c in certs)
+        assert all(c.lo == c.hi for c in certs)
 
     def test_index_three_all_rational(self):
         # S_3 = 2(4x+3)(2x+1)(x-1): every zero is rational and found exactly.
         certs = zeros_of_s(3)
         assert [c.value for c in certs] == [-0.75, -0.5, 1.0]
-        assert all(c.is_exact and c.simple for c in certs)
+        assert all(c.lo == c.hi and c.simple for c in certs)
 
     def test_count_equals_degree(self):
         for n in range(0, 41):
@@ -463,10 +481,7 @@ def _mutated_tail(monkeypatch, target: int, change) -> None:
 
 class TestRootReport:
     def test_passes_to_criterion_six_range(self):
-        report = root_report(120)
-        assert report.max_n == 120
-        assert report.failures == ()
-        assert report.ok
+        assert root_report(120) == ()
 
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError, match="max_n must be >= 0"):
@@ -481,7 +496,7 @@ class TestRootReport:
         assert len(certs) == s_poly(n).degree
         zeros = {1: [-0.5], 2: [-0.5], 3: [-0.75, -0.5]}.get(n, [])
         for cert, z in zip(certs, zeros):
-            assert cert.lo <= Fraction(z) <= cert.hi and cert.is_exact
+            assert cert.lo == Fraction(z) == cert.hi
         if n >= 2:
             bracket = roots._beta_bracket(n)
             assert bracket.lo < Fraction(beta(n)) < bracket.hi
@@ -508,7 +523,7 @@ class TestRootReport:
         proven = set(identity_suite(0).proven)
         assert {"s-odd-index-from-split-factors",
                 "s-even-index-from-split-factors"}.isdisjoint(proven)
-        failures = root_report(n + 1).failures
+        failures = root_report(n + 1)
         assert len(failures) == 1
         assert all(f.startswith(f"gamma bracket n={n}: no verified endpoint near ")
                    for f in failures)
@@ -517,16 +532,15 @@ class TestRootReport:
     def test_flip_that_keeps_the_zero_at_one_is_caught(self, monkeypatch, n):
         # tail(1) is unchanged, so only the sign pattern on the grid shows it.
         _mutated_tail(monkeypatch, n, lambda t: (-t[0], t[1] + 2 * t[0]))
-        report = root_report(n + 1)
-        assert len(report.failures) == 1
-        assert report.failures[0].startswith(
+        failures = root_report(n + 1)
+        assert len(failures) == 1
+        assert failures[0].startswith(
             f"gamma bracket n={n}: no verified endpoint near ")
 
     def test_grid_shifted_by_one_index_is_caught(self, monkeypatch):
         real = roots._grid_point
         monkeypatch.setattr(roots, "_grid_point", lambda j, den: real(j + 1, den))
-        report = root_report(12)
-        assert [f.split(":")[0] for f in report.failures] == [
+        assert [f.split(":")[0] for f in root_report(12)] == [
             *(f"gamma bracket n={n}" for n in range(1, 13)),
             *(f"beta bracket n={n}" for n in range(2, 13, 2))]
 
@@ -534,7 +548,7 @@ class TestRootReport:
         # The orderings are proven for every n, so the report asks a sign
         # only where gamma's and beta's brackets do, and at -1/2 for
         # alpha_1 = alpha_2 (S_1 and partial_e(2)), in that order.
-        assert root_report(120).ok
+        assert root_report(120) == ()
         asked = split_sign_calls[:]
         split_sign_calls.clear()
         for n in range(1, 121):
