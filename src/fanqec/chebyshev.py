@@ -25,7 +25,11 @@ of state and O(log m) multiplications of numbers up to the final size
 (U_m, U_{m-1})(p/q) with a few hundred fractional bits, outward-rounded
 so that they hold the exact values; an enclosure that excludes 0 is a
 proof of the sign, and one that holds 0 is retried with more bits and
-then handed to the exact pair, which alone returns a sign 0.  Its
+then handed to the exact pair, which alone returns a sign 0.  A product
+of two enclosures forms only the two end products their signs name
+unless one straddles 0 (``_mul``), and at |x| <= 1 the a-priori bound
+|U_k(x)| <= k + 1 cuts back an enclosure that has lost its sign, so its
+ends stay small (``_u_pair_enclosure``).  Its
 formulas are the only ones: ``fanqec.roots`` reads all three signs from
 ``split_signs``.
 
@@ -312,7 +316,22 @@ def _mul(a_lo: int, a_hi: int, b_lo: int, b_hi: int, bits: int) -> tuple[int, in
     ab is bilinear, so over the box [a_lo, a_hi] x [b_lo, b_hi] it lies
     between the least and the greatest product of two ends; those carry
     2^(2 bits), and the shift back floors the least and ceils the greatest.
+    When neither box holds 0 inside, their signs name those two products
+    (Moore, Kearfott and Cloud, 2009, ch. 2): a, b >= 0 give [a_lo b_lo,
+    a_hi b_hi], a, b <= 0 give [a_hi b_hi, a_lo b_lo], a >= 0 >= b gives
+    [a_hi b_lo, a_lo b_hi] and a <= 0 <= b gives [a_lo b_hi, a_hi b_lo].
+    Only a box that straddles 0 needs all four products.
     """
+    if a_lo >= 0:
+        if b_lo >= 0:
+            return a_lo * b_lo >> bits, -(-a_hi * b_hi >> bits)
+        if b_hi <= 0:
+            return a_hi * b_lo >> bits, -(-a_lo * b_hi >> bits)
+    elif a_hi <= 0:
+        if b_hi <= 0:
+            return a_hi * b_hi >> bits, -(-a_lo * b_lo >> bits)
+        if b_lo >= 0:
+            return a_lo * b_hi >> bits, -(-a_hi * b_lo >> bits)
     ends = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
     return min(ends) >> bits, -(-max(ends) >> bits)
 
@@ -325,11 +344,12 @@ def _point(p: int, q: int, bits: int) -> tuple[int, int]:
     return (p << bits) // q, -(-(p << bits) // q)
 
 
-def _u_pair_enclosure(m: int, p: int, q: int, bits: int) -> tuple[int, ...]:
-    """Integers (lo_m, hi_m, lo_m1, hi_m1) enclosing 2^bits (U_m, U_{m-1})(p/q).
+def _u_pair_enclosure(m: int, x_lo: int, x_hi: int, bits: int) -> tuple[int, ...]:
+    """Integers (lo_m, hi_m, lo_m1, hi_m1) enclosing 2^bits (U_m, U_{m-1})(x).
 
-    Each value v is held as integers lo <= v 2^bits <= hi, x as _point
-    gives it.  The walk over the bits of m is u_pair_at's divided by q^k:
+    Each value v is held as integers lo <= v 2^bits <= hi, x as x_lo <= x
+    2^bits <= x_hi (_point).  The walk over the bits of m is u_pair_at's
+    divided by q^k:
 
         U_{2k}   = (U_k - U_{k-1}) (U_k + U_{k-1})
         U_{2k-1} = U_{k-1} (2 U_k - 2x U_{k-1})
@@ -340,11 +360,20 @@ def _u_pair_enclosure(m: int, p: int, q: int, bits: int) -> tuple[int, ...]:
     ends (lo + lo', hi + hi' and so on), and _mul encloses every product of
     two values.  So each step takes enclosures of the exact pair at k to
     enclosures of the exact pair at 2k or 2k + 1, and by induction the
-    result holds (U_m, U_{m-1})(p/q) times 2^bits.  No float and no
-    Fraction enters.
+    result holds (U_m, U_{m-1})(x) times 2^bits.  No float and no Fraction
+    enters.
+
+    Where x_lo and x_hi lie in [-2^bits, 2^bits], x lies in [-1, 1], and
+    then |U_k(x)| <= k + 1 <= m + 1 for every k <= m the walk visits.  An
+    enclosure that has lost its sign keeps widening; once U_k's is wider
+    than cap = (m + 1) 2^bits, both enclosures are cut back to [-cap, cap].
+    The intersection of two enclosures of a value is one, so the induction
+    holds, and the ends stay near bits + log2(m) bits instead of growing
+    with every step.
     """
-    x_lo, x_hi = _point(p, q, bits)
-    cur_lo = cur_hi = 1 << bits
+    one = 1 << bits
+    cap = (m + 1) << bits if -one <= x_lo and x_hi <= one else math.inf
+    cur_lo = cur_hi = one
     prev_lo = prev_hi = 0
     for bit in range(m.bit_length() - 1, -1, -1):
         sq_lo, sq_hi = _mul(cur_lo - prev_hi, cur_hi - prev_lo,
@@ -357,6 +386,9 @@ def _u_pair_enclosure(m: int, p: int, q: int, bits: int) -> tuple[int, ...]:
             xc_lo, xc_hi = _mul(x_lo, x_hi, cur_lo, cur_hi, bits)
             cur_lo, cur_hi, prev_lo, prev_hi = (2 * xc_lo - prev_hi, 2 * xc_hi - prev_lo,
                                                 cur_lo, cur_hi)
+        if cur_hi - cur_lo > cap:
+            cur_lo, cur_hi = max(cur_lo, -cap), min(cur_hi, cap)
+            prev_lo, prev_hi = max(prev_lo, -cap), min(prev_hi, cap)
     return cur_lo, cur_hi, prev_lo, prev_hi
 
 
@@ -383,8 +415,8 @@ def _enclosed_signs(n: int, p: int, q: int, bits: int) -> tuple[int, int, int] |
     2 (x U_m - U_{m-1}), for even n U_m + U_{m-1} and U_m - U_{m-1}.
     """
     m, head, tail = _s_factors(n)
-    um_lo, um_hi, um1_lo, um1_hi = _u_pair_enclosure(m, p, q, bits)
     x_lo, x_hi = _point(p, q, bits)
+    um_lo, um_hi, um1_lo, um1_hi = _u_pair_enclosure(m, x_lo, x_hi, bits)
     h_lo, h_hi = _mul(*_poly_enclosure(head, x_lo, x_hi, bits), um_lo, um_hi, bits)
     t_lo, t_hi = _mul(*_poly_enclosure(tail, x_lo, x_hi, bits), um1_lo, um1_hi, bits)
     if n % 2:
@@ -401,16 +433,17 @@ def _enclosed_signs(n: int, p: int, q: int, bits: int) -> tuple[int, int, int] |
 # The exact pair at a point p/q has about m (bit length of q - 1) bits; above
 # _ENCLOSE_ABOVE of them split_signs tries enclosures first, from
 # _ENCLOSE_BITS fractional bits up.  Measured for one query at double-
-# precision grid points on a 2-core VM (Python 3.11.7), exact path against
-# 128-bit enclosure: 9 against 32 us at 1.1 kbit (n = 41), 36 against 56 us
-# at 5.3 kbit, 42 against 42 us at 6.5 kbit, 64 against 51 us at 7.9 kbit and
-# 97 against 49 us at 10.9 kbit (n = 401).  The enclosure's cost barely grows
-# with n, and the crossover lies near 6.5 kbit.  With 6144, table fan 1 2001
-# took 0.23 s in-process against 0.26 s with 16384, with the same bytes.
-# Odd fans from about n = 235 on start on enclosures; verify's default root
-# report (at most 1.6 kbit) stays on the exact path, the only one that can
-# return a sign 0.
-_ENCLOSE_ABOVE = 6144
+# precision grid points on a 2-core VM (Python 3.11.7; median over four grid
+# points of the best of five), exact path against 128-bit enclosure: 6.7
+# against 12.6 us at 1.1 kbit (n = 41), 12.5 against 14.5 us at 2.6 kbit,
+# 14.4 against 15.0 us at 3.2 kbit, 16.1 against 15.4 us at 3.4 kbit, 24.5
+# against 16.1 us at 5.2 kbit and 64.3 against 17.3 us at 10.6 kbit
+# (n = 401).  The enclosure's cost barely grows with n, and the crossover
+# lies near 3.3 kbit.  With 3328, table fan 1 2001 took 0.17 s in-process,
+# as with 6144, with the same bytes.  Fans from about n = 126 on start on
+# enclosures; verify's default root report (at most 1.6 kbit) stays on the
+# exact path, the only one that can return a sign 0.
+_ENCLOSE_ABOVE = 3328
 _ENCLOSE_BITS = 128
 
 

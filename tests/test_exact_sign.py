@@ -243,11 +243,59 @@ def test_enclosure_holds_the_exact_pair(bits):
         q = 2 ** rng.randint(0, 80) if i % 2 else rng.randint(1, 10 ** 12)
         reach = 3 * q if i % 3 else q
         p = rng.randint(-reach, reach)
-        lo, hi, lo1, hi1 = chebyshev._u_pair_enclosure(m, p, q, bits)
+        point = chebyshev._point(p, q, bits)
+        lo, hi, lo1, hi1 = chebyshev._u_pair_enclosure(m, *point, bits)
         vm, vm1 = u_pair_at(m, p, q)
         scale = q ** m
         assert lo * scale <= vm << bits <= hi * scale, (m, p, q)
         assert lo1 * scale <= q * vm1 << bits <= hi1 * scale, (m, p, q)
+
+
+def _box(rng: random.Random, kind: str) -> tuple[int, int]:
+    width = 1 + rng.getrandbits(rng.randint(0, 200))
+    start = rng.getrandbits(rng.randint(0, 200))
+    return {"positive": (start, start + width),
+            "negative": (-start - width, -start),
+            "straddles": (-rng.randint(1, width), width + 1),
+            "point": (start - width, start - width),
+            "zero": (0, 0),
+            "from zero": (0, width),
+            "to zero": (-width, 0)}[kind]
+
+
+@pytest.mark.parametrize("bits", [0, 64, 128])
+def test_interval_product_matches_four_products(bits):
+    # The sign case rule in _mul against the four end products with
+    # min/max, on every pair of box kinds, ends at 0 and points included.
+    rng = random.Random(bits)
+    kinds = ("positive", "negative", "straddles", "point", "zero",
+             "from zero", "to zero")
+    for a_kind, b_kind in itertools.product(kinds, repeat=2):
+        for _ in range(200):
+            a, b = _box(rng, a_kind), _box(rng, b_kind)
+            ends = [u * v for u in a for v in b]
+            want = (min(ends) >> bits, -(-max(ends) >> bits))
+            assert chebyshev._mul(*a, *b, bits) == want, (a, b, bits)
+
+
+@pytest.mark.parametrize("x", [Fraction(math.cos(math.pi / 10002)),
+                               Fraction(-math.cos(math.pi / 10002)),
+                               Fraction(math.cos(3 * math.pi / 5001)),
+                               Fraction(-1) + Fraction(1, 2 ** 40),
+                               Fraction(1), Fraction(-1)])
+def test_lost_enclosure_stays_within_the_a_priori_bound(x):
+    # Near -1 and 1, 64 fractional bits lose the signs of U_5000 and
+    # U_4999; |U_k(x)| <= k + 1 on [-1, 1] keeps the ends from growing
+    # past twice that bound while they still hold the exact pair.
+    m, bits = 5000, 64
+    p, q = x.numerator, x.denominator
+    ends = chebyshev._u_pair_enclosure(m, *chebyshev._point(p, q, bits), bits)
+    lo, hi, lo1, hi1 = ends
+    vm, vm1 = u_pair_at(m, p, q)
+    scale = q ** m
+    assert lo * scale <= vm << bits <= hi * scale
+    assert lo1 * scale <= q * vm1 << bits <= hi1 * scale
+    assert max(map(abs, ends)) < (m + 1) << (bits + 1)
 
 
 def exact_signs(n: int, x: Fraction) -> tuple[int, int, int]:
