@@ -84,16 +84,17 @@ _KEEP = 8
 def _alternating(n: int, lead: int, offset: int) -> Poly:
     """sum_k c_k x^(n-2k) from c_0 = lead and, with j = n - 2k,
 
-        c_{k+1} = -c_k j (j - 1) / (4 (k + 1) (n - k - offset)),
+        c_{k+1} = c_k j (j - 1) / (-4 (k + 1) (n - k - offset)),
 
-    each step an exact division, since every c_k is an integer.  That is
+    each step an exact division, since every c_k is an integer, with the
+    sign in the divisor so that no step negates a big integer.  That is
     U_n with lead 2^n and offset 0, and T_n with lead 2^(n-1) and offset 1.
     """
     coeffs = [0] * (n + 1)
     c = coeffs[n] = lead
     for k in range(n // 2):
         j = n - 2 * k
-        c = -(c * (j * (j - 1)) // (4 * (k + 1) * (n - k - offset)))
+        c = c * (j * (j - 1)) // (-4 * (k + 1) * (n - k - offset))
         coeffs[j - 2] = c
     return Poly(coeffs)
 
@@ -104,14 +105,14 @@ def _third_fourth(n: int, flip_at: int) -> Poly:
     where i % 2 == flip_at: (-1)^floor(i/2) for W, (-1)^ceil(i/2) for V.
 
     From i to i + 1 the magnitude is multiplied by (n - i) / (2n - i) at
-    even i and by (n - i) / (i + 1) at odd i, an exact division.
+    even i and by (n - i) / (i + 1) at odd i, an exact division, and a
+    flip divides by the negated divisor.
     """
     coeffs = [0] * (n + 1)
     c = coeffs[n] = 1 << n
     for i in range(n):
-        c = c * (n - i) // (i + 1 if i % 2 else 2 * n - i)
-        if i % 2 == flip_at:
-            c = -c
+        d = i + 1 if i % 2 else 2 * n - i
+        c = c * (n - i) // (-d if i % 2 == flip_at else d)
         coeffs[n - i - 1] = c
     return Poly(coeffs)
 
@@ -431,18 +432,31 @@ def _enclosed_signs(n: int, p: int, q: int, bits: int) -> tuple[int, int, int] |
 
 
 # The exact pair at a point p/q has about m (bit length of q - 1) bits; above
-# _ENCLOSE_ABOVE of them split_signs tries enclosures first, from
-# _ENCLOSE_BITS fractional bits up.  Measured for one query at double-
-# precision grid points on a 2-core VM (Python 3.11.7; median over four grid
-# points of the best of five), exact path against 128-bit enclosure: 6.7
-# against 12.6 us at 1.1 kbit (n = 41), 12.5 against 14.5 us at 2.6 kbit,
-# 14.4 against 15.0 us at 3.2 kbit, 16.1 against 15.4 us at 3.4 kbit, 24.5
-# against 16.1 us at 5.2 kbit and 64.3 against 17.3 us at 10.6 kbit
-# (n = 401).  The enclosure's cost barely grows with n, and the crossover
-# lies near 3.3 kbit.  With 3328, table fan 1 2001 took 0.17 s in-process,
+# _ENCLOSE_ABOVE of them split_signs tries enclosures first.  Measured for
+# one query at double-precision grid points on a 2-core VM (Python 3.11.7;
+# median over four grid points of the best of five), exact path against
+# 128-bit enclosure: 6.7 against 12.6 us at 1.1 kbit (n = 41), 12.5
+# against 14.5 us at 2.6 kbit, 14.4 against 15.0 us at 3.2 kbit, 16.1
+# against 15.4 us at 3.4 kbit, 24.5 against 16.1 us at 5.2 kbit and 64.3
+# against 17.3 us at 10.6 kbit (n = 401).  The enclosure's cost barely
+# grows with n, and the crossover lies near 3.3 kbit.  With 3328, table fan 1 2001 took 0.17 s in-process,
 # as with 6144, with the same bytes.  Fans from about n = 126 on start on
 # enclosures; verify's default root report (at most 1.6 kbit) stays on the
 # exact path, the only one that can return a sign 0.
+#
+# The first enclosure has max(_ENCLOSE_BITS, w (w + 1) / 2 + 48) fractional
+# bits, w the bit length of m, and each retry doubles them.  Next to -1 the
+# walk's doubling step at index k loses about log2(k) bits, so about
+# w (w + 1) / 2 over the walk, and a sign at a bracket end next to a zero of
+# S_n needs some 15-45 bits more.  The fewest bits that decide every query
+# of qec fan N were 109 at N = 4021 (w = 11), 113 at 6401, 133 at 20001, 164
+# at 100001, 219 at 1000001, 245 at 2400001 and 366 at 94906263 (w = 26),
+# and at x = -1 + 2^-52, 454 at n = 10^9 + 1 and 539 at 10^10 + 1.  A start
+# of 128 at every m lost one or two attempts from about N = 20001 on, and
+# three at 10^10 + 1.  Up to w = 12 (n < 8192, every odd_large fan) the
+# start stays 128.  Above it, every query of qec fan N at the N listed and
+# at 8193, 32769, 65537, 500001 and 30000001 decided at the first attempt,
+# and qec fan 94906263 took 0.38 against 0.84 ms in-process.
 _ENCLOSE_ABOVE = 3328
 _ENCLOSE_BITS = 128
 
@@ -451,14 +465,16 @@ def split_signs(n: int, x: Fraction | int) -> tuple[int, int, int]:
     """Exact signs of (s_poly(n), partial_e(n), partial_o(n)) at x = p/q.
 
     Where the exact pair is large (more than _ENCLOSE_ABOVE bits), the
-    signs are first read from integer enclosures of U_m and U_{m-1} at
-    bits = 128, 256, ... fractional bits (_enclosed_signs; Moore, Kearfott
-    and Cloud, Introduction to Interval Analysis, 2009, ch. 2-3).  An
-    enclosure holds the exact value, so one that excludes 0 gives its exact
-    sign; one that holds 0 decides nothing, and the bits are doubled while
-    they are below the exact pair's size.  Otherwise, and at last, all
-    three come from (V_m, V_{m-1}) = u_pair_at(m, p, q), which alone can
-    return 0.  Both paths give the same signs, and no float enters either.
+    signs are first read from integer enclosures of U_m and U_{m-1}
+    (_enclosed_signs; Moore, Kearfott and Cloud, Introduction to Interval
+    Analysis, 2009, ch. 2-3), with a first number of fractional bits that
+    grows with the bit length of m and is never below 128 (see
+    _ENCLOSE_BITS).  An enclosure holds the exact value, so one that
+    excludes 0 gives its exact sign; one that holds 0 decides nothing, and
+    the bits are doubled while they are below the exact pair's size.
+    Otherwise, and at last, all three come from (V_m, V_{m-1}) =
+    u_pair_at(m, p, q), which alone can return 0.  Both paths give the same
+    signs, and no float enters either.
 
     From the exact pair, each value times a positive power of q, which
     keeps its sign: with S_n = head U_m - tail U_{m-1} (_s_factors), d the
@@ -473,7 +489,8 @@ def split_signs(n: int, x: Fraction | int) -> tuple[int, int, int]:
     m, head, tail = _s_factors(n)
     exact_bits = m * (q.bit_length() - 1)
     if exact_bits > _ENCLOSE_ABOVE:
-        bits = _ENCLOSE_BITS
+        width = m.bit_length()
+        bits = max(_ENCLOSE_BITS, width * (width + 1) // 2 + 48)
         while True:
             signs = _enclosed_signs(n, p, q, bits)
             if signs is not None:
@@ -553,16 +570,35 @@ class IdentityCheck(NamedTuple):
 
 @dataclasses.dataclass
 class IdentityReport:
-    """Every check up to max_n; proven names, sorted, each identity proven
-    for every n on each parity class it is checked at."""
+    """The battery's outcome up to max_n, without one record per proven check.
+
+    decided holds the checks decided on Poly, sorted by (identity, n), each
+    failure with its two coefficient vectors.  proven holds the sorted
+    names proven for every n, each on every parity class it is checked at.
+    ranges holds one (name, indices) entry per identity class or coefficient
+    property that passed by proof: every n in indices passed.  checked
+    rebuilds the sorted list of every check from both, only when asked.
+    """
 
     max_n: int
-    checked: list[IdentityCheck]
+    decided: list[IdentityCheck]
     proven: tuple[str, ...]
+    ranges: tuple[tuple[str, range], ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.decided) + sum(len(indices) for _, indices in self.ranges)
+
+    @property
+    def checked(self) -> list[IdentityCheck]:
+        # No two checks share (identity, n), so the tuples sort by it.
+        return sorted(itertools.chain(self.decided, *(
+            map(IdentityCheck, itertools.repeat(name), indices, itertools.repeat(True))
+            for name, indices in self.ranges)))
 
     @property
     def failures(self) -> list[IdentityCheck]:
-        return [c for c in self.checked if not c.passed]
+        return [c for c in self.decided if not c.passed]
 
     @property
     def ok(self) -> bool:
@@ -583,7 +619,9 @@ def identity_suite(max_n: int) -> IdentityReport:
     """Check every implemented identity for all indices up to max_n.
 
     All results are exact over the integers; failures are recorded with
-    both coefficient vectors rather than raised.  The report is sorted by
+    both coefficient vectors rather than raised.  A check proven for every
+    n is kept as a range of indices, and only checks decided on Poly as
+    records (IdentityReport); report.checked lists every one, sorted by
     (identity, n) so output is deterministic.  The battery itself is in
     fanqec.identities, imported on first use so that commands which never
     verify do not load it.

@@ -134,7 +134,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     _emit(args.format,
           lambda: [json.dumps({
               "identities": report.to_json_dict(),
-              "identity_checks": len(report.checked),
+              "identity_checks": report.count,
               "roots_max_n": roots_cap,
               "roots_failures": roots_failures,
               "localization_unproven": unproven,
@@ -148,7 +148,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
               [["localization", "zero-localization-of-s", "", not unproven],
                ["inequality", "elementary-inequality", "", True]]),
           lambda: chain(
-              [f"identities: {len(report.checked)} checks up to n={args.max_n}, "
+              [f"identities: {report.count} checks up to n={args.max_n}, "
                f"{len(failures)} failures"],
               (f"  FAIL {c.identity} at n={c.n}" for c in failures),
               [f"gamma and beta brackets and initial values up to n={roots_cap}: "

@@ -49,6 +49,11 @@ A check without a proof, whether it has no bound, a failing base check, a
 failing tie or an unproven identity it rests on, is decided at every n on
 Poly, which also gives a failure its two coefficient vectors.
 
+The report (chebyshev.IdentityReport) keeps those decided checks as
+records, and each identity class or coefficient property proven for every
+n as one (name, range of n up to max_n) entry, so a sound build makes no
+record per n; report.checked lists every check only when it is asked for.
+
 Every stored family is read through ``chebyshev._STORED``.  It looks the
 builder of U, T, V or W up when it is used, so a builder replaced there is
 what the battery checks.  It reads pe, po, s and phi through
@@ -66,7 +71,6 @@ from __future__ import annotations
 
 import collections
 import operator
-from itertools import repeat
 from typing import Callable, Sequence
 
 from .chebyshev import (
@@ -378,10 +382,12 @@ def identity_suite(max_n: int) -> IdentityReport:
     with a bound (_order) whose base checks pass on the stored Poly objects,
     and only after those objects are tied to their definitions (_walk).  A
     coefficient property passes without Poly arithmetic only when every tie
-    held and every identity it rests on (_PROPERTIES) is proven.  Everything else, and every failure, is decided on Poly.  Base
-    checks above max_n are not reported, but they run whatever max_n is, so
-    the report's proven checks are the same at every max_n for a sound
-    build.
+    held and every identity it rests on (_PROPERTIES) is proven.  Each such
+    class or property enters the report as one (name, indices) range.
+    Everything else, and every failure, is decided on Poly and enters it as
+    one IdentityCheck per n, sorted by (identity, n).  Base checks above
+    max_n are not reported, but they run whatever max_n is, so the report's
+    proven checks are the same at every max_n for a sound build.
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
@@ -395,23 +401,23 @@ def identity_suite(max_n: int) -> IdentityReport:
         for family, k in class_reads:
             reads[family] = max(reads.get(family, k.b), k.b, k.a * j + k.b)
     ties = _walk(reads)
-    checked, unproven = [], set()
+    decided, ranges, unproven = [], [], set()
     for name, r, fn, (order, _) in plan:
         indices = range(r, max_n + 1, 2)
         if ties and order and all(operator.eq(*fn(_STORED, n))
                                   for n in range(r, r + 2 * order, 2)):
-            checked.extend(map(IdentityCheck, repeat(name), indices, repeat(True)))
+            ranges.append((name, indices))
         else:
             unproven.add(name)
-            checked.extend(_cmp(name, n, *fn(_STORED, n)) for n in indices)
+            decided.extend(_cmp(name, n, *fn(_STORED, n)) for n in indices)
     proven, indices = {name for name, *_ in plan} - unproven, range(max_n + 1)
     for name, family, rests_on in _PROPERTIES:
         if ties and proven.issuperset(rests_on):
             proven.add(name)
-            checked.extend(map(IdentityCheck, repeat(name), indices, repeat(True)))
+            ranges.append((name, indices))
         else:
             check = _divisible_by_x_minus_one if family == "s" else _compressed_monic
-            checked.extend(check(name, n, _STORED.member(family, n)) for n in indices)
+            decided.extend(check(name, n, _STORED.member(family, n)) for n in indices)
     # No two checks share (identity, n), so the tuples sort by it.
-    checked.sort()
-    return IdentityReport(max_n, checked, tuple(sorted(proven)))
+    decided.sort()
+    return IdentityReport(max_n, decided, tuple(sorted(proven)), tuple(ranges))

@@ -618,6 +618,21 @@ class TestIdentitySuite:
         assert entry.lhs is not None and entry.rhs is not None
         assert entry.lhs != entry.rhs
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 11, 24, 60, 300])
+    def test_checked_is_the_eager_sorted_list(self, n):
+        # Every check passed, one record per (identity, n) on the parity
+        # class it is checked at, sorted: the list built record by record.
+        report = identity_suite(n)
+        eager = sorted(
+            [IdentityCheck(name, k, True) for name, parity, _ in identities._IDENTITIES
+             for k in range(n + 1) if parity is None or k % 2 == parity]
+            + [IdentityCheck(name, k, True) for name, *_ in identities._PROPERTIES
+               for k in range(n + 1)])
+        assert report.checked == eager
+        assert report.count == len(report.checked)
+        # A sound build decides nothing on Poly.
+        assert report.decided == [] and report.ok
+
     def test_check_is_an_immutable_record_that_pickles(self):
         checks = [IdentityCheck("u-square-gap", 4, True),
                   IdentityCheck("compressed-u-monic", 3, False, (0, -6, 0, 8), (0, -3, 0, 1))]

@@ -113,6 +113,28 @@ def test_golden_stdout_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN[command]
 
 
+def test_sound_verify_makes_no_record_per_proven_check(capsys, monkeypatch):
+    # Every check of a sound build is proven, so plain and JSON verify
+    # print the count without one IdentityCheck per (identity, n); only CSV,
+    # which prints a row per check, builds the 8428 records.
+    made = []
+    real = chebyshev.IdentityCheck.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args[:3])
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(chebyshev.IdentityCheck, "__new__", staticmethod(counting))
+    for fmt, digest in (("plain", _GOLDEN["verify --max-n 300"]),
+                        ("json", _GOLDEN["verify --max-n 300 --format json"])):
+        code, out, _ = run(capsys, "verify", "--max-n", "300", "--format", fmt)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+        assert made == [], (fmt, made[:3])
+    code, out, _ = run(capsys, "verify", "--max-n", "300", "--format", "csv")
+    assert code == 0 and len(made) == 8428
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN["verify --max-n 300 --format csv"]
+
+
 # SHA-256 of the stdout of `poly <family> <n> --format <f>` for every valid n
 # in _POLY_INDICES and f in plain, csv, json, concatenated in that order.
 # Recorded at commit 43098b0, where U, T, V and W were walked up their

@@ -356,6 +356,18 @@ def test_large_n_signs_next_to_a_zero(enclosures, n):
     assert max(bits for bits, decided in enclosures if decided) >= 512
 
 
+@pytest.mark.parametrize("n, first", [
+    (4021, 128), (8191, 128), (94906263, 399), (10 ** 9 + 1, 483)])
+def test_first_enclosure_width_grows_with_m(enclosures, n, first):
+    # Next to -1, 128 and 256 bits lose the signs at 94906263 and at
+    # 10^9 + 1; the first width, grown from the bit length of m, decides
+    # at once.  Up to n = 8191, the odd_large fans included, it is 128.
+    x = Fraction(-1) + Fraction(1, 2 ** 52)
+    signs = split_signs(n, x)
+    assert enclosures == [(first, True)]
+    assert signs == chebyshev._enclosed_signs(n, x.numerator, x.denominator, 2 * first)
+
+
 def test_exact_zeros_come_from_the_kernel(monkeypatch, enclosures):
     # U_50000(-1/2) = 0 because 3 divides 50001, so partial_e(100001) is 0
     # there: every enclosure holds 0, and only the exact pair decides.
