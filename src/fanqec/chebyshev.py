@@ -23,7 +23,9 @@ of state and O(log m) multiplications of numbers up to the final size
 (``u_pair_at``), about m log2(q) bits.  Where that is large,
 ``split_signs`` first runs the same doubling on integer enclosures of
 (U_m, U_{m-1})(p/q) with a few hundred fractional bits, outward-rounded
-so that they hold the exact values; an enclosure that excludes 0 is a
+so that they hold the exact values, and encloses the factors head and tail
+of S_n by the floor and ceiling of their exact values at p/q, which the
+exact path computes too (``_homogenised``); an enclosure that excludes 0 is a
 proof of the sign, and one that holds 0 is retried with more bits and
 then handed to the exact pair, which alone returns a sign 0.  A product
 of two enclosures forms only the two end products their signs name
@@ -393,16 +395,6 @@ def _u_pair_enclosure(m: int, x_lo: int, x_hi: int, bits: int) -> tuple[int, ...
     return cur_lo, cur_hi, prev_lo, prev_hi
 
 
-def _poly_enclosure(coeffs: tuple[int, ...], x_lo: int, x_hi: int,
-                    bits: int) -> tuple[int, int]:
-    """Enclosure at 2^bits of the integer polynomial coeffs (ascending) at x."""
-    lo = hi = coeffs[-1] << bits
-    for c in reversed(coeffs[:-1]):
-        lo, hi = _mul(lo, hi, x_lo, x_hi, bits)
-        lo, hi = lo + (c << bits), hi + (c << bits)
-    return lo, hi
-
-
 def _enclosed_sign(lo: int, hi: int) -> int | None:
     """The sign of every value in [lo, hi], or None if 0 is in it."""
     return 1 if lo > 0 else -1 if hi < 0 else None
@@ -414,12 +406,17 @@ def _enclosed_signs(n: int, p: int, q: int, bits: int) -> tuple[int, int, int] |
     The formulas are split_signs', on U_m and U_{m-1} rather than V: S_n =
     head U_m - tail U_{m-1}; for odd n partial_e = U_m and partial_o =
     2 (x U_m - U_{m-1}), for even n U_m + U_{m-1} and U_m - U_{m-1}.
+    x, head(x) and tail(x) times 2^bits are enclosed by the floor and
+    ceiling of their exact values (_point), head(x) = _homogenised(head, p,
+    q) / q^d for head of degree d, and U_m, U_{m-1} by _u_pair_enclosure.
     """
     m, head, tail = _s_factors(n)
     x_lo, x_hi = _point(p, q, bits)
     um_lo, um_hi, um1_lo, um1_hi = _u_pair_enclosure(m, x_lo, x_hi, bits)
-    h_lo, h_hi = _mul(*_poly_enclosure(head, x_lo, x_hi, bits), um_lo, um_hi, bits)
-    t_lo, t_hi = _mul(*_poly_enclosure(tail, x_lo, x_hi, bits), um1_lo, um1_hi, bits)
+    h_lo, h_hi = _mul(*_point(_homogenised(head, p, q), q ** (len(head) - 1), bits),
+                      um_lo, um_hi, bits)
+    t_lo, t_hi = _mul(*_point(_homogenised(tail, p, q), q ** (len(tail) - 1), bits),
+                      um1_lo, um1_hi, bits)
     if n % 2:
         xu_lo, xu_hi = _mul(x_lo, x_hi, um_lo, um_hi, bits)
         e_lo, e_hi, o_lo, o_hi = um_lo, um_hi, xu_lo - um1_hi, xu_hi - um1_lo

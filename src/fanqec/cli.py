@@ -81,16 +81,23 @@ def _emit(fmt: str, data: Callable[[], Iterable[str]], header: list[str],
     CSV, or lines() one per line.
 
     Each piece is written as it comes.  Only fmt's callable runs: no command
-    builds a payload it does not print."""
-    if fmt == "json":
-        sys.stdout.writelines(chain(data(), ["\n"]))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows())
-    else:
-        for line in lines():
-            print(line)
+    builds a payload it does not print.  Python's limit on the digits of an
+    int converted to str is lifted while it writes, so a coefficient of any
+    size prints, and restored after; arguments are parsed under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            sys.stdout.writelines(chain(data(), ["\n"]))
+        elif fmt == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows())
+        else:
+            for line in lines():
+                print(line)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cert_text(certificate: dict[str, float] | None) -> str:

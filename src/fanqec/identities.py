@@ -176,10 +176,12 @@ _IDENTITIES: tuple[tuple[str, int | None, Callable], ...] = (
 class _Index:
     """The index a*j + b on one parity class n = 2j + r, j = 0, 1, 2, ...
 
-    It adds and subtracts ints and indices, multiplies by ints, and divides
-    by an int d that divides a (//, % and divmod, the remainder b % d being
-    the same at every j).  Comparisons, bool and hash raise, so a formula
-    that branches on the index cannot run on one.
+    It adds and subtracts ints and indices with the index on the left,
+    negates, multiplies by ints, and divides by an int d that divides a (//
+    and divmod, the remainder b % d being the same at every j): all that
+    the identities use.  Comparisons, bool and hash raise, so a formula
+    that branches on the index cannot run on one, and one that needs any
+    other operation (1 - n, n % 2) gets no bound.
     """
 
     __slots__ = ("a", "b")
@@ -195,16 +197,11 @@ class _Index:
         other = _Index.of(other)
         return _Index(self.a + other.a, self.b + other.b)
 
-    __radd__ = __add__
-
     def __neg__(self) -> _Index:
         return _Index(-self.a, -self.b)
 
     def __sub__(self, other: _Index | int) -> _Index:
         return self + -_Index.of(other)
-
-    def __rsub__(self, other: int) -> _Index:
-        return -self + other
 
     def __mul__(self, other: int) -> _Index:
         if not isinstance(other, int):
@@ -220,9 +217,6 @@ class _Index:
 
     def __floordiv__(self, d: int) -> _Index:
         return divmod(self, d)[0]
-
-    def __mod__(self, d: int) -> int:
-        return divmod(self, d)[1]
 
     def _refuse(self, *args):
         raise TypeError("an index a*j + b has no value to compare, test or hash")
@@ -255,7 +249,7 @@ class _Terms(dict):
             out[e] = max(d, out.get(e, d))
         return out
 
-    __radd__ = __sub__ = __rsub__ = __add__
+    __sub__ = __add__
 
     def __mul__(self, other: _Terms | _Index | int) -> _Terms:
         out = _Terms()

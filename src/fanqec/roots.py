@@ -222,40 +222,6 @@ def _verified_endpoint(n: int, j: int, side: int, part: int, want: int) -> Fract
     raise BadBracket(f"no verified endpoint near {float(base)} (sign {want})")
 
 
-def _float_refined(sign: ExactSign, feval, bracket: Bracket, tol: float) -> Bracket:
-    """Shrink a bracket with float bisection, re-verifying endpoints exactly.
-
-    Purely an accelerator: endpoints that fail the exact sign check are
-    discarded in favour of the originals, so correctness never depends on
-    the float evaluator.
-    """
-    lo, hi = float(bracket.lo), float(bracket.hi)
-    target = max(0.25 * tol, 1e-13)
-    neg_lo = bracket.sign_lo < 0
-    for _ in range(80):
-        if hi - lo <= target:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = feval(mid)
-        if fm == 0.0:
-            break
-        if (fm < 0.0) == neg_lo:
-            lo = mid
-        else:
-            hi = mid
-    new_lo, new_hi = bracket.lo, bracket.hi
-    cand_lo, cand_hi = Fraction(lo), Fraction(hi)
-    if cand_lo > new_lo and sign(cand_lo) == bracket.sign_lo:
-        new_lo = cand_lo
-    if cand_hi < new_hi and sign(cand_hi) == bracket.sign_hi:
-        new_hi = cand_hi
-    if new_lo >= new_hi:
-        return bracket
-    return Bracket(new_lo, new_hi, bracket.sign_lo, bracket.sign_hi)
-
-
 def _grid_point(j: int, den: int) -> float:
     """cos(j*pi/den) on the zero grid of S_n."""
     return math.cos(j * math.pi / den)
@@ -328,12 +294,35 @@ def _zero_in(s: ExactSign, n: int, bracket: Bracket, tol: float) -> ZeroCert:
     """Certified zero of S_n in a bracket that holds exactly one.
 
     A rational probe inside the bracket that is a zero gives an exact
-    certificate; otherwise the bracket is float-refined and then bisected.
+    certificate.  Otherwise float bisection on s_value proposes two nearer
+    ends, and each is kept only if its exact sign is that of the end it
+    replaces, so correctness never depends on the float; exact bisection
+    then narrows the bracket to tol.
     """
     for cand in _RATIONAL_PROBES:
         if bracket.lo < cand < bracket.hi and s(cand) == 0:
             return _exact_cert(s, cand)
-    bracket = _float_refined(s, lambda x: s_value(n, x), bracket, tol)
+    lo, hi = float(bracket.lo), float(bracket.hi)
+    # Every bracket lies in [-1, 1], where doubles are at most 2^-53 (1.1e-16)
+    # apart, and target is at least 1e-13: each midpoint lies strictly inside,
+    # and at most 45 halvings of a width of at most 2 reach target.
+    target = max(0.25 * tol, 1e-13)
+    while hi - lo > target:
+        mid = 0.5 * (lo + hi)
+        fm = s_value(n, mid)
+        if fm == 0.0:
+            break
+        if (fm < 0.0) == (bracket.sign_lo < 0):
+            lo = mid
+        else:
+            hi = mid
+    new_lo, new_hi = Fraction(lo), Fraction(hi)
+    if new_lo <= bracket.lo or s(new_lo) != bracket.sign_lo:
+        new_lo = bracket.lo
+    if new_hi >= bracket.hi or s(new_hi) != bracket.sign_hi:
+        new_hi = bracket.hi
+    if new_lo < new_hi:
+        bracket = Bracket(new_lo, new_hi, bracket.sign_lo, bracket.sign_hi)
     return bisect(s, bracket, tol)
 
 

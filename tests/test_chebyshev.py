@@ -833,7 +833,9 @@ class TestModularBattery:
     @pytest.mark.parametrize("use", [
         lambda n: n == 7, lambda n: n < 7, lambda n: bool(n), lambda n: {n},
         lambda n: n // 4, lambda n: divmod(n // 2, 2), lambda n: n * n,
-    ], ids=["eq", "lt", "bool", "hash", "floordiv-4", "divmod-slope-1", "square"])
+        lambda n: n % 2, lambda n: 1 + n, lambda n: 1 - n,
+    ], ids=["eq", "lt", "bool", "hash", "floordiv-4", "divmod-slope-1", "square",
+            "mod", "int-plus-index", "int-minus-index"])
     def test_formula_that_is_not_affine_in_j_gets_no_bound(self, use):
         def fn(f, n):
             use(n)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fanqec import chebyshev, qec, roots
+from fanqec import chebyshev, cli, qec, roots
 from fanqec.cli import main
 from fanqec.graphs import path
 from fanqec.polynomial import Poly
@@ -103,6 +103,12 @@ _GOLDEN = {
         "a9ad1e400d931ebaf6fc53b856b2a9dd03f0df9d378e62a335e8b69841aca798",
     "qec fan 100000 --method root":
         "de4ea0c0b582215fd28dd92ce8a3bfc6a2be4b4c7dc2604cf0343339bcd5f49d",
+    # Recorded at commit 029915f: below tol 4e-13 the float proposal stops at
+    # width 1e-13 and exact bisection narrows on from there.
+    "qec fan 4011 --tol 1e-15 --format json":
+        "10e8f88ae448c4526f977601b4a19ba4e082e56cbe2e0a7941ffd2060c5e28a2",
+    "table fan 1 401 --tol 3e-13 --format csv":
+        "71c21b1bccc595b008e5007e300873009616b76ac865ff1f3e735669622ee522",
 }
 
 
@@ -436,6 +442,58 @@ class TestPoly:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["family", "n", "coeffs"]
         assert rows[1] == ["s", "2", "-3 -3 6"]
+
+
+# A coefficient of 5000 digits, over Python's default limit of 4300 on
+# int-to-str conversion, and its digits written out.
+_BIG_COEFF = 10 ** 4999
+_BIG_DIGITS = "1" + "0" * 4999
+
+
+class TestDigitLimit:
+    @pytest.mark.parametrize("fmt, expected", [
+        ("plain", f"[{_BIG_DIGITS}, 1]\n"),
+        ("csv", f"family,n,coeffs\nu,3,{_BIG_DIGITS} 1\n"),
+        ("json", f'{{"family": "u", "n": 3, "coeffs": [{_BIG_DIGITS}, 1]}}\n'),
+    ], ids=["plain", "csv", "json"])
+    def test_poly_prints_a_coefficient_of_any_size(self, capsys, monkeypatch,
+                                                    fmt, expected):
+        monkeypatch.setitem(cli._FAMILIES, "u", (lambda n: Poly((_BIG_COEFF, 1)), -2))
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, "poly", "u", "3", "--format", fmt) == (0, expected, "")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_verify_failure_payload_prints_a_coefficient_of_any_size(
+            self, capsys, monkeypatch):
+        failure = chebyshev.IdentityCheck("u-split-product", 4, False, (_BIG_COEFF,), (1,))
+        monkeypatch.setattr(cli, "identity_suite", lambda max_n: chebyshev.IdentityReport(
+            max_n, [failure], tuple(roots.LOCALIZATION_IDENTITIES), ()))
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "verify", "--max-n", "4", "--format", "json")
+        assert code == 1
+        assert (f'"failures": [{{"identity": "u-split-product", "n": 4, '
+                f'"lhs": [{_BIG_DIGITS}], "rhs": [1]}}]') in out
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_limit_is_restored_when_printing_raises(self, capsys, monkeypatch):
+        # table computes every row after the first while it prints.
+        real = cli.qec_fan
+
+        def failing_at_two(n, tol):
+            if n == 2:
+                raise ValueError("no value at 2")
+            return real(n, tol=tol)
+
+        monkeypatch.setattr(cli, "qec_fan", failing_at_two)
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, "table", "fan", "1", "2")[0] == 2
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_arguments_are_parsed_under_the_limit(self, capsys):
+        code, out, err = run(capsys, "poly", "u", "1" * 4301)
+        assert code == 2 and out == ""
+        assert "argument n" in err
+        assert sys.get_int_max_str_digits() == 4300
 
 
 class TestVerify:

@@ -116,7 +116,7 @@ def _root_query_signs_match(calls) -> set[tuple[int, Fraction]]:
     """Compares the recurrence signs with Poly.sign_at where the root finders
     ask them; returns every (n, x) compared."""
     # zeros_of_s asks split_signs at ~70k points over all n <= 300 (grid
-    # bracket ends, float-refined ends and bisection midpoints); its points
+    # bracket ends, float-proposed ends and bisection midpoints); its points
     # are taken exhaustively up to the verify default cap (60) and at five
     # larger indices to keep the run short.
     indices = range(0, 301)
@@ -416,7 +416,7 @@ def test_odd_value_strictly_inside_proven_bounds(n):
 def test_odd_root_query_count_does_not_depend_on_rounding(split_sign_calls, n):
     # The rounded cosine grid point lies on the zero's side at n = 3481 and
     # beyond it at n = 3479; both take the exact signs at -1, at the grid
-    # endpoint and at the float-refined lower endpoint, nothing more.
+    # endpoint and at the float-proposed lower endpoint, nothing more.
     cert = roots.gamma(n)
     assert len(split_sign_calls) == 3
     assert cert.hi - cert.lo <= 1e-12

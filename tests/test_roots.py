@@ -567,3 +567,40 @@ class TestElementaryInequality:
     def test_strict_in_interior(self):
         x = 1.0 / 6.0
         assert (1 - x) / (1 + x) < math.cos(math.pi * x)
+
+
+@pytest.mark.parametrize("liar", [lambda n, x: -s_value(n, x), lambda n, x: 1.0],
+                         ids=["negated", "constant"])
+@pytest.mark.parametrize("n", [4, 41, 400])
+def test_a_lying_float_proposer_moves_no_certificate(split_sign_calls, monkeypatch,
+                                                     liar, n):
+    # A float proposer whose every sign is wrong (or the same) walks the float
+    # bisection to one end of the bracket, so the end proposed on the other
+    # side has the wrong exact sign and is refused; exact bisection then
+    # narrows from the bracket's own end.  Every certificate still holds the
+    # one zero of its bracket within tol.
+    tol = Fraction(1e-12)
+    honest = [gamma(n), *zeros_of_s(n)[:-1]]
+    honest_queries = len(split_sign_calls)
+    brackets = [next(roots._s_brackets(n)), *roots._s_brackets(n)]
+    bisected, real_bisect = [], roots.bisect
+
+    def recording(sign, bracket, tol):
+        bisected.append(bracket)
+        return real_bisect(sign, bracket, tol)
+
+    monkeypatch.setattr(roots, "s_value", liar)
+    monkeypatch.setattr(roots, "bisect", recording)
+    split_sign_calls.clear()
+    lying = [gamma(n), *zeros_of_s(n)[:-1]]
+    assert len(bisected) == len(brackets) == len(lying) == len(honest)
+    for proposed, bracket in zip(bisected, brackets):
+        assert proposed.lo == bracket.lo or proposed.hi == bracket.hi
+    # Each refusal costs exact bisection steps from the bracket's own end.
+    assert len(split_sign_calls) > honest_queries + 10 * len(brackets)
+    for cert, truth, bracket in zip(lying, honest, brackets):
+        assert bracket.lo <= cert.lo < cert.hi <= bracket.hi
+        assert cert.hi - cert.lo <= tol
+        assert split_signs(n, cert.lo)[0] == bracket.sign_lo
+        assert split_signs(n, cert.hi)[0] == bracket.sign_hi
+        assert cert.lo <= truth.hi and truth.lo <= cert.hi
