@@ -23,9 +23,8 @@ _EXPORTS = {
                   "cheb_v", "cheb_w", "compress", "identity_suite", "partial_e",
                   "partial_o", "phi", "s_poly", "s_value", "split_signs", "u_pair_at"),
     "graphs": ("Disconnected", "Graph", "ParseError", "distance_matrix", "fan",
-               "from_edge_list", "join", "path", "path_eigenvector", "path_spectrum",
-               "single"),
-    "polynomial": ("ONE", "X", "ZERO", "NotDivisible", "Poly"),
+               "from_edge_list", "join", "path", "path_eigenvector", "path_spectrum"),
+    "polynomial": ("X", "NotDivisible", "Poly"),
     "qec": ("CrossCheckReport", "CrossCheckRow", "Method", "NearSingular", "QecResult",
             "cross_validate", "helmert_basis", "key_identity_check", "qec_fan",
             "qec_numeric"),

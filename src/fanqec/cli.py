@@ -14,10 +14,11 @@ stdout, diagnostics to stderr.  Exit codes: 0 success or help, 1
 verification failure, 2 bad arguments, 3 disconnected input graph, 141
 (128 + SIGPIPE) stdout closed before all output was written, with nothing
 on stderr.  An integer argument too large to compute with is a bad
-argument.  A bad command line prints nothing to stdout, and a usage line
-and `fanqec <cmd>: error: argument <name>: <message>` to stderr.  `main`
-maps the library's exceptions onto the codes in one place and never prints
-a traceback.
+argument, and so is a fan size the root route cannot reach, (n + 1)^2 >
+2^53, on that route.  A bad command line prints nothing to stdout, and a
+usage line and `fanqec <cmd>: error: argument <name>: <message>` to
+stderr.  `main` maps the library's exceptions onto the codes in one place
+and never prints a traceback.
 """
 
 from __future__ import annotations

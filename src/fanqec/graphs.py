@@ -27,7 +27,11 @@ class Disconnected(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: vertex count plus a set of (u, v) pairs, u < v."""
+    """Simple undirected graph: vertex count plus a set of (u, v) pairs.
+
+    Each pair must already be ordered, 0 <= u < v < n_vertices; anything
+    else raises ValueError.  from_edge_list orders the pairs it parses.
+    """
 
     n_vertices: int
     edges: frozenset[tuple[int, int]]
@@ -38,19 +42,6 @@ class Graph:
         for u, v in self.edges:
             if not (0 <= u < v < self.n_vertices):
                 raise ValueError(f"edge ({u}, {v}) out of range or not normalized")
-
-    @classmethod
-    def from_edges(cls, n_vertices: int, edges) -> Graph:
-        normalized = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            normalized.add((min(u, v), max(u, v)))
-        return cls(n_vertices, frozenset(normalized))
-
-
-def single() -> Graph:
-    return Graph(1, frozenset())
 
 
 def path(n: int) -> Graph:
@@ -72,19 +63,21 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 
 def fan(n: int) -> Graph:
-    """Fan on n+1 vertices: hub 0 joined to the path 1..n."""
+    """Fan on n+1 vertices: hub 0, the one-vertex path(1), joined to the path 1..n."""
     if n < 1:
         raise ValueError("fan needs n >= 1")
-    return join(single(), path(n))
+    return join(path(1), path(n))
 
 
 def from_edge_list(text: str) -> Graph:
     """Parse `u v` pairs, one per line; `#` starts a comment; 0-indexed.
 
     A label is ASCII decimal digits; a leading `-` is refused as negative.
-    The vertex count is max label + 1.  A label below the maximum that no
-    edge uses would be an isolated vertex, so it raises Disconnected here,
-    before anything of that size is allocated.
+    Each pair is stored as (min, max), the order Graph requires, so a
+    reversed or repeated line adds no second edge.  The vertex count is max
+    label + 1.  A label below the maximum that no edge uses would be an
+    isolated vertex, so it raises Disconnected here, before anything of that
+    size is allocated.
     """
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -102,7 +95,7 @@ def from_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: negative vertex label in {raw!r}")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u, v))
+        edges.append((min(u, v), max(u, v)))
     if not edges:
         raise ParseError("no edges found")
     labels = {w for e in edges for w in e}
@@ -110,7 +103,7 @@ def from_edge_list(text: str) -> Graph:
         # The smallest unused label is below len(labels): O(E) to find.
         unused = next(w for w in range(len(labels)) if w not in labels)
         raise Disconnected(f"vertex {unused} is in no edge")
-    return Graph.from_edges(len(labels), edges)
+    return Graph(len(labels), frozenset(edges))
 
 
 # Sources per block of the breadth-first search are chosen so that a block

@@ -166,6 +166,4 @@ class Poly:
         return float(self.evaluate(x))
 
 
-ZERO = Poly()
-ONE = Poly((1,))
 X = Poly((0, 1))

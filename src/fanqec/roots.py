@@ -208,13 +208,20 @@ def _verified_endpoint(n: int, j: int, side: int, part: int, want: int) -> Fract
     is that the rounded base lies within one gap of g_j: 2/den^2 = 3.5e-13
     at n = 2.4e6 is over 300 times the rounding, as j pi/den in doubles is
     within 8.2e-16 of the angle and cos adds at most one unit in the last place.
+
+    From (n + 1)^2 > 2^53, n > 94906264, the cap is below the first nudge,
+    so no candidate could be tried: such n raise ValueError, not BadBracket,
+    before any sign query.  Nothing is refuted there; the n is out of range.
     """
     den = n + 1
+    cap = min(_NUDGE_LIMIT, Fraction(2, den * den))
+    if cap < _NUDGE_START:
+        raise ValueError(f"root route needs (n + 1)^2 <= 2^53, n <= 94906264, got {n}")
     base = Fraction(-1) if j == den else Fraction(_grid_point(j, den))
     i = j - 1 if side == _ABOVE else j
     gap = (-1) ** (i // 2), (-1) ** ((i + 1) // 2)
     nudge = Fraction(0) if j == den else _NUDGE_START
-    while nudge <= min(_NUDGE_LIMIT, Fraction(2, den * den)):
+    while nudge <= cap:
         signs = split_signs(n, base + side * nudge)
         if signs[1:] == gap and signs[part] == want:
             return base + side * nudge

@@ -29,7 +29,7 @@ from fanqec.chebyshev import (
     s_value,
 )
 from fanqec import chebyshev, identities, roots
-from fanqec.polynomial import ONE, Poly
+from fanqec.polynomial import Poly
 
 
 def u_value(n: int, x: float) -> float:
@@ -104,12 +104,12 @@ class TestSecondKind:
 
 class TestOtherKinds:
     def test_first_kind(self):
-        assert cheb_t(0) == ONE
+        assert cheb_t(0) == Poly((1,))
         assert cheb_t(1) == Poly([0, 1])
         assert cheb_t(2) == Poly([-1, 0, 2])
 
     def test_third_kind_seed(self):
-        assert cheb_v(0) == ONE
+        assert cheb_v(0) == Poly((1,))
         assert cheb_v(1) == Poly([-1, 2])
 
     def test_fourth_kind_matches_even_part(self):

@@ -774,6 +774,18 @@ def test_integer_too_large_exits_two(capsys, argv):
     assert err.strip() and "Traceback" not in err
 
 
+# From (n + 1)^2 > 2^53 no bracket end of the root route can be tried: a bad
+# argument, not a failed verification.
+@pytest.mark.parametrize("argv", [["qec", "fan", "94906265"],
+                                  ["qec", "fan", "94906266", "--method", "root"]],
+                         ids=["qec fan 94906265", "qec fan 94906266 --method root"])
+def test_past_the_root_route_range_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "root route needs (n + 1)^2 <= 2^53, n <= 94906264, " \
+                  f"got {argv[2]}\n"
+
+
 class TestTable:
     def test_csv_contents_roundtrip(self, capsys):
         code, out, _ = run(capsys, "table", "fan", "1", "5", "--format", "csv")
@@ -798,6 +810,16 @@ class TestTable:
         assert float(rows[1][1]) == -1.0
         assert float(rows[1][1]) == pytest.approx(-4 * math.sin(math.pi / 6) ** 2,
                                                   abs=1e-15)
+
+    def test_row_past_the_root_route_range_exits_two_after_the_rows_before(self, capsys):
+        code, out, err = run(capsys, "table", "fan", "94906263", "94906266",
+                             "--format", "csv")
+        assert code == 2
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [r[:3] for r in rows] == [["n", "qec", "method"],
+                                         ["94906263", rows[1][1], "root-based"],
+                                         ["94906264", rows[2][1], "closed-form-even"]]
+        assert "n <= 94906264, got 94906265" in err
 
     def test_reversed_range_exits_two(self, capsys):
         code, _, _ = run(capsys, "table", "fan", "5", "4")

@@ -19,7 +19,6 @@ from fanqec.graphs import (
     path,
     path_eigenvector,
     path_spectrum,
-    single,
 )
 
 
@@ -33,29 +32,29 @@ def path_adjacency(n: int) -> np.ndarray:
 
 
 def complete(n: int) -> Graph:
-    return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def star(n: int) -> Graph:
-    return Graph.from_edges(n, ((0, i) for i in range(1, n)))
+    return Graph(n, frozenset((0, i) for i in range(1, n)))
 
 
 def complete_minus_matching(n: int) -> Graph:
     """K_n for even n without the edges {2i, 2i+1}: diameter 2, dense."""
-    return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)
-                                if not (i % 2 == 0 and j == i + 1)))
+    return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)
+                              if not (i % 2 == 0 and j == i + 1)))
 
 
 def random_connected(rng: random.Random, n: int) -> Graph:
     """Random spanning tree on shuffled labels plus up to n random chords."""
     labels = list(range(n))
     rng.shuffle(labels)
-    edges = {(labels[i], labels[rng.randrange(i)]) for i in range(1, n)}
+    edges = {tuple(sorted((labels[i], labels[rng.randrange(i)]))) for i in range(1, n)}
     for _ in range(rng.randrange(n + 1)):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
-            edges.add((u, v))
-    return Graph.from_edges(n, edges)
+            edges.add(tuple(sorted((u, v))))
+    return Graph(n, frozenset(edges))
 
 
 def reference_distances(g: Graph) -> list[list[int]]:
@@ -91,11 +90,11 @@ def reference_graphs() -> list[Graph]:
 
 DISCONNECTED = [
     Graph(2, frozenset()),
-    Graph.from_edges(4, [(0, 1), (2, 3)]),
+    Graph(4, frozenset([(0, 1), (2, 3)])),
     # A component without vertex 0, and vertex 0 alone.
-    Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
-    Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)]),
-    Graph.from_edges(6, [(0, 5), (1, 2), (2, 3), (3, 4)]),
+    Graph(5, frozenset([(0, 1), (1, 2), (3, 4)])),
+    Graph(4, frozenset([(1, 2), (2, 3), (1, 3)])),
+    Graph(6, frozenset([(0, 5), (1, 2), (2, 3), (3, 4)])),
 ]
 
 
@@ -110,14 +109,14 @@ class TestConstruction:
         assert len(g.edges) == 9
 
     def test_join_of_singletons(self):
-        assert join(single(), single()).edges == complete(2).edges
+        assert join(path(1), path(1)).edges == complete(2).edges
 
     def test_fan_is_join_of_hub_and_path(self):
-        assert fan(7) == join(single(), path(7))
+        assert fan(7) == join(path(1), path(7))
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            Graph.from_edges(2, [(1, 1)])
+            Graph(2, frozenset({(1, 1)}))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -132,6 +131,10 @@ class TestEdgeList:
     def test_roundtrip(self):
         g = from_edge_list("0 1\n1 2  # comment\n\n# full comment\n2 3\n")
         assert g == path(4)
+
+    def test_reversed_and_repeated_pairs_are_one_edge(self):
+        # Graph itself refuses an unordered pair; the parser orders each.
+        assert from_edge_list("1 0\n2 1\n0 1\n") == path(3)
 
     def test_malformed_line(self):
         with pytest.raises(ParseError):
@@ -184,7 +187,7 @@ class TestDistanceMatrix:
         assert set(off.tolist()) == {1, 2}
 
     def test_single_vertex(self):
-        d = distance_matrix(single())
+        d = distance_matrix(path(1))
         assert d.dtype == np.int64 and d.tolist() == [[0]]
 
     @pytest.mark.parametrize("g", reference_graphs(),
@@ -229,7 +232,7 @@ class TestDistanceMatrix:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u != v:
                     edges.add((min(u, v), max(u, v)))
-            d = distance_matrix(Graph.from_edges(n, edges))
+            d = distance_matrix(Graph(n, frozenset(edges)))
             assert np.array_equal(d, d.T)
             assert (np.diag(d) == 0).all()
             assert (d[~np.eye(n, dtype=bool)] >= 1).all()

@@ -15,13 +15,13 @@ from fanqec import chebyshev, graphs, polynomial, qec, roots
 _EXPORTED = [
     "BadBracket", "Bracket", "CrossCheckReport", "CrossCheckRow", "Disconnected",
     "Graph", "IdentityCheck", "IdentityReport", "Method", "NearSingular",
-    "NotDivisible", "NotIntegral", "ONE", "ParseError", "Poly", "QecResult",
-    "X", "ZERO", "ZeroCert", "beta", "bisect", "cheb_t", "cheb_u",
+    "NotDivisible", "NotIntegral", "ParseError", "Poly", "QecResult",
+    "X", "ZeroCert", "beta", "bisect", "cheb_t", "cheb_u",
     "cheb_v", "cheb_w", "compress", "cross_validate",
     "distance_matrix", "fan", "from_edge_list", "gamma", "helmert_basis",
     "identity_suite", "join", "key_identity_check", "partial_e", "partial_o", "path",
     "path_eigenvector", "path_spectrum", "phi", "qec_fan", "qec_numeric",
-    "root_report", "s_poly", "s_value", "single", "split_signs",
+    "root_report", "s_poly", "s_value", "split_signs",
     "u_pair_at", "zeros_of_s",
 ]
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanqec.polynomial import ONE, ZERO, NotDivisible, Poly
+from fanqec.polynomial import NotDivisible, Poly
 from fanqec.chebyshev import cheb_u, partial_e, phi, s_poly
 
 
@@ -40,7 +40,7 @@ class TestConstruction:
 
     def test_leading(self):
         assert Poly([-1, 0, 4]).leading == 4
-        assert ZERO.leading == 0
+        assert Poly().leading == 0
 
     def test_text_form_is_ascending_list(self):
         assert str(Poly([-1, 0, 4])) == "[-1, 0, 4]"
@@ -48,11 +48,11 @@ class TestConstruction:
 
 class TestAddition:
     def test_cancellation(self):
-        assert Poly([1, 2]) + Poly([0, -2]) == ONE
+        assert Poly([1, 2]) + Poly([0, -2]) == Poly((1,))
 
     def test_identity(self):
         p = Poly([3, 0, -1])
-        assert ZERO + p == p
+        assert Poly() + p == p
 
     def test_hand_sum(self):
         assert Poly([1, 2]) + Poly([-1, 2]) == Poly([0, 4])
@@ -72,8 +72,8 @@ class TestSubtraction:
     def test_integer_operands(self):
         assert Poly([1, 2]) - 3 == Poly([-2, 2])
         assert 3 - Poly([1, 2]) == Poly([2, -2])
-        assert 0 - ZERO == ZERO
-        assert 5 - ZERO == Poly([5])
+        assert 0 - Poly() == Poly()
+        assert 5 - Poly() == Poly([5])
 
     def test_matches_negated_sum(self):
         rng = random.Random(31415)
@@ -88,7 +88,7 @@ class TestMultiplication:
         assert Poly([-1, 1]) * Poly([1, 1]) == Poly([-1, 0, 1])
 
     def test_zero_annihilates(self):
-        assert Poly([1, 2, 3]) * ZERO == ZERO
+        assert Poly([1, 2, 3]) * Poly() == Poly()
 
     def test_matches_second_kind_member(self):
         # (2x+1)(2x-1) = 4x^2 - 1 is also the n=2 second-kind polynomial.
@@ -120,7 +120,7 @@ class TestExactDivision:
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
-            ONE.exact_div(ZERO)
+            Poly((1,)).exact_div(Poly())
 
 
 class TestEvaluation:
@@ -143,7 +143,7 @@ class TestEvaluation:
         assert abs(cheb_u(4).evaluate_float(math.cos(math.pi / 5))) < 1e-12
 
     def test_float_zero_poly(self):
-        assert ZERO.evaluate_float(7.0) == 0.0
+        assert Poly().evaluate_float(7.0) == 0.0
 
     def test_sign_at_matches_evaluate(self):
         rng = random.Random(20240601)

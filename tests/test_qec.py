@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fanqec import qec
+from fanqec import qec, roots
 from fanqec.graphs import Graph, fan, path, path_spectrum
 from fanqec.qec import (
     Method,
@@ -174,6 +174,21 @@ class TestCrossValidation:
             sigma = 2 * gamma(n).value
             branch = sigma if n in (3, 5) else min(sigma, 2 * beta(n))
             assert row.decomposition_value == -branch - 2.0, f"n={n}"
+
+    def test_each_odd_gamma_is_certified_once(self, monkeypatch):
+        # At odd n the selected method is the root route: its result is the
+        # decomposition too, so gamma_n is not certified a second time.
+        asked = []
+        real = roots.gamma
+
+        def counting(n, *args):
+            asked.append(n)
+            return real(n, *args)
+
+        monkeypatch.setattr(roots, "gamma", counting)
+        rows = cross_validate(9).rows
+        assert sorted(asked) == [3, 5, 7, 9]
+        assert all(r.decomposition_value == r.fan_value for r in rows if r.n % 2)
 
     def test_absent_branch_handled(self):
         report = cross_validate(6, 1e-8)

@@ -293,6 +293,31 @@ def test_large_bracket_ends_lie_in_their_gaps(split_sign_calls, n):
     assert all(min(abs(x - b) for b in bases) <= cap for x in probes)
 
 
+# From (n + 1)^2 > 2^53 the nudge cap 2/(n + 1)^2 is below the first nudge
+# 2^-52, so no bracket end could be tried: such n are refused as out of
+# range, not failed, before any sign query.  94906264 is the last n inside.
+@pytest.mark.parametrize("call", [lambda: gamma(94906265), lambda: beta(94906266),
+                                  lambda: gamma(10 ** 9 + 1)],
+                         ids=["gamma-94906265", "beta-94906266", "gamma-10^9+1"])
+def test_past_the_nudge_range_is_refused_before_any_sign_query(split_sign_calls, call):
+    with pytest.raises(ValueError, match=r"n <= 94906264, got ") as raised:
+        call()
+    assert not isinstance(raised.value, BadBracket)
+    assert split_sign_calls == []
+
+
+def test_zeros_of_s_past_the_nudge_range_is_refused():
+    with pytest.raises(ValueError, match=r"n <= 94906264, got 94906265$"):
+        zeros_of_s(94906265)
+
+
+def test_root_report_lets_the_range_refusal_through(monkeypatch):
+    # root_report lists failed brackets; an n out of range is not one.
+    monkeypatch.setattr(roots, "_NUDGE_START", Fraction(1, 2 ** 10))
+    with pytest.raises(ValueError, match=r"got 1$"):
+        root_report(1)
+
+
 @pytest.mark.parametrize("n", [60, 61, 401])
 def test_grid_point_past_its_neighbour_is_caught(monkeypatch, n):
     # Every rounded grid point moved up by one and a half grid steps, past
