@@ -44,7 +44,6 @@ reach 2**50 and beyond, or from an O(n) walk of the recurrence.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -565,8 +564,7 @@ class IdentityCheck(NamedTuple):
     rhs: tuple[int, ...] | None = None
 
 
-@dataclasses.dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """The battery's outcome up to max_n, without one record per proven check.
 
     decided holds the checks decided on Poly, sorted by (identity, n), each

@@ -14,8 +14,9 @@ stdout, diagnostics to stderr.  Exit codes: 0 success or help, 1
 verification failure, 2 bad arguments, 3 disconnected input graph, 141
 (128 + SIGPIPE) stdout closed before all output was written, with nothing
 on stderr.  An integer argument too large to compute with is a bad
-argument, and so is a fan size the root route cannot reach, (n + 1)^2 >
-2^53, on that route.  A bad command line prints nothing to stdout, and a
+argument, and so are a size over the top its argument admits in
+`_COMMANDS` and a fan size the root route cannot reach, (n + 1)^2 > 2^53,
+on that route.  A bad command line prints nothing to stdout, and a
 usage line and `fanqec <cmd>: error: argument <name>: <message>` to
 stderr.  `main` maps the library's exceptions onto the codes in one place
 and never prints a traceback.
@@ -23,8 +24,6 @@ and never prints a traceback.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 import sys
@@ -76,21 +75,26 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _emit(fmt: str, data: Callable[[], Iterable[str]], header: list[str],
+def _emit(fmt: str, data: Callable[[Callable], Iterable[str]], header: list[str],
           rows: Callable[[], Iterable[list]], lines: Callable[[], Iterable]) -> None:
-    """Print data(), the pieces of one JSON document, header and rows() as
-    CSV, or lines() one per line.
+    """Print data(json.dumps), the pieces of one JSON document, header and
+    rows() as CSV, or lines() one per line.
 
     Each piece is written as it comes.  Only fmt's callable runs: no command
-    builds a payload it does not print.  Python's limit on the digits of an
-    int converted to str is lifted while it writes, so a coefficient of any
-    size prints, and restored after; arguments are parsed under it."""
+    builds a payload it does not print, and only fmt's module (json or csv)
+    is imported.  Python's limit on the digits of an int converted to str is
+    lifted while it writes, so a coefficient of any size prints, and
+    restored after; arguments are parsed under it."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            sys.stdout.writelines(chain(data(), ["\n"]))
+            import json
+
+            sys.stdout.writelines(chain(data(json.dumps), ["\n"]))
         elif fmt == "csv":
+            import csv
+
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows())
@@ -116,7 +120,7 @@ def _cmd_poly(args: SimpleNamespace) -> int:
         return _fail(f"family {args.family!r} needs n >= {min_n}", 2)
     coeffs = list(builder(args.n).coeffs)
     _emit(args.format,
-          lambda: [json.dumps({"family": args.family, "n": args.n, "coeffs": coeffs})],
+          lambda dumps: [dumps({"family": args.family, "n": args.n, "coeffs": coeffs})],
           ["family", "n", "coeffs"],
           lambda: [[args.family, args.n, " ".join(map(str, coeffs))]],
           lambda: [coeffs])
@@ -140,7 +144,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     ok = not failures and not unproven and not roots_failures
 
     _emit(args.format,
-          lambda: [json.dumps({
+          lambda dumps: [dumps({
               "identities": report.to_json_dict(),
               "identity_checks": report.count,
               "roots_max_n": roots_cap,
@@ -192,7 +196,7 @@ def _cmd_qec(args: SimpleNamespace) -> int:
         label, result = args.value, qec_numeric(from_edge_list(text))
 
     _emit(args.format,
-          lambda: [json.dumps({"target": label, "value": result.value,
+          lambda dumps: [dumps({"target": label, "value": result.value,
                                "method": result.method.value,
                                "certificate": result.certificate})],
           ["target", "value", "method", "certificate"],
@@ -224,8 +228,8 @@ def _cmd_table(args: SimpleNamespace) -> int:
     entries = chain([next(computed)], computed)
     line = "{:>4}  {:<24} {:<18} {:<24} {:<24}".format
     _emit(args.format,
-          lambda: chain(['{"rows": ['], (
-              ", " * (n > args.start) + json.dumps(
+          lambda dumps: chain(['{"rows": ['], (
+              ", " * (n > args.start) + dumps(
                   {"n": n, "qec": r.value, "method": r.method.value,
                    "lower": b[0] if b else None, "upper": b[1] if b else None})
               for n, r, b in entries), ["]}"]),
@@ -270,15 +274,17 @@ class _Arg:
     """A positional (name as shown) or an option (name is its --flag).
 
     attr is the namespace attribute: dest, or else the name without its
-    dashes.  A plain class: a dataclass costs more to create at import than
-    parsing a whole command line does.
+    dashes.  most, if given, is the largest value admitted: the top of the
+    argument's range, refused while the command line is read, before
+    anything is built.  A plain class: a dataclass costs more to create at
+    import than parsing a whole command line does.
     """
 
     def __init__(self, name: str, convert: Callable[[str], object] = str,
                  choices: tuple[str, ...] = (), default: object = None,
-                 help: str = "", dest: str = ""):
+                 help: str = "", dest: str = "", most: int | None = None):
         self.name, self.convert, self.choices = name, convert, choices
-        self.default, self.help = default, help
+        self.default, self.help, self.most = default, help, most
         self.attr = dest or name.lstrip("-").replace("-", "_")
         if choices:
             self.metavar = "{" + ",".join(choices) + "}"
@@ -286,7 +292,7 @@ class _Arg:
             self.metavar = self.attr.upper() if name.startswith("-") else name
 
     def parse(self, text: str) -> object:
-        """text converted and checked against choices, or _BadValue."""
+        """text converted and checked against choices and most, or _BadValue."""
         try:
             value = self.convert(text)
         except _BadValue as exc:
@@ -297,6 +303,9 @@ class _Arg:
         if self.choices and value not in self.choices:
             raise _BadValue(f"argument {self.name}: invalid choice: {value!r} "
                             f"(choose from {', '.join(map(repr, self.choices))})")
+        if self.most is not None and value > self.most:
+            raise _BadValue(f"argument {self.name}: must be at most {self.most}, "
+                            f"got {text!r}")
         return value
 
 
@@ -313,17 +322,26 @@ _FORMAT = _Arg("--format", choices=("plain", "csv", "json"), default="plain",
 _TOL = _Arg("--tol", _positive_tol, default=1e-12,
             help="bisection tolerance, > 0 (default 1e-12)")
 
+# The tops of the admitted sizes, from cold runs on a 2-core x86-64 Linux VM
+# (Python 3.11.7), each at most about 10 s and 400 MiB peak:
+# - poly n: coefficients hold about n^2/2 bits in all, printing takes about
+#   n^3.  At 12000 the costliest member, phi in CSV, took 4.3 s and peaked
+#   at 394 MiB, and u 2.2 s and 184 MiB.
+# - verify --max-n: the battery grows about as max_n^3; 2000 took 8.7-10.8 s
+#   in CSV, peaking at 44 MiB.
+# - verify --roots-max-n: the brackets grow about linearly; 40000 took
+#   7.2-8.0 s, peaking at 30 MiB.
 _COMMANDS = {
     "poly": _Command(
         _cmd_poly, "print a family member's coefficients",
-        (_Arg("family", choices=tuple(sorted(_FAMILIES))), _Arg("n", int)),
+        (_Arg("family", choices=tuple(sorted(_FAMILIES))), _Arg("n", int, most=12000)),
         (_FORMAT,)),
     "verify": _Command(
         _cmd_verify, "run the exact identity battery and root-structure checks",
         (),
-        (_Arg("--max-n", int, default=50),
-         _Arg("--roots-max-n", int, help="cap for the gamma and beta brackets and "
-                                         "the initial values (default min(max-n, 60))"),
+        (_Arg("--max-n", int, default=50, most=2000),
+         _Arg("--roots-max-n", int, most=40000, help="cap for the gamma and beta "
+              "brackets and the initial values (default min(max-n, 60))"),
          _FORMAT)),
     "qec": _Command(
         _cmd_qec, "compute one quadratic embedding constant",

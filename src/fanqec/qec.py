@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ class Method(str, enum.Enum):
     NUMERIC_ORACLE = "numeric-oracle"
 
 
-@dataclass(frozen=True)
-class QecResult:
+class QecResult(NamedTuple):
     """Computed constant with the method used and its certificate data."""
 
     value: float
@@ -179,8 +178,7 @@ def key_identity_check(n: int, alpha: Fraction | int) -> float:
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class CrossCheckRow:
+class CrossCheckRow(NamedTuple):
     n: int
     fan_value: float
     oracle_value: float
@@ -188,8 +186,7 @@ class CrossCheckRow:
     passed: bool
 
 
-@dataclass
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     rows: list[CrossCheckRow]
 
     @property

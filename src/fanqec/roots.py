@@ -94,6 +94,7 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chebyshev import s_value, split_signs
 
@@ -138,8 +139,7 @@ class Bracket:
             raise BadBracket("equal signs at both endpoints")
 
 
-@dataclass(frozen=True)
-class ZeroCert:
+class ZeroCert(NamedTuple):
     """A located zero: float value plus the rational interval certifying it.
 
     lo == hi marks an exact rational root (width-0 certificate); otherwise

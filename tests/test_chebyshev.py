@@ -28,7 +28,7 @@ from fanqec.chebyshev import (
     s_poly,
     s_value,
 )
-from fanqec import chebyshev, identities, roots
+from fanqec import chebyshev, identities, qec, roots
 from fanqec.polynomial import Poly
 
 
@@ -642,6 +642,28 @@ class TestIdentitySuite:
         copy = pickle.loads(pickle.dumps(checks))
         assert copy == checks
         assert [type(c) for c in copy] == [IdentityCheck, IdentityCheck]
+        # Every plain result record is such a tuple: its fields in order, its
+        # defaults kept, no attribute assignable, and a copy that pickles.
+        row = qec.CrossCheckRow(3, -0.5, -0.5, -0.5, True)
+        records = [
+            (checks[1], ("identity", "n", "passed", "lhs", "rhs")),
+            (identity_suite(2), ("max_n", "decided", "proven", "ranges")),
+            (qec.QecResult(-1.0, qec.Method.KNOWN_SMALL), ("value", "method", "certificate")),
+            (row, ("n", "fan_value", "oracle_value", "decomposition_value", "passed")),
+            (qec.CrossCheckReport([row]), ("rows",)),
+            (roots.gamma(5), ("value", "lo", "hi", "simple")),
+        ]
+        for record, fields in records:
+            assert type(record)._fields == fields
+            with pytest.raises(AttributeError):
+                setattr(record, fields[0], None)
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and type(copy) is type(record)
+        assert {type(r).__name__: type(r)._field_defaults for r, _ in records} == {
+            "IdentityCheck": {"lhs": None, "rhs": None}, "IdentityReport": {},
+            "QecResult": {"certificate": None}, "CrossCheckRow": {},
+            "CrossCheckReport": {}, "ZeroCert": {}}
+        assert records[2][0].certificate is None
 
     def test_report_failure_payload_roundtrip(self, monkeypatch):
         real = chebyshev._Families.defined

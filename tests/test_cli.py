@@ -10,6 +10,7 @@ import select
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -772,6 +773,24 @@ def test_integer_too_large_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.strip() and "Traceback" not in err
+
+
+# Each size has an admitted top, refused while the command line is read and
+# before anything is built: poly u 10^6 would build about 62 GB, and verify
+# --max-n 20000 would run for hours.  The top itself is admitted.
+@pytest.mark.parametrize("argv, top", [
+    (["poly", "u", "1000000"], 12000),
+    (["verify", "--max-n", "1000000"], 2000),
+    (["verify", "--roots-max-n", "40001", "--format", "csv"], 40000),
+], ids=["poly u 10^6", "verify --max-n 10^6", "verify --roots-max-n 40001"])
+def test_past_the_admitted_range_exits_two(capsys, argv, top):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.2
+    assert (code, out) == (2, "")
+    size = next(a for a in argv if a.isdecimal())
+    assert err.splitlines()[-1].endswith(f": must be at most {top}, got {size!r}")
+    assert cli._parse([str(top) if a == size else a for a in argv])[1] is not None
 
 
 # From (n + 1)^2 > 2^53 no bracket end of the root route can be tried: a bad

@@ -52,10 +52,18 @@ def test_exact_layers_import_without_numpy():
 
 
 def test_cli_loads_what_it_runs():
-    loaded = _fresh("import json, sys; import fanqec.cli; print(json.dumps("
-                    + _LOADED + "))")
+    # The format modules are read before the script imports json to print.
+    loaded, formats, (code, out) = _fresh(
+        "import io, sys; import fanqec.cli; loaded = " + _LOADED + "; "
+        "stdout, sys.stdout = sys.stdout, io.StringIO(); "
+        "code = fanqec.cli.main(['qec', 'fan', '5']); "
+        "out, sys.stdout = sys.stdout.getvalue(), stdout; "
+        "formats = [m for m in ('json', 'csv') if m in sys.modules]; "
+        "import json; print(json.dumps([loaded, formats, [code, out]]))")
     assert loaded == ["fanqec", "fanqec.chebyshev", "fanqec.cli", "fanqec.graphs",
                       "fanqec.polynomial", "fanqec.qec", "fanqec.roots", "numpy"]
+    assert formats == []
+    assert code == 0 and out.startswith(f"{qec.qec_fan(5).value!r}\n")
 
 
 def test_every_export_is_its_module_attribute():
